@@ -3,6 +3,10 @@
 All verdicts are decided with exact rational arithmetic; the float
 entropies carried by witnesses are reporting detail only.
 
+KI and SKI share one coalition check. Against class u, an SKI coalition
+holds the secrets of classes in forbidden_set(u) and the keys of classes
+in ancestor_set(u); KI is SKI with no keys held.
+
 Coalition checks run in one of two modes:
 
 * maximal (default): test only the largest legal coalition per class.
@@ -14,8 +18,9 @@ Coalition checks run in one of two modes:
   more than MAX_EXHAUSTIVE coalition members.
 
 Witnesses: maximal mode reports the maximal coalition; exhaustive mode
-reports the lexicographically smallest failing coalition, with subsets
-compared as sorted label tuples.
+reports the lexicographically smallest failing coalition, ordered by its
+secrets first and its keys second, with subsets compared as sorted label
+tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .errors import CoalitionSpaceTooLarge
+from .errors import CoalitionSpaceTooLarge, InvalidArgument
 from .scheme import CheckReport, Scheme, Witness, key_var, secret_var
 
 MAX_EXHAUSTIVE = 20
@@ -31,11 +36,11 @@ MAX_EXHAUSTIVE = 20
 CHECK_KINDS = ("correctness", "ki", "ski", "key-indep")
 
 
-def _sorted_subsets(labels: Iterable[str], include_empty: bool) -> list[tuple[str, ...]]:
+def _sorted_subsets(labels: Iterable[str]) -> list[tuple[str, ...]]:
+    """Every subset of labels as a sorted tuple, all in order, the empty one first."""
     pool = sorted(labels)
-    low = 0 if include_empty else 1
     subsets: list[tuple[str, ...]] = []
-    for size in range(low, len(pool) + 1):
+    for size in range(len(pool) + 1):
         subsets.extend(itertools.combinations(pool, size))
     subsets.sort()
     return subsets
@@ -69,30 +74,48 @@ def check_correctness(scheme: Scheme) -> CheckReport:
                        witnesses=tuple(witnesses))
 
 
-def check_ki(scheme: Scheme, exhaustive: bool = False) -> CheckReport:
-    """Keys must be independent of the secrets of any forbidden coalition."""
+def _check_coalitions(scheme: Scheme, kind: str, with_keys: bool,
+                      exhaustive: bool) -> CheckReport:
+    """Each key must be independent of every legal coalition against it.
+
+    The coalition against u holds secrets of forbidden_set(u) and, when
+    with_keys is set, keys of ancestor_set(u).
+    """
+    graph = scheme.graph
     witnesses: list[Witness] = []
-    for u in sorted(scheme.graph.classes):
-        forbidden = scheme.graph.forbidden_set(u)
-        if not forbidden:
+    for u in sorted(graph.classes):
+        forbidden = graph.forbidden_set(u)
+        ancestors = graph.ancestor_set(u) if with_keys else frozenset()
+        if not forbidden and not ancestors:
             continue
         if not exhaustive:
-            coalition = tuple(sorted(forbidden))
-            secrets = [secret_var(v) for v in coalition]
-            if not scheme.dist.is_independent([key_var(u)], secrets):
-                witnesses.append(_witness(scheme, u, coalition, ()))
-            continue
-        if len(forbidden) > MAX_EXHAUSTIVE:
-            raise CoalitionSpaceTooLarge(
-                f"class {u!r} has {len(forbidden)} forbidden classes; "
-                f"exhaustive mode is capped at {MAX_EXHAUSTIVE}"
+            coalitions: Iterable[tuple[tuple[str, ...], tuple[str, ...]]] = [
+                (tuple(sorted(forbidden)), tuple(sorted(ancestors)))
+            ]
+        else:
+            if len(forbidden) + len(ancestors) > MAX_EXHAUSTIVE:
+                raise CoalitionSpaceTooLarge(
+                    f"class {u!r} has {len(forbidden) + len(ancestors)} coalition "
+                    f"candidates; exhaustive mode is capped at {MAX_EXHAUSTIVE}"
+                )
+            key_subsets = _sorted_subsets(ancestors)
+            coalitions = (
+                (secrets, keys)
+                for secrets in _sorted_subsets(forbidden)
+                for keys in key_subsets
+                if secrets or keys
             )
-        for coalition in _sorted_subsets(forbidden, include_empty=False):
-            secrets = [secret_var(v) for v in coalition]
-            if not scheme.dist.is_independent([key_var(u)], secrets):
-                witnesses.append(_witness(scheme, u, coalition, ()))
+        for secrets, keys in coalitions:
+            givens = [secret_var(v) for v in secrets] + [key_var(w) for w in keys]
+            if not scheme.dist.is_independent([key_var(u)], givens):
+                witnesses.append(_witness(scheme, u, secrets, keys))
                 break
-    return CheckReport(kind="ki", passed=not witnesses, witnesses=tuple(witnesses))
+    return CheckReport(kind=kind, passed=not witnesses, witnesses=tuple(witnesses))
+
+
+def check_ki(scheme: Scheme, exhaustive: bool = False) -> CheckReport:
+    """Keys must be independent of the secrets of any forbidden coalition."""
+    return _check_coalitions(scheme, "ki", with_keys=False, exhaustive=exhaustive)
 
 
 def check_ski(scheme: Scheme, exhaustive: bool = False) -> CheckReport:
@@ -101,38 +124,7 @@ def check_ski(scheme: Scheme, exhaustive: bool = False) -> CheckReport:
     The coalition holds the secrets of classes forbidden to reach u plus
     the keys (not secrets) of classes above u.
     """
-    witnesses: list[Witness] = []
-    for u in sorted(scheme.graph.classes):
-        forbidden = scheme.graph.forbidden_set(u)
-        ancestors = scheme.graph.ancestor_set(u)
-        if not forbidden and not ancestors:
-            continue
-        if not exhaustive:
-            secrets = tuple(sorted(forbidden))
-            keys = tuple(sorted(ancestors))
-            givens = [secret_var(v) for v in secrets] + [key_var(w) for w in keys]
-            if not scheme.dist.is_independent([key_var(u)], givens):
-                witnesses.append(_witness(scheme, u, secrets, keys))
-            continue
-        if len(forbidden) + len(ancestors) > MAX_EXHAUSTIVE:
-            raise CoalitionSpaceTooLarge(
-                f"class {u!r} has {len(forbidden) + len(ancestors)} coalition "
-                f"candidates; exhaustive mode is capped at {MAX_EXHAUSTIVE}"
-            )
-        found = False
-        for secrets in _sorted_subsets(forbidden, include_empty=True):
-            if found:
-                break
-            for keys in _sorted_subsets(ancestors, include_empty=True):
-                if not secrets and not keys:
-                    continue
-                givens = [secret_var(v) for v in secrets]
-                givens += [key_var(w) for w in keys]
-                if not scheme.dist.is_independent([key_var(u)], givens):
-                    witnesses.append(_witness(scheme, u, secrets, keys))
-                    found = True
-                    break
-    return CheckReport(kind="ski", passed=not witnesses, witnesses=tuple(witnesses))
+    return _check_coalitions(scheme, "ski", with_keys=True, exhaustive=exhaustive)
 
 
 def check_key_independence(scheme: Scheme) -> CheckReport:
@@ -162,7 +154,7 @@ def run_checks(scheme: Scheme, mode: str = "all", exhaustive: bool = False) -> l
     elif mode in CHECK_KINDS:
         kinds = (mode,)
     else:
-        raise ValueError(f"unknown check mode {mode!r}")
+        raise InvalidArgument(f"unknown check mode {mode!r}")
     reports: list[CheckReport] = []
     for kind in kinds:
         if kind == "correctness":

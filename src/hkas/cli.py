@@ -202,12 +202,6 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if args.q < 2:
-        print("error: --q must be at least 2", file=sys.stderr)
-        return 2
-    if args.trials < 0:
-        print("error: --trials must be non-negative", file=sys.stderr)
-        return 2
     graph = graph_from_json(load_json_file(args.graph))
     summary = run_validation(graph, args.q, args.trials, args.seed)
     if args.json:

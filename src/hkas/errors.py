@@ -80,6 +80,10 @@ class OverlappingVariableSets(DistributionError):
     """Variable sets that must be disjoint share a variable."""
 
 
+class InvalidArgument(HkasError, ValueError):
+    """A library call received an out-of-range argument, such as q < 2."""
+
+
 class ParseError(HkasError):
     """An input document is structurally malformed."""
 

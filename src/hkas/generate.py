@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Iterable
 
 from .dist import JointDistribution
-from .errors import InvalidLeak, SupportTooLarge
+from .errors import InvalidArgument, InvalidLeak, SupportTooLarge
 from .graph import AccessGraph
 from .jsonutil import Value
 from .scheme import Scheme, key_var, max_support_size, secret_var
@@ -66,7 +67,7 @@ class SplitMix64:
 
 def _check_q(q: int) -> None:
     if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
+        raise InvalidArgument(f"q must be at least 2, got {q}")
 
 
 def _check_bound(total: int, graph: AccessGraph, q: int) -> None:
@@ -85,28 +86,40 @@ def _secret_members(graph: AccessGraph) -> dict[str, tuple[str, ...]]:
     }
 
 
-def _assignment(labels: tuple[str, ...], keys: dict[str, int],
-                members: dict[str, tuple[str, ...]]) -> dict[str, Value]:
-    assignment: dict[str, Value] = {}
-    for u in labels:
-        assignment[key_var(u)] = keys[u]
-        assignment[secret_var(u)] = tuple((v, keys[v]) for v in members[u])
-    return assignment
+def _scheme(graph: AccessGraph, members: dict[str, tuple[str, ...]],
+            weighted_keys: Iterable[tuple[tuple[int, ...], Fraction]]) -> Scheme:
+    """The generator core: one support row per weighted key tuple.
+
+    Key tuples are aligned with the sorted class labels; the secret of u
+    lists (v, k_v) for every v in members[u].
+    """
+    labels = tuple(sorted(graph.classes))
+    rows = []
+    for combo, p in weighted_keys:
+        keys = dict(zip(labels, combo))
+        assignment: dict[str, Value] = {}
+        for u in labels:
+            assignment[key_var(u)] = keys[u]
+            assignment[secret_var(u)] = tuple((v, keys[v]) for v in members[u])
+        rows.append((assignment, p))
+    return Scheme(graph=graph, dist=JointDistribution.from_rows(rows))
+
+
+def _uniform_scheme(graph: AccessGraph, q: int,
+                    members: dict[str, tuple[str, ...]]) -> Scheme:
+    """Independent uniform keys over {0..q-1}, secrets spelling out members."""
+    size = len(graph.classes)
+    total = q ** size
+    _check_bound(total, graph, q)
+    p = Fraction(1, total)
+    combos = itertools.product(range(q), repeat=size)
+    return _scheme(graph, members, ((combo, p) for combo in combos))
 
 
 def gen_trivial(graph: AccessGraph, q: int) -> Scheme:
     """Independent uniform keys; passes correctness, KI, SKI, key-indep."""
     _check_q(q)
-    labels = tuple(sorted(graph.classes))
-    total = q ** len(labels)
-    _check_bound(total, graph, q)
-    members = _secret_members(graph)
-    p = Fraction(1, total)
-    rows = []
-    for combo in itertools.product(range(q), repeat=len(labels)):
-        keys = dict(zip(labels, combo))
-        rows.append((_assignment(labels, keys, members), p))
-    return Scheme(graph=graph, dist=JointDistribution.from_rows(rows))
+    return _uniform_scheme(graph, q, _secret_members(graph))
 
 
 def gen_leaky(graph: AccessGraph, q: int, target: str, leaker: str) -> Scheme:
@@ -124,17 +137,9 @@ def gen_leaky(graph: AccessGraph, q: int, target: str, leaker: str) -> Scheme:
             f"class {leaker!r} can already access {target!r}; "
             f"a leak needs a forbidden pair"
         )
-    labels = tuple(sorted(graph.classes))
-    total = q ** len(labels)
-    _check_bound(total, graph, q)
-    members = dict(_secret_members(graph))
+    members = _secret_members(graph)
     members[leaker] = tuple(sorted(set(members[leaker]) | {target}))
-    p = Fraction(1, total)
-    rows = []
-    for combo in itertools.product(range(q), repeat=len(labels)):
-        keys = dict(zip(labels, combo))
-        rows.append((_assignment(labels, keys, members), p))
-    return Scheme(graph=graph, dist=JointDistribution.from_rows(rows))
+    return _uniform_scheme(graph, q, members)
 
 
 def gen_correlated(graph: AccessGraph, q: int, u: str, w: str) -> Scheme:
@@ -147,20 +152,18 @@ def gen_correlated(graph: AccessGraph, q: int, u: str, w: str) -> Scheme:
     graph._check_class(w)
     if u == w:
         raise InvalidLeak("correlated pair must name two distinct classes")
-    labels = tuple(sorted(graph.classes))
-    free = min(u, w)
-    forced = max(u, w)
-    free_labels = tuple(label for label in labels if label != forced)
-    total = q ** len(free_labels)
+    labels = sorted(graph.classes)
+    free = labels.index(min(u, w))
+    forced = labels.index(max(u, w))
+    total = q ** (len(labels) - 1)
     _check_bound(total, graph, q)
-    members = _secret_members(graph)
     p = Fraction(1, total)
-    rows = []
-    for combo in itertools.product(range(q), repeat=len(free_labels)):
-        keys = dict(zip(free_labels, combo))
-        keys[forced] = keys[free]
-        rows.append((_assignment(labels, keys, members), p))
-    return Scheme(graph=graph, dist=JointDistribution.from_rows(rows))
+    # Tuples range over every class but the forced one. free < forced, so
+    # the free key keeps its own index; a copy is inserted at forced's.
+    combos = itertools.product(range(q), repeat=len(labels) - 1)
+    return _scheme(graph, _secret_members(graph), (
+        (combo[:forced] + (combo[free],) + combo[forced:], p) for combo in combos
+    ))
 
 
 def gen_random_correct(graph: AccessGraph, q: int, seed: int) -> Scheme:
@@ -173,28 +176,25 @@ def gen_random_correct(graph: AccessGraph, q: int, seed: int) -> Scheme:
     depend on the drawn branch.
     """
     _check_q(q)
-    labels = tuple(sorted(graph.classes))
-    total = q ** len(labels)
+    size = len(graph.classes)
+    total = q ** size
     _check_bound(total, graph, q)
     members = _secret_members(graph)
     rng = SplitMix64(seed)
-    weights: dict[int, Fraction]
     if rng.next_u64() & 1:
-        weights = {index: Fraction(1, total) for index in range(total)}
-    else:
-        counts: dict[int, int] = {}
-        for _ in range(64):
-            index = rng.next_below(total)
-            counts[index] = counts.get(index, 0) + 1
-        weights = {index: Fraction(c, 64) for index, c in counts.items()}
-    rows = []
-    for index in sorted(weights):
+        return _uniform_scheme(graph, q, members)
+    counts: dict[int, int] = {}
+    for _ in range(64):
+        index = rng.next_below(total)
+        counts[index] = counts.get(index, 0) + 1
+    weighted = []
+    for index in sorted(counts):
+        # Key tuple number `index` of the product order: base-q digits,
+        # the first label most significant.
         digits = []
         rest = index
-        for _ in labels:
+        for _ in range(size):
             digits.append(rest % q)
             rest //= q
-        digits.reverse()
-        keys = dict(zip(labels, digits))
-        rows.append((_assignment(labels, keys, members), weights[index]))
-    return Scheme(graph=graph, dist=JointDistribution.from_rows(rows))
+        weighted.append((tuple(reversed(digits)), Fraction(counts[index], 64)))
+    return _scheme(graph, members, weighted)

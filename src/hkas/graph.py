@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     CycleDetected,
@@ -42,6 +43,9 @@ class AccessGraph:
     classes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 
+    def __post_init__(self) -> None:
+        validate_graph(self)
+
     @staticmethod
     def build(classes: tuple[str, ...] | list[str],
               edges: list[tuple[str, str]] | frozenset[tuple[str, str]]) -> "AccessGraph":
@@ -53,47 +57,41 @@ class AccessGraph:
                 if edge in seen:
                     raise DuplicateEdge(f"edge {edge!r} listed more than once")
                 seen.add(edge)
-        graph = AccessGraph(tuple(classes), frozenset(edge_list))
-        validate_graph(graph)
-        return graph
+        return AccessGraph(tuple(classes), frozenset(edge_list))
 
     def _check_class(self, label: str) -> None:
         if label not in self.classes:
             raise UnknownClass(f"unknown class {label!r}")
 
-    def _successors(self) -> dict[str, list[str]]:
-        succ: dict[str, list[str]] = {label: [] for label in self.classes}
-        for src, dst in self.edges:
-            succ[src].append(dst)
-        for targets in succ.values():
-            targets.sort()
-        return succ
+    @cached_property
+    def _closure(self) -> dict[str, frozenset[str]]:
+        """accessible_set of every class, built once bottom-up in topological order.
+
+        Not a dataclass field, so equality and hashing ignore it.
+        """
+        closure: dict[str, frozenset[str]] = {}
+        for node in reversed(self._toposort_restricted(set(self.classes))):
+            reach = {node}
+            for src, dst in self.edges:
+                if src == node:
+                    reach |= closure[dst]
+            closure[node] = frozenset(reach)
+        return closure
 
     def accessible_set(self, v: str) -> frozenset[str]:
         """All classes whose keys v can derive, including v itself."""
         self._check_class(v)
-        succ = self._successors()
-        seen = {v}
-        stack = [v]
-        while stack:
-            node = stack.pop()
-            for nxt in succ[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return frozenset(seen)
+        return self._closure[v]
 
     def forbidden_set(self, u: str) -> frozenset[str]:
         """Classes that cannot access u: every v with u not in accessible_set(v)."""
         self._check_class(u)
-        return frozenset(v for v in self.classes if u not in self.accessible_set(v))
+        return frozenset(v for v, reach in self._closure.items() if u not in reach)
 
     def ancestor_set(self, u: str) -> frozenset[str]:
         """Classes other than u that can access u."""
         self._check_class(u)
-        return frozenset(
-            v for v in self.classes if v != u and u in self.accessible_set(v)
-        )
+        return frozenset(v for v, reach in self._closure.items() if v != u and u in reach)
 
     def partition_check(self, u: str) -> bool:
         """True iff {u}, forbidden_set(u), ancestor_set(u) partition the classes."""
@@ -168,11 +166,10 @@ class AccessGraph:
             if label in seen:
                 raise DuplicateInSequence(f"class {label!r} repeats in sequence")
             seen.add(label)
-        for j in range(1, len(labels)):
-            forbidden = self.forbidden_set(labels[j])
-            if not set(labels[:j]) <= forbidden:
-                return False
-        return True
+        closure = self._closure
+        return not any(
+            labels[j] in closure[v] for j in range(1, len(labels)) for v in labels[:j]
+        )
 
     def well_ordered_all(self) -> tuple[str, ...]:
         """A well-ordered sequence covering every class: reversed toposort."""

@@ -25,7 +25,7 @@ import math
 from typing import Iterable, Sequence
 
 from .checks import check_ki, check_ski
-from .errors import PreconditionFailed, TheoremViolation
+from .errors import InvalidArgument, PreconditionFailed, TheoremViolation
 from .generate import SplitMix64, gen_correlated, gen_leaky, gen_random_correct, gen_trivial
 from .graph import AccessGraph
 from .scheme import Scheme, key_var, secret_var, serialize_scheme
@@ -42,6 +42,12 @@ def _violation(scheme: Scheme, message: str) -> TheoremViolation:
     return TheoremViolation(message, scheme_json=serialize_scheme(scheme))
 
 
+def _require_preconditions(scheme: Scheme, labels: tuple[str, ...]) -> None:
+    _require(scheme.graph.is_well_ordered(labels),
+             f"sequence {labels!r} is not well ordered")
+    _require(check_ki(scheme).passed, "scheme is not KI-secure")
+
+
 def verify_independence_sum(scheme: Scheme, seq: Sequence[str]) -> dict:
     """Joint key entropy equals the sum over a well-ordered sequence.
 
@@ -49,9 +55,11 @@ def verify_independence_sum(scheme: Scheme, seq: Sequence[str]) -> dict:
     ordered. Also asserts exact mutual independence of the keys.
     """
     labels = tuple(seq)
-    _require(scheme.graph.is_well_ordered(labels),
-             f"sequence {labels!r} is not well ordered")
-    _require(check_ki(scheme).passed, "scheme is not KI-secure")
+    _require_preconditions(scheme, labels)
+    return _independence_sum(scheme, labels)
+
+
+def _independence_sum(scheme: Scheme, labels: tuple[str, ...]) -> dict:
     keys = [key_var(u) for u in labels]
     joint = scheme.dist.entropy(keys)
     total = math.fsum(scheme.dist.entropy([k]) for k in keys)
@@ -99,10 +107,12 @@ def verify_conditional_identities(
     _require(n >= 1 and m >= 0, f"invalid split n={n}, m={m}")
     _require(len(labels) == n + m,
              f"sequence length {len(labels)} does not match n+m={n + m}")
-    _require(scheme.graph.is_well_ordered(labels),
-             f"sequence {labels!r} is not well ordered")
-    _require(check_ki(scheme).passed, "scheme is not KI-secure")
+    _require_preconditions(scheme, labels)
+    return _conditional_identities(scheme, labels, n, m)
 
+
+def _conditional_identities(scheme: Scheme, labels: tuple[str, ...],
+                            n: int, m: int) -> dict:
     checks = 0
     max_err = 0.0
     prefix_secrets = [secret_var(v) for v in labels[: n - 1]]
@@ -176,11 +186,16 @@ def verify_main_theorem_sequence(scheme: Scheme, u: str) -> dict:
     full entropy against the maximal SKI coalition. The float verdict is
     cross-checked with the exact independence predicate.
     """
+    seq = scheme.graph.theorem_sequence(u)
+    _require_preconditions(scheme, seq)
+    return _main_theorem(scheme, u, seq)
+
+
+def _main_theorem(scheme: Scheme, u: str, seq: tuple[str, ...]) -> dict:
     graph = scheme.graph
-    seq = graph.theorem_sequence(u)
     n = len(graph.forbidden_set(u)) + 1
     m = len(graph.ancestor_set(u))
-    report = verify_conditional_identities(scheme, seq, n, m)
+    report = _conditional_identities(scheme, seq, n, m)
     others = [secret_var(v) for v in sorted(graph.forbidden_set(u))]
     others += [key_var(w) for w in sorted(graph.ancestor_set(u))]
     if others:
@@ -240,7 +255,10 @@ def build_corpus(graph: AccessGraph, q: int, trials: int, seed: int) -> list[Sch
     pair with the leaker forbidden to the target, one correlated scheme
     per unordered class pair, and `trials` schemes from
     gen_random_correct with per-trial seeds derived via splitmix64.
+    Raises InvalidArgument when trials is negative.
     """
+    if trials < 0:
+        raise InvalidArgument(f"trials must be non-negative, got {trials}")
     corpus: list[Scheme] = [gen_trivial(graph, q)]
     for target in sorted(graph.classes):
         for leaker in sorted(graph.forbidden_set(target)):
@@ -262,28 +280,31 @@ def run_validation(graph: AccessGraph, q: int, trials: int, seed: int) -> dict:
     identities on every KI-passing scheme: the independence sum on the
     graph's full well-ordered sequence, the conditional identities on
     every split of that sequence, and the theorem sequence of every
-    class. Summary fields: schemes, ki_pass, ki_fail, discrepancies,
-    identity_checks, max_abs_err.
+    class. Preconditions are decided once: KI per scheme, taken from the
+    verdicts verify_equivalence computed, and well-orderedness per
+    sequence of the graph. Summary fields: schemes, ki_pass, ki_fail,
+    discrepancies, identity_checks, max_abs_err.
     """
     corpus = build_corpus(graph, q, trials, seed)
     equivalence = verify_equivalence(corpus, strict=False)
     identity_checks = 0
     max_abs_err = 0.0
     full_seq = graph.well_ordered_all()
+    theorem_seqs = {u: graph.theorem_sequence(u) for u in sorted(graph.classes)}
+    for seq in (full_seq, *theorem_seqs.values()):
+        _require(graph.is_well_ordered(seq), f"sequence {seq!r} is not well ordered")
     for scheme, verdict in zip(corpus, equivalence["verdicts"]):
         if not verdict["ki"]:
             continue
-        report = verify_independence_sum(scheme, full_seq)
+        report = _independence_sum(scheme, full_seq)
         identity_checks += report["identity_checks"]
         max_abs_err = max(max_abs_err, report["abs_err"])
         for n in range(1, len(full_seq) + 1):
-            report = verify_conditional_identities(
-                scheme, full_seq, n, len(full_seq) - n
-            )
+            report = _conditional_identities(scheme, full_seq, n, len(full_seq) - n)
             identity_checks += report["identity_checks"]
             max_abs_err = max(max_abs_err, report["max_abs_err"])
-        for u in sorted(graph.classes):
-            report = verify_main_theorem_sequence(scheme, u)
+        for u, seq in theorem_seqs.items():
+            report = _main_theorem(scheme, u, seq)
             identity_checks += report["identity_checks"]
             max_abs_err = max(max_abs_err, report["max_abs_err"])
     return {

@@ -12,20 +12,15 @@ Scheme documents are JSON objects {"graph": ..., "support": [...]} or
 
 from __future__ import annotations
 
+import json
 import os
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dist import JointDistribution
-from .errors import (
-    InvalidCoalition,
-    ParseError,
-    SupportTooLarge,
-    UnknownClass,
-    VariableMismatch,
-)
-from .graph import AccessGraph, graph_from_json, graph_to_json, validate_graph
+from .errors import InvalidCoalition, ParseError, SupportTooLarge, VariableMismatch
+from .graph import AccessGraph, graph_from_json, graph_to_json
 from .jsonutil import (
     Value,
     dumps_canonical,
@@ -69,7 +64,6 @@ class Scheme:
     dist: JointDistribution
 
     def __post_init__(self) -> None:
-        validate_graph(self.graph)
         expected = {key_var(u) for u in self.graph.classes}
         expected |= {secret_var(u) for u in self.graph.classes}
         actual = set(self.dist.variables)
@@ -214,28 +208,12 @@ def load_scheme(scheme_doc: object, graph_doc: object | None = None) -> Scheme:
     if "support" not in scheme_doc:
         raise ParseError("scheme document is missing 'support'")
     rows = _parse_support(scheme_doc["support"])
-    expected = {key_var(u) for u in graph.classes}
-    expected |= {secret_var(u) for u in graph.classes}
-    for i, (assignment, _p) in enumerate(rows):
-        if set(assignment) != expected:
-            extra = sorted(set(assignment) - expected)
-            missing = sorted(expected - set(assignment))
-            raise VariableMismatch(
-                f"support row {i} variables do not match graph classes: "
-                f"extra {extra}, missing {missing}"
-            )
     return Scheme(graph=graph, dist=JointDistribution.from_rows(rows))
 
 
 def load_scheme_file(path: str, graph_path: str | None = None) -> Scheme:
     """Load a scheme from disk, resolving graph_file relative to the scheme."""
-    import json
-
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            scheme_doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+    scheme_doc = load_json_file(path)
     graph_doc = None
     if graph_path is None and isinstance(scheme_doc, dict):
         ref = scheme_doc.get("graph_file")
@@ -249,8 +227,6 @@ def load_scheme_file(path: str, graph_path: str | None = None) -> Scheme:
 
 
 def load_json_file(path: str) -> object:
-    import json
-
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)

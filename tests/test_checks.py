@@ -82,6 +82,19 @@ def test_correlated_verdicts(diamond):
     assert indep.witnesses[0].h_key_given == pytest.approx(0.0, abs=TOL)
 
 
+def test_exhaustive_witnesses_with_keys_held(diamond):
+    # the one SKI witness family that holds ancestor keys; the JSON shape
+    # is what `check --exhaustive --json` prints
+    scheme = gen_correlated(diamond, 2, "a", "r")
+    ski = check_ski(scheme, exhaustive=True).to_json()["witnesses"]
+    assert [(w["class"], w["secrets"], w["keys"]) for w in ski] == [
+        ("a", [], ["r"]),
+        ("r", ["a"], []),
+    ]
+    ki = check_ki(scheme, exhaustive=True).to_json()["witnesses"]
+    assert [(w["class"], w["secrets"], w["keys"]) for w in ki] == [("r", ["a"], [])]
+
+
 def test_correctness_witness_shape(diamond):
     # break correctness: keys independent of secrets entirely
     labels = sorted(diamond.classes)

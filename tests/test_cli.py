@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from conftest import DATA_DIR
+from hkas import HkasError, load_scheme_file
 from hkas.cli import main
 
 DIAMOND = str(DATA_DIR / "diamond.json")
@@ -74,7 +76,7 @@ def test_check_json_reruns_identical(capsys, tmp_path):
 
 def test_check_separate_graph_file(capsys, tmp_path):
     path = gen_scheme(capsys, tmp_path, "trivial", [])
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     del doc["graph"]
     headless = tmp_path / "headless.json"
     headless.write_text(json.dumps(doc))
@@ -89,10 +91,10 @@ def test_check_separate_graph_file(capsys, tmp_path):
 
 def test_graph_file_reference_resolution(capsys, tmp_path):
     path = gen_scheme(capsys, tmp_path, "trivial", [])
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     del doc["graph"]
     doc["graph_file"] = "graph-here.json"
-    (tmp_path / "graph-here.json").write_text(open(DIAMOND).read())
+    (tmp_path / "graph-here.json").write_text(Path(DIAMOND).read_text())
     referencing = tmp_path / "ref.json"
     referencing.write_text(json.dumps(doc))
     code, _out, _err = run_cli(capsys, ["check", "--scheme", str(referencing)])
@@ -219,6 +221,24 @@ def test_input_error_exit_codes(capsys, tmp_path):
         capsys, ["validate", "--graph", DIAMOND, "--trials", "-1",
                  "--seed", "1", "--q", "2"])
     assert code == 2
+    code, out, err = run_cli(
+        capsys, ["validate", "--graph", DIAMOND, "--trials", "1",
+                 "--seed", "1", "--q", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_later_support_row_with_extra_variable(capsys, tmp_path):
+    path = gen_scheme(capsys, tmp_path, "trivial", [])
+    doc = json.loads(Path(path).read_text())
+    doc["support"][2]["assignment"]["K:ghost"] = 0
+    bad = tmp_path / "ghost.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(HkasError):
+        load_scheme_file(str(bad))
+    code, out, err = run_cli(capsys, ["check", "--scheme", str(bad)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_usage_errors_from_argparse(capsys):

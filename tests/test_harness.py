@@ -9,6 +9,7 @@ import pytest
 import hkas.harness as harness
 from hkas import (
     CheckReport,
+    HkasError,
     PreconditionFailed,
     TheoremViolation,
     build_corpus,
@@ -139,6 +140,13 @@ def test_build_corpus_contents(diamond):
     assert [s.dist for s in corpus] == [s.dist for s in again]
     other_seed = build_corpus(diamond, 2, 4, 10)
     assert [s.dist for s in corpus] != [s.dist for s in other_seed]
+
+
+def test_run_validation_rejects_bad_arguments(diamond):
+    with pytest.raises(HkasError):
+        run_validation(diamond, 2, -1, 0)
+    with pytest.raises(HkasError):
+        run_validation(diamond, 1, 0, 0)
 
 
 def test_run_validation_summary(diamond):
