@@ -6,6 +6,10 @@ Verdicts (independence, functional determination) are decided with exact
 rational arithmetic; entropies are reported as floats, converting to
 float only at the final step of each term.
 
+Every query makes one pass over the support, summing it into the joint
+pmf of the variables it names; each marginal the query also needs is
+summed from that joint, not from another pass over the support.
+
 Entropies use log base 2. Conditional entropy is computed directly from
 its definition, H(T|G) = -sum p(t,g) log2(p(t,g)/p(g)), not as a
 difference of entropies, so chain-rule identities are genuinely checked
@@ -14,9 +18,11 @@ by the test suite rather than holding by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -28,10 +34,34 @@ from .errors import (
 )
 from .jsonutil import Value, value_sort_key
 
+_ZERO = Fraction(0)
+
+Pmf = dict[tuple[Value, ...], Fraction]
+
 
 def _neg_fsum(terms: Iterable[float]) -> float:
     # "+ 0.0" normalizes -0.0 so exact-zero entropies print as 0.0.
     return -math.fsum(terms) + 0.0
+
+
+def _aggregate(pairs: Iterable[tuple[tuple[Value, ...], Fraction]],
+               positions: Sequence[int]) -> Pmf:
+    """Sum (outcome, p) pairs by the outcome's values at positions."""
+    agg: Pmf = {}
+    for outcome, p in pairs:
+        key = tuple([outcome[i] for i in positions])
+        agg[key] = agg.get(key, _ZERO) + p
+    return agg
+
+
+def _canonical(variables: tuple[str, ...], table: Pmf) -> "JointDistribution":
+    """The distribution of table's outcomes in canonical order."""
+    ordered = sorted(table, key=lambda out: tuple(value_sort_key(v) for v in out))
+    return JointDistribution(
+        variables=variables,
+        outcomes=tuple(ordered),
+        probs=tuple(table[out] for out in ordered),
+    )
 
 
 @dataclass(frozen=True)
@@ -61,7 +91,7 @@ class JointDistribution:
         if not variables:
             raise EmptyVariableSet("outcomes must assign at least one variable")
         varset = set(variables)
-        table: dict[tuple[Value, ...], Fraction] = {}
+        table: Pmf = {}
         for assignment, raw_p in materialized:
             if set(assignment) != varset:
                 extra = sorted(set(assignment) - varset)
@@ -80,12 +110,7 @@ class JointDistribution:
         total = sum(table.values())
         if total != 1:
             raise ProbabilityError(f"probabilities sum to {total}, expected 1")
-        ordered = sorted(table, key=lambda out: tuple(value_sort_key(v) for v in out))
-        return JointDistribution(
-            variables=variables,
-            outcomes=tuple(ordered),
-            probs=tuple(table[out] for out in ordered),
-        )
+        return _canonical(variables, table)
 
     def support_size(self) -> int:
         return len(self.outcomes)
@@ -97,68 +122,48 @@ class JointDistribution:
             for outcome, p in zip(self.outcomes, self.probs)
         ]
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {var: i for i, var in enumerate(self.variables)}
+
     def _resolve(self, variables: Iterable[str], allow_empty: bool = False) -> tuple[str, ...]:
         ordered = tuple(sorted(set(variables)))
         if not ordered and not allow_empty:
             raise EmptyVariableSet("at least one variable is required")
-        index = {var: i for i, var in enumerate(self.variables)}
         for var in ordered:
-            if var not in index:
+            if var not in self._index:
                 raise UnknownVariable(f"unknown variable {var!r}")
         return ordered
 
-    def _project(self, variables: tuple[str, ...]) -> dict[tuple[Value, ...], Fraction]:
-        index = {var: i for i, var in enumerate(self.variables)}
-        positions = [index[var] for var in variables]
-        agg: dict[tuple[Value, ...], Fraction] = {}
-        for outcome, p in zip(self.outcomes, self.probs):
-            key = tuple(outcome[pos] for pos in positions)
-            agg[key] = agg.get(key, Fraction(0)) + p
-        return agg
-
-    def _project_groups(
-        self, groups: Sequence[tuple[str, ...]]
-    ) -> dict[tuple[tuple[Value, ...], ...], Fraction]:
-        index = {var: i for i, var in enumerate(self.variables)}
-        positions = [[index[var] for var in group] for group in groups]
-        agg: dict[tuple[tuple[Value, ...], ...], Fraction] = {}
-        for outcome, p in zip(self.outcomes, self.probs):
-            key = tuple(tuple(outcome[pos] for pos in group) for group in positions)
-            agg[key] = agg.get(key, Fraction(0)) + p
-        return agg
+    def _pmf(self, *groups: tuple[str, ...]) -> Pmf:
+        """Joint pmf of the concatenated groups, which must be disjoint."""
+        names = [var for group in groups for var in group]
+        if len(set(names)) != len(names):
+            shared = sorted({var for var in names if names.count(var) > 1})
+            raise OverlappingVariableSets(f"variable sets share {shared}")
+        positions = [self._index[var] for var in names]
+        return _aggregate(zip(self.outcomes, self.probs), positions)
 
     def marginal(self, variables: Iterable[str]) -> "JointDistribution":
         """Marginal distribution over a non-empty variable subset."""
         ordered = self._resolve(variables)
-        agg = self._project(ordered)
-        keys = sorted(agg, key=lambda out: tuple(value_sort_key(v) for v in out))
-        return JointDistribution(
-            variables=ordered,
-            outcomes=tuple(keys),
-            probs=tuple(agg[key] for key in keys),
-        )
+        return _canonical(ordered, self._pmf(ordered))
 
     def entropy(self, variables: Iterable[str]) -> float:
         """Shannon entropy H of the given variables, in bits."""
-        ordered = self._resolve(variables)
-        agg = self._project(ordered)
-        return _neg_fsum(float(p) * math.log2(float(p)) for p in agg.values())
+        pmf = self._pmf(self._resolve(variables))
+        return _neg_fsum(float(p) * math.log2(float(p)) for p in pmf.values())
 
     def conditional_entropy(self, targets: Iterable[str], givens: Iterable[str]) -> float:
         """H(targets | givens); an empty given set means plain entropy."""
         target_vars = self._resolve(targets)
         given_vars = self._resolve(givens, allow_empty=True)
-        if set(target_vars) & set(given_vars):
-            raise OverlappingVariableSets(
-                f"targets and givens share {sorted(set(target_vars) & set(given_vars))}"
-            )
-        if not given_vars:
-            return self.entropy(target_vars)
-        joint = self._project_groups((given_vars, target_vars))
-        given_marg = self._project(given_vars)
+        joint = self._pmf(given_vars, target_vars)
+        cut = len(given_vars)
+        given = _aggregate(joint.items(), range(cut))
         return _neg_fsum(
-            float(p) * math.log2(float(p / given_marg[gkey]))
-            for (gkey, _tkey), p in joint.items()
+            float(p) * math.log2(float(p / given[key[:cut]]))
+            for key, p in joint.items()
         )
 
     def mutual_information(self, left: Iterable[str], right: Iterable[str]) -> float:
@@ -179,21 +184,14 @@ class JointDistribution:
     def is_functionally_determined(self, targets: Iterable[str], givens: Iterable[str]) -> bool:
         """True iff the given variables determine the targets on the support.
 
-        Exact predicate: every given-value has a single target-value.
+        Exact predicate: no given-value has two target-values.
         Equivalent to H(targets | givens) == 0.
         """
         target_vars = self._resolve(targets)
         given_vars = self._resolve(givens)
-        if set(target_vars) & set(given_vars):
-            raise OverlappingVariableSets(
-                f"targets and givens share {sorted(set(target_vars) & set(given_vars))}"
-            )
-        joint = self._project_groups((given_vars, target_vars))
-        seen: dict[tuple[Value, ...], tuple[Value, ...]] = {}
-        for gkey, tkey in joint:
-            if seen.setdefault(gkey, tkey) != tkey:
-                return False
-        return True
+        joint = self._pmf(given_vars, target_vars)
+        cut = len(given_vars)
+        return len({key[:cut] for key in joint}) == len(joint)
 
     def is_independent(self, left: Iterable[str], right: Iterable[str]) -> bool:
         """Exact independence of two disjoint variable sets.
@@ -203,32 +201,24 @@ class JointDistribution:
         |support(left)| * |support(right)| points and every joint
         probability must equal the product of the marginals.
         """
-        return self.is_mutually_independent(
-            [tuple(self._resolve(left)), tuple(self._resolve(right))]
-        )
+        return self.is_mutually_independent([left, right])
 
     def is_mutually_independent(self, groups: Sequence[Iterable[str]]) -> bool:
         """Exact mutual independence of two or more disjoint variable groups."""
         resolved = [self._resolve(group) for group in groups]
         if len(resolved) < 2:
             raise EmptyVariableSet("mutual independence needs at least two groups")
-        seen: set[str] = set()
-        for group in resolved:
-            overlap = seen & set(group)
-            if overlap:
-                raise OverlappingVariableSets(f"groups share {sorted(overlap)}")
-            seen |= set(group)
-        joint = self._project_groups(resolved)
-        margs = [self._project(group) for group in resolved]
-        expected_size = 1
-        for marg in margs:
-            expected_size *= len(marg)
-        if len(joint) != expected_size:
+        joint = self._pmf(*resolved)
+        # Each group owns one slice start:stop of every joint key.
+        bounds = itertools.accumulate((len(group) for group in resolved), initial=0)
+        spans = list(itertools.pairwise(bounds))
+        margs = [_aggregate(joint.items(), range(start, stop)) for start, stop in spans]
+        if len(joint) != math.prod(len(marg) for marg in margs):
             return False
         for key, p in joint.items():
             product = Fraction(1)
-            for part, marg in zip(key, margs):
-                product *= marg[part]
+            for (start, stop), marg in zip(spans, margs):
+                product *= marg[key[start:stop]]
             if p != product:
                 return False
         return True

@@ -70,13 +70,16 @@ def _check_q(q: int) -> None:
         raise InvalidArgument(f"q must be at least 2, got {q}")
 
 
-def _check_bound(total: int, graph: AccessGraph, q: int) -> None:
+def _check_bound(q: int, exponent: int) -> int:
+    """The number q**exponent of key tuples, if within the support bound."""
+    total = q ** exponent
     bound = max_support_size()
     if total > bound:
         raise SupportTooLarge(
-            f"q**{len(graph.classes)} = {total} key tuples with q={q} "
+            f"q**{exponent} = {total} key tuples with q={q} "
             f"exceeds the support bound {bound}"
         )
+    return total
 
 
 def _secret_members(graph: AccessGraph) -> dict[str, tuple[str, ...]]:
@@ -109,9 +112,7 @@ def _uniform_scheme(graph: AccessGraph, q: int,
                     members: dict[str, tuple[str, ...]]) -> Scheme:
     """Independent uniform keys over {0..q-1}, secrets spelling out members."""
     size = len(graph.classes)
-    total = q ** size
-    _check_bound(total, graph, q)
-    p = Fraction(1, total)
+    p = Fraction(1, _check_bound(q, size))
     combos = itertools.product(range(q), repeat=size)
     return _scheme(graph, members, ((combo, p) for combo in combos))
 
@@ -155,9 +156,7 @@ def gen_correlated(graph: AccessGraph, q: int, u: str, w: str) -> Scheme:
     labels = sorted(graph.classes)
     free = labels.index(min(u, w))
     forced = labels.index(max(u, w))
-    total = q ** (len(labels) - 1)
-    _check_bound(total, graph, q)
-    p = Fraction(1, total)
+    p = Fraction(1, _check_bound(q, len(labels) - 1))
     # Tuples range over every class but the forced one. free < forced, so
     # the free key keeps its own index; a copy is inserted at forced's.
     combos = itertools.product(range(q), repeat=len(labels) - 1)
@@ -177,8 +176,7 @@ def gen_random_correct(graph: AccessGraph, q: int, seed: int) -> Scheme:
     """
     _check_q(q)
     size = len(graph.classes)
-    total = q ** size
-    _check_bound(total, graph, q)
+    total = _check_bound(q, size)
     members = _secret_members(graph)
     rng = SplitMix64(seed)
     if rng.next_u64() & 1:

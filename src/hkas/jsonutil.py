@@ -8,6 +8,7 @@ newline. Re-serializing the same object yields byte-identical text.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -16,20 +17,21 @@ from .errors import ParseError, ProbabilityError
 # Outcome values are ints, strings, or nested tuples of values.
 Value = int | str | tuple
 
+# Far below the recursion limit; generated secrets nest two deep.
+MAX_VALUE_DEPTH = 32
+
+_PROB_TEXT = re.compile(r"[0-9]+(?:/[0-9]+)?")
+
 
 def parse_prob(raw: object) -> Fraction:
-    """Parse a JSON probability: an integer or a "num/den" string."""
-    if isinstance(raw, bool):
-        raise ProbabilityError(f"probability must be an integer or 'num/den' string, got {raw!r}")
-    if isinstance(raw, int):
+    """Parse a JSON probability: an integer, or ASCII digits "num" or "num/den"."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
         frac = Fraction(raw)
-    elif isinstance(raw, str):
+    elif isinstance(raw, str) and _PROB_TEXT.fullmatch(raw):
         try:
             frac = Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ProbabilityError(f"malformed probability {raw!r}: {exc}") from None
-        if frac.denominator < 1:
-            raise ProbabilityError(f"malformed probability {raw!r}")
     else:
         raise ProbabilityError(f"probability must be an integer or 'num/den' string, got {raw!r}")
     if frac <= 0:
@@ -42,14 +44,17 @@ def prob_str(p: Fraction) -> str:
     return f"{p.numerator}/{p.denominator}"
 
 
-def value_from_json(raw: object) -> Value:
-    """Decode an outcome value: int, string, or nested list thereof."""
+def value_from_json(raw: object, _depth: int = 0) -> Value:
+    """Decode an outcome value: int, string, or lists thereof nested
+    at most MAX_VALUE_DEPTH deep (_depth counts the lists enclosing raw)."""
     if isinstance(raw, bool):
         raise ParseError(f"unsupported outcome value {raw!r}")
     if isinstance(raw, int) or isinstance(raw, str):
         return raw
     if isinstance(raw, list):
-        return tuple(value_from_json(item) for item in raw)
+        if _depth >= MAX_VALUE_DEPTH:
+            raise ParseError(f"outcome value nests lists more than {MAX_VALUE_DEPTH} deep")
+        return tuple([value_from_json(item, _depth + 1) for item in raw])
     raise ParseError(f"unsupported outcome value {raw!r}")
 
 

@@ -232,6 +232,8 @@ def load_json_file(path: str) -> object:
             return json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
+        except RecursionError:
+            raise ParseError(f"{path}: JSON nests too deeply to decode") from None
 
 
 def scheme_to_json(scheme: Scheme) -> dict:

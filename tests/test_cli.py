@@ -226,6 +226,16 @@ def test_input_error_exit_codes(capsys, tmp_path):
                  "--seed", "1", "--q", "1"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    # A secret nested 900 lists deep decodes but exceeds the value depth
+    # bound; at 5,000 deep the JSON decoder itself runs out of stack.
+    doc = json.loads(Path(gen_scheme(capsys, tmp_path, "trivial", [])).read_text())
+    doc["support"][0]["assignment"]["S:a"] = "DEEP"
+    for depth in (900, 5000):
+        deep = tmp_path / f"deep{depth}.json"
+        deep.write_text(json.dumps(doc).replace('"DEEP"', "[" * depth + "0" + "]" * depth))
+        code, out, err = run_cli(capsys, ["check", "--scheme", str(deep)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_later_support_row_with_extra_variable(capsys, tmp_path):

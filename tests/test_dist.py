@@ -46,6 +46,26 @@ def oracle_cond_entropy(rows: Rows, targets: list[str], givens: list[str]) -> fl
     return joint - given
 
 
+def oracle_determined(rows: Rows, targets: list[str], givens: list[str]) -> bool:
+    """Each given-value occurs with exactly one target-value."""
+    joint = oracle_marginal(rows, givens + targets)
+    target_values = oracle_marginal(rows, targets)
+    return all(
+        sum(gkey + tkey in joint for tkey in target_values) == 1
+        for gkey in oracle_marginal(rows, givens)
+    )
+
+
+def oracle_independent(rows: Rows, groups: list[list[str]]) -> bool:
+    """p(x1, ..., xn) == p(x1) * ... * p(xn) on the whole product space."""
+    margs = [oracle_marginal(rows, group) for group in groups]
+    joint = oracle_marginal(rows, [var for group in groups for var in group])
+    return all(
+        joint.get(sum(parts, ()), 0) == math.prod(m[part] for m, part in zip(margs, parts))
+        for parts in itertools.product(*margs)
+    )
+
+
 def xor_triple() -> tuple[JointDistribution, Rows]:
     rows: Rows = []
     for x in (0, 1):
@@ -67,6 +87,20 @@ def random_dist(rng: random.Random, max_vars: int = 3,
         (dict(zip(variables, outcome)), Fraction(weight, total))
         for outcome, weight in zip(chosen, weights)
     ]
+    return JointDistribution.from_rows(rows), rows
+
+
+def random_product_dist(rng: random.Random, max_vars: int = 4,
+                        max_values: int = 3) -> tuple[JointDistribution, Rows]:
+    """Independent variables, each with its own random pmf."""
+    pmfs = []
+    for _ in range(rng.randint(1, max_vars)):
+        weights = [rng.randint(1, 8) for _ in range(rng.randint(1, max_values))]
+        pmfs.append([Fraction(weight, sum(weights)) for weight in weights])
+    rows: Rows = []
+    for outcome in itertools.product(*[range(len(pmf)) for pmf in pmfs]):
+        assignment = {f"v{i}": value for i, value in enumerate(outcome)}
+        rows.append((assignment, math.prod(pmf[v] for pmf, v in zip(pmfs, outcome))))
     return JointDistribution.from_rows(rows), rows
 
 
@@ -176,6 +210,36 @@ def test_entropy_properties_random():
         )
         determined = dist.is_functionally_determined(left, right)
         assert determined == (h_given < TOL)
+
+
+def test_exact_predicates_match_brute_force():
+    rng = random.Random(60221)
+    verdicts = set()
+    for trial in range(120):
+        make = random_product_dist if trial % 2 else random_dist
+        dist, rows = make(rng, 4, 3)
+        variables = list(dist.variables)
+        # every ordered pair of disjoint, non-empty subsets
+        for labels in itertools.product(range(3), repeat=len(variables)):
+            left = [var for var, label in zip(variables, labels) if label == 1]
+            right = [var for var, label in zip(variables, labels) if label == 2]
+            if not left or not right:
+                continue
+            determined = dist.is_functionally_determined(left, right)
+            assert determined == oracle_determined(rows, left, right)
+            independent = dist.is_independent(left, right)
+            assert independent == oracle_independent(rows, [left, right])
+            verdicts |= {("determined", determined), ("independent", independent)}
+        if len(variables) >= 3:
+            shuffled = variables[:]
+            rng.shuffle(shuffled)
+            first, second = sorted(rng.sample(range(1, len(shuffled)), 2))
+            groups = [shuffled[:first], shuffled[first:second], shuffled[second:]]
+            mutual = dist.is_mutually_independent(groups)
+            assert mutual == oracle_independent(rows, groups)
+            verdicts.add(("mutual", mutual))
+    # both verdicts of every predicate are exercised
+    assert len(verdicts) == 6
 
 
 def test_conditional_mutual_information_random():

@@ -150,3 +150,6 @@ def test_support_bound_enforced(monkeypatch, diamond):
         gen_random_correct(diamond, 2, 42)
     # correlated only needs q**(n-1) = 8 rows
     assert gen_correlated(diamond, 2, "a", "r").dist.support_size() == 8
+    monkeypatch.setenv("HKAS_MAX_SUPPORT", "4")
+    with pytest.raises(SupportTooLarge, match=r"q\*\*3 = 8 "):
+        gen_correlated(diamond, 2, "a", "r")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import hkas.cli
-from hkas import ProbabilityError
+from hkas import ParseError, ProbabilityError
 from hkas.jsonutil import (
+    MAX_VALUE_DEPTH,
     dumps_canonical,
     parse_prob,
     prob_str,
@@ -28,7 +30,8 @@ def test_parse_prob():
     assert parse_prob("1/8") == Fraction(1, 8)
     assert parse_prob("3") == Fraction(3)
     assert parse_prob(2) == Fraction(2)
-    for bad in ("0/4", "-1/2", 0, -2, "1/0", "x/y", 0.5, True, None, [1, 2]):
+    for bad in ("0/4", "-1/2", 0, -2, "1/0", "x/y", 0.5, True, None, [1, 2],
+                "0.5", "1e-1", " 1/2"):
         with pytest.raises(ProbabilityError):
             parse_prob(bad)
 
@@ -47,6 +50,18 @@ def test_value_codec():
     for bad in (0.5, True, None, {"k": 1}):
         with pytest.raises(Exception):
             value_from_json(bad)
+
+
+def test_value_depth_bound():
+    def nested(depth):
+        raw = 0
+        for _ in range(depth):
+            raw = [raw]
+        return raw
+
+    assert value_to_json(value_from_json(nested(MAX_VALUE_DEPTH))) == nested(MAX_VALUE_DEPTH)
+    with pytest.raises(ParseError):
+        value_from_json(nested(MAX_VALUE_DEPTH + 1))
 
 
 def test_value_sort_key_total_order():
@@ -106,9 +121,14 @@ def test_installed_console_script_matches_declaration():
 
 
 def test_module_invocation_smoke():
+    # The child finds the package the suite imported, also when pytest's
+    # pythonpath setting, not PYTHONPATH, put it on sys.path.
+    package_root = str(Path(hkas.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hkas.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "check" in proc.stdout and "validate" in proc.stdout
