@@ -124,7 +124,7 @@ class PreconditionFailed(HkasError):
 
 
 class TheoremViolation(HkasError):
-    """An identity the harness verifies failed outside tolerance.
+    """An identity the harness verifies fails its exact predicate.
 
     Carries enough context to reproduce the failure: a human-readable
     message and, when available, the serialized scheme.

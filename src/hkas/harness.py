@@ -1,22 +1,21 @@
 """Empirical validation of the structural theorems behind the checkers.
 
 The identities verified here are the load-bearing facts the checkers
-rely on:
+rely on, on well-ordered sequences of a KI-secure scheme:
 
-* on a well-ordered sequence of a KI-secure scheme, the joint entropy of
-  the keys equals the sum of the individual key entropies and the keys
-  are mutually independent;
-* conditioning a later block of keys on an earlier class's key and the
-  earlier secrets does not reduce the block's entropy below the sum of
-  its parts (and equals it exactly);
+* the joint entropy of the keys equals the sum of their entropies;
+* a later block of keys, given an earlier class's key and the earlier
+  secrets, keeps the sum of its parts' entropies;
 * the key of a class keeps full entropy given later keys plus earlier
   secrets;
 * along a well-ordered prefix the secrets determine the keys exactly.
 
-Float identities are compared at absolute tolerance TOL; verdicts that
-feed pass/fail decisions are cross-checked with exact predicates.
-Violations raise TheoremViolation carrying the serialized scheme so a
-failure is reproducible from the error alone.
+Verdicts are exact. Each entropy identity reads H(T_1..T_m | G) ==
+H(T_1) + ... + H(T_m) and holds exactly when T_1, ..., T_m and G are
+mutually independent, so _identity decides it with that predicate;
+determination uses is_functionally_determined. The float sides only
+report (abs_err, max_abs_err). Violations raise TheoremViolation
+carrying the serialized scheme, so the error alone reproduces them.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from .errors import InvalidArgument, PreconditionFailed, TheoremViolation
 from .generate import SplitMix64, gen_correlated, gen_leaky, gen_random_correct, gen_trivial
 from .graph import AccessGraph
 from .scheme import Scheme, key_var, secret_var, serialize_scheme
-
-TOL = 1e-9
 
 
 def _require(condition: bool, message: str) -> None:
@@ -48,38 +45,50 @@ def _require_preconditions(scheme: Scheme, labels: tuple[str, ...]) -> None:
     _require(check_ki(scheme).passed, "scheme is not KI-secure")
 
 
+def _identity(scheme: Scheme, parts: Sequence[str], givens: Sequence[str],
+              claim: str, h: dict[str, float]) -> tuple[float, float]:
+    """Decide H(parts | givens) == sum of H(part); return both float sides.
+
+    It holds exactly when each part, and the givens as one more group,
+    are mutually independent; with fewer than two groups it holds
+    trivially. h maps each part to H(part). The floats only report.
+    """
+    lhs = scheme.dist.conditional_entropy(parts, givens)
+    rhs = math.fsum(h[part] for part in parts)
+    groups = [(part,) for part in parts] + ([givens] if givens else [])
+    if len(groups) >= 2 and not scheme.dist.is_mutually_independent(groups):
+        raise _violation(scheme, f"{claim} does not hold: {lhs!r} vs {rhs!r}")
+    return lhs, rhs
+
+
+def _key_entropies(scheme: Scheme, labels: Iterable[str]) -> dict[str, float]:
+    return {key_var(u): scheme.dist.entropy([key_var(u)]) for u in labels}
+
+
 def verify_independence_sum(scheme: Scheme, seq: Sequence[str]) -> dict:
     """Joint key entropy equals the sum over a well-ordered sequence.
 
     Preconditions: the scheme passes the KI check and seq is well
-    ordered. Also asserts exact mutual independence of the keys.
+    ordered. Decided as exact mutual independence of the keys;
+    joint_entropy, entropy_sum and abs_err only report. identity_checks
+    counts the sum and, over two or more classes, the independence.
     """
     labels = tuple(seq)
     _require_preconditions(scheme, labels)
-    return _independence_sum(scheme, labels)
+    return _independence_sum(scheme, labels, _key_entropies(scheme, labels))
 
 
-def _independence_sum(scheme: Scheme, labels: tuple[str, ...]) -> dict:
-    keys = [key_var(u) for u in labels]
-    joint = scheme.dist.entropy(keys)
-    total = math.fsum(scheme.dist.entropy([k]) for k in keys)
-    abs_err = abs(joint - total)
-    if abs_err >= TOL:
-        raise _violation(
-            scheme,
-            f"joint key entropy {joint!r} differs from sum {total!r} "
-            f"on sequence {labels!r}",
-        )
-    if len(labels) >= 2:
-        if not scheme.dist.is_mutually_independent([(k,) for k in keys]):
-            raise _violation(
-                scheme, f"keys of {labels!r} are not mutually independent"
-            )
+def _independence_sum(scheme: Scheme, labels: tuple[str, ...],
+                      h: dict[str, float]) -> dict:
+    joint, total = _identity(
+        scheme, [key_var(u) for u in labels], [],
+        f"H(keys) == sum of key entropies on sequence {labels!r}", h,
+    )
     return {
         "sequence": list(labels),
         "joint_entropy": joint,
         "entropy_sum": total,
-        "abs_err": abs_err,
+        "abs_err": abs(joint - total),
         "identity_checks": 2 if len(labels) >= 2 else 1,
     }
 
@@ -99,113 +108,77 @@ def verify_conditional_identities(
     * the secrets of any proper prefix of the first n classes determine
       that prefix's keys exactly.
 
+    Each is decided exactly; max_abs_err reports the largest float gap
+    between the sides of an entropy identity. identity_checks counts the
+    n-1 determinations plus 3 entropy identities (1 when m == 0).
     Raises PreconditionFailed unless the scheme is KI-secure, seq is well
     ordered, and len(seq) == n + m with n >= 1, m >= 0. Raises
-    TheoremViolation when an identity misses by TOL or more.
+    TheoremViolation when an identity fails.
     """
     labels = tuple(seq)
     _require(n >= 1 and m >= 0, f"invalid split n={n}, m={m}")
     _require(len(labels) == n + m,
              f"sequence length {len(labels)} does not match n+m={n + m}")
     _require_preconditions(scheme, labels)
-    return _conditional_identities(scheme, labels, n, m)
+    return _conditional_identities(scheme, labels, n, m,
+                                   _key_entropies(scheme, labels))
 
 
 def _conditional_identities(scheme: Scheme, labels: tuple[str, ...],
-                            n: int, m: int) -> dict:
-    checks = 0
-    max_err = 0.0
+                            n: int, m: int, h: dict[str, float]) -> dict:
     prefix_secrets = [secret_var(v) for v in labels[: n - 1]]
     pivot_key = key_var(labels[n - 1])
     suffix_keys = [key_var(u) for u in labels[n:]]
+    where = f"on {labels!r} split n={n}, m={m}"
 
     for j in range(2, n + 1):
         head = labels[: j - 1]
-        determined = scheme.dist.is_functionally_determined(
-            [key_var(u) for u in head], [secret_var(u) for u in head]
-        )
-        checks += 1
-        if not determined:
-            raise _violation(
-                scheme,
-                f"secrets of prefix {head!r} do not determine its keys",
-            )
+        if not scheme.dist.is_functionally_determined(
+                [key_var(u) for u in head], [secret_var(u) for u in head]):
+            raise _violation(scheme, f"secrets of prefix {head!r} do not determine its keys")
 
+    sides = []
     if m >= 1:
-        parts = math.fsum(scheme.dist.entropy([k]) for k in suffix_keys)
-        given_pivot = scheme.dist.conditional_entropy(
-            suffix_keys, [pivot_key] + prefix_secrets
-        )
-        checks += 1
-        max_err = max(max_err, abs(given_pivot - parts))
-        if abs(given_pivot - parts) >= TOL:
-            raise _violation(
-                scheme,
-                f"H(suffix keys | pivot key, prefix secrets) = {given_pivot!r} "
-                f"differs from entropy sum {parts!r} on {labels!r} split "
-                f"n={n}, m={m}",
-            )
-        without_pivot = scheme.dist.conditional_entropy(suffix_keys, prefix_secrets)
-        checks += 1
-        max_err = max(max_err, abs(without_pivot - parts))
-        if abs(without_pivot - parts) >= TOL:
-            raise _violation(
-                scheme,
-                f"H(suffix keys | prefix secrets) = {without_pivot!r} differs "
-                f"from entropy sum {parts!r} on {labels!r} split n={n}, m={m}",
-            )
-
-    pivot_plain = scheme.dist.entropy([pivot_key])
-    pivot_given = scheme.dist.conditional_entropy(
-        [pivot_key], suffix_keys + prefix_secrets
-    )
-    checks += 1
-    max_err = max(max_err, abs(pivot_given - pivot_plain))
-    if abs(pivot_given - pivot_plain) >= TOL:
-        raise _violation(
-            scheme,
-            f"H(pivot key | suffix keys, prefix secrets) = {pivot_given!r} "
-            f"differs from H(pivot key) = {pivot_plain!r} on {labels!r} "
-            f"split n={n}, m={m}",
-        )
-
+        sides.append(_identity(
+            scheme, suffix_keys, [pivot_key] + prefix_secrets,
+            f"H(suffix keys | pivot key, prefix secrets) == entropy sum {where}", h,
+        ))
+        sides.append(_identity(
+            scheme, suffix_keys, prefix_secrets,
+            f"H(suffix keys | prefix secrets) == entropy sum {where}", h,
+        ))
+    sides.append(_identity(
+        scheme, [pivot_key], suffix_keys + prefix_secrets,
+        f"H(pivot key | suffix keys, prefix secrets) == H(pivot key) {where}", h,
+    ))
     return {
         "sequence": list(labels),
         "n": n,
         "m": m,
-        "identity_checks": checks,
-        "max_abs_err": max_err,
+        "identity_checks": n - 1 + len(sides),
+        "max_abs_err": max(abs(lhs - rhs) for lhs, rhs in sides),
     }
+
+
+def _theorem_split(graph: AccessGraph, u: str) -> tuple[tuple[str, ...], int, int]:
+    """theorem_sequence(u) with n = |forbidden_set(u)| + 1, m = |ancestor_set(u)|."""
+    return (graph.theorem_sequence(u), len(graph.forbidden_set(u)) + 1,
+            len(graph.ancestor_set(u)))
 
 
 def verify_main_theorem_sequence(scheme: Scheme, u: str) -> dict:
     """Run the conditional identities on theorem_sequence(u).
 
     The split is n = |forbidden_set(u)| + 1 (prefix ends at u itself) and
-    m = |ancestor_set(u)|, so the pivot identity states that u's key keeps
-    full entropy against the maximal SKI coalition. The float verdict is
-    cross-checked with the exact independence predicate.
+    m = |ancestor_set(u)|, so the pivot identity states that u's key is
+    independent of the maximal SKI coalition (forbidden secrets plus
+    ancestor keys). identity_checks counts that statement once more when
+    the coalition is non-empty; it shares the pivot identity's decision.
     """
-    seq = scheme.graph.theorem_sequence(u)
+    seq, n, m = _theorem_split(scheme.graph, u)
     _require_preconditions(scheme, seq)
-    return _main_theorem(scheme, u, seq)
-
-
-def _main_theorem(scheme: Scheme, u: str, seq: tuple[str, ...]) -> dict:
-    graph = scheme.graph
-    n = len(graph.forbidden_set(u)) + 1
-    m = len(graph.ancestor_set(u))
-    report = _conditional_identities(scheme, seq, n, m)
-    others = [secret_var(v) for v in sorted(graph.forbidden_set(u))]
-    others += [key_var(w) for w in sorted(graph.ancestor_set(u))]
-    if others:
-        if not scheme.dist.is_independent([key_var(u)], others):
-            raise _violation(
-                scheme,
-                f"key of {u!r} is not exactly independent of the maximal "
-                f"coalition despite the entropy identity",
-            )
-        report["identity_checks"] += 1
+    report = _conditional_identities(scheme, seq, n, m, _key_entropies(scheme, seq))
+    report["identity_checks"] += int(len(seq) >= 2)
     report["target"] = u
     return report
 
@@ -279,34 +252,42 @@ def run_validation(graph: AccessGraph, q: int, trials: int, seed: int) -> dict:
     Checks KI/SKI agreement on every scheme, then runs the entropy
     identities on every KI-passing scheme: the independence sum on the
     graph's full well-ordered sequence, the conditional identities on
-    every split of that sequence, and the theorem sequence of every
-    class. Preconditions are decided once: KI per scheme, taken from the
-    verdicts verify_equivalence computed, and well-orderedness per
-    sequence of the graph. Summary fields: schemes, ki_pass, ki_fail,
-    discrepancies, identity_checks, max_abs_err.
+    every split of it, and the theorem sequence of every class. KI is
+    decided once per scheme (verify_equivalence's verdict), being well
+    ordered once per sequence, and each distinct (sequence, split) once
+    per scheme; identity_checks and max_abs_err still total every split
+    listed, as the public verify_* calls would. A violation is
+    re-raised prefixed "corpus scheme <index>: ", an index into
+    build_corpus(graph, q, trials, seed). Summary fields: schemes,
+    ki_pass, ki_fail, discrepancies, identity_checks, max_abs_err.
     """
     corpus = build_corpus(graph, q, trials, seed)
     equivalence = verify_equivalence(corpus, strict=False)
+    full_seq = graph.well_ordered_all()
+    theorem_splits = [_theorem_split(graph, u) for u in sorted(graph.classes)]
+    for seq in (full_seq, *(split[0] for split in theorem_splits)):
+        _require(graph.is_well_ordered(seq), f"sequence {seq!r} is not well ordered")
+    splits = [(full_seq, n, len(full_seq) - n) for n in range(1, len(full_seq) + 1)]
+    splits += theorem_splits
+    coalition_statements = sum(len(seq) >= 2 for seq, _, _ in theorem_splits)
     identity_checks = 0
     max_abs_err = 0.0
-    full_seq = graph.well_ordered_all()
-    theorem_seqs = {u: graph.theorem_sequence(u) for u in sorted(graph.classes)}
-    for seq in (full_seq, *theorem_seqs.values()):
-        _require(graph.is_well_ordered(seq), f"sequence {seq!r} is not well ordered")
-    for scheme, verdict in zip(corpus, equivalence["verdicts"]):
+    for index, (scheme, verdict) in enumerate(zip(corpus, equivalence["verdicts"])):
         if not verdict["ki"]:
             continue
-        report = _independence_sum(scheme, full_seq)
-        identity_checks += report["identity_checks"]
+        h = _key_entropies(scheme, full_seq)
+        try:
+            report = _independence_sum(scheme, full_seq, h)
+            decided = {split: _conditional_identities(scheme, *split, h)
+                       for split in dict.fromkeys(splits)}
+        except TheoremViolation as exc:
+            raise TheoremViolation(f"corpus scheme {index}: {exc}",
+                                   scheme_json=exc.scheme_json) from None
+        identity_checks += report["identity_checks"] + coalition_statements
         max_abs_err = max(max_abs_err, report["abs_err"])
-        for n in range(1, len(full_seq) + 1):
-            report = _conditional_identities(scheme, full_seq, n, len(full_seq) - n)
-            identity_checks += report["identity_checks"]
-            max_abs_err = max(max_abs_err, report["max_abs_err"])
-        for u, seq in theorem_seqs.items():
-            report = _main_theorem(scheme, u, seq)
-            identity_checks += report["identity_checks"]
-            max_abs_err = max(max_abs_err, report["max_abs_err"])
+        for split in splits:
+            identity_checks += decided[split]["identity_checks"]
+            max_abs_err = max(max_abs_err, decided[split]["max_abs_err"])
     return {
         "schemes": equivalence["schemes"],
         "ki_pass": equivalence["ki_pass"],

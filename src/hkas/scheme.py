@@ -230,7 +230,7 @@ def load_json_file(path: str) -> object:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, digit limit
             raise ParseError(f"{path}: {exc}") from None
         except RecursionError:
             raise ParseError(f"{path}: JSON nests too deeply to decode") from None

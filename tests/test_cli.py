@@ -236,6 +236,17 @@ def test_input_error_exit_codes(capsys, tmp_path):
         code, out, err = run_cli(capsys, ["check", "--scheme", str(deep)])
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+    # The decoder's own ValueErrors: an integer literal over Python's
+    # 4,300-digit conversion limit, and a file that is not UTF-8.
+    doc["support"][0]["assignment"]["K:a"] = "HUGE"
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc).replace('"HUGE"', "1" * 5000))
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff" + huge.read_bytes())
+    for bad in (huge, not_utf8):
+        code, out, err = run_cli(capsys, ["check", "--scheme", str(bad)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_later_support_row_with_extra_variable(capsys, tmp_path):

@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
 import hkas.harness as harness
+from conftest import make_diamond
 from hkas import (
+    AccessGraph,
     CheckReport,
     HkasError,
+    JointDistribution,
     PreconditionFailed,
+    Scheme,
     TheoremViolation,
     build_corpus,
+    check_ki,
     gen_correlated,
     gen_leaky,
     gen_trivial,
@@ -160,3 +166,63 @@ def test_run_validation_summary(diamond):
     assert summary["discrepancies"] == 0
     assert summary["identity_checks"] > 0
     assert summary["max_abs_err"] < TOL
+
+
+def test_identities_decided_exactly(monkeypatch):
+    # Keys of an antichain {a, b} with S:u = K:u and each key pair at
+    # probability 1/4 +- 1e-6: I(K:a; K:b) is about 1.15e-11 bits, far below
+    # any float tolerance, yet the keys are dependent.
+    graph = AccessGraph.build(["a", "b"], [])
+    skew = Fraction(1, 10**6)
+    rows = [
+        ({"K:a": ka, "S:a": ka, "K:b": kb, "S:b": kb},
+         Fraction(1, 4) + (skew if ka == kb else -skew))
+        for ka in (0, 1) for kb in (0, 1)
+    ]
+    scheme = Scheme(graph, JointDistribution.from_rows(rows))
+    assert 0 < scheme.dist.mutual_information(["K:a"], ["K:b"]) < 1e-10
+    monkeypatch.setattr(
+        harness, "check_ki", lambda scheme: CheckReport("ki", True, ())
+    )
+    with pytest.raises(TheoremViolation):
+        verify_conditional_identities(scheme, ("a", "b"), 1, 1)
+    with pytest.raises(TheoremViolation):
+        verify_independence_sum(scheme, ("a", "b"))
+
+
+def test_run_validation_names_corpus_scheme(monkeypatch, diamond):
+    monkeypatch.setattr(
+        harness, "check_ki", lambda scheme: CheckReport("ki", True, ())
+    )
+    with pytest.raises(TheoremViolation, match=r"^corpus scheme 1: ") as exc_info:
+        run_validation(diamond, 2, 0, 0)
+    payload = exc_info.value.scheme_json
+    assert payload is not None
+    assert load_scheme(json.loads(payload)) == build_corpus(diamond, 2, 0, 0)[1]
+
+
+@pytest.mark.parametrize("shape", ["diamond", "antichain3"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_run_validation_totals_public_verifiers(shape, q):
+    # run_validation decides each distinct split once per scheme; its
+    # totals must still equal those of the public verifiers called on
+    # every split it lists (at q=3 the float gaps are not all zero).
+    graph = make_diamond() if shape == "diamond" else AccessGraph.build(["a", "b", "c"], [])
+    seq = graph.well_ordered_all()
+    identity_checks = 0
+    max_abs_err = 0.0
+    for scheme in build_corpus(graph, q, 4, 31):
+        if not check_ki(scheme).passed:
+            continue
+        summed = verify_independence_sum(scheme, seq)
+        identity_checks += summed["identity_checks"]
+        max_abs_err = max(max_abs_err, summed["abs_err"])
+        reports = [verify_conditional_identities(scheme, seq, n, len(seq) - n)
+                   for n in range(1, len(seq) + 1)]
+        reports += [verify_main_theorem_sequence(scheme, u) for u in sorted(graph.classes)]
+        for report in reports:
+            identity_checks += report["identity_checks"]
+            max_abs_err = max(max_abs_err, report["max_abs_err"])
+    summary = run_validation(graph, q, 4, 31)
+    assert summary["identity_checks"] == identity_checks
+    assert summary["max_abs_err"] == max_abs_err
