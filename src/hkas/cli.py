@@ -9,7 +9,8 @@ Subcommands:
     hkas validate  run the theorem-validation corpus over a graph
 
 Exit codes: 0 all requested checks passed, 1 a check or validation
-failed (witnesses or the violation are printed), 2 bad input or usage.
+failed (witnesses or the violation are printed), 2 bad input, usage or
+any other error (one "error:" line on stderr, never a traceback).
 JSON output (--json) is canonical: sorted keys, rationals as "num/den",
 floats at 12 significant digits, so reruns are byte identical.
 """
@@ -222,11 +223,14 @@ def main(argv: list[str] | None = None) -> int:
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 1
-    except HkasError as exc:
+    except (HkasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # No input may end in a traceback or in exit 1, the "check failed"
+        # code; KeyboardInterrupt is not an Exception and still propagates.
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: {detail}", file=sys.stderr)
         return 2
 
 

@@ -2,12 +2,19 @@
 
 A JointDistribution stores an explicit support: every outcome with
 positive probability, probabilities as Fractions summing to exactly 1.
-Verdicts (independence, functional determination) are decided with exact
-rational arithmetic; entropies are reported as floats, converting to
-float only at the final step of each term.
+Queries never do Fraction arithmetic. Each distribution lazily computes
+one integer view of its probabilities: the common denominator D (the lcm
+of the denominators) and an int weight w = p * D per outcome. Verdicts
+(independence, functional determination) are decided exactly on these
+ints; entropies are reported as floats, converting to float only at the
+final step of each term.
+
+The floats equal those of the Fraction formulas bit for bit: a term
+needs p = w / D and a ratio p(t,g) / p(g) = w_tg / w_g, and Python's
+int / int true division is correctly rounded, as is float(Fraction).
 
 Every query makes one pass over the support, summing it into the joint
-pmf of the variables it names; each marginal the query also needs is
+weights of the variables it names; each marginal the query also needs is
 summed from that joint, not from another pass over the support.
 
 Entropies use log base 2. Conditional entropy is computed directly from
@@ -34,9 +41,8 @@ from .errors import (
 )
 from .jsonutil import Value, value_sort_key
 
-_ZERO = Fraction(0)
-
 Pmf = dict[tuple[Value, ...], Fraction]
+Counts = dict[tuple[Value, ...], int]
 
 
 def _neg_fsum(terms: Iterable[float]) -> float:
@@ -44,14 +50,41 @@ def _neg_fsum(terms: Iterable[float]) -> float:
     return -math.fsum(terms) + 0.0
 
 
-def _aggregate(pairs: Iterable[tuple[tuple[Value, ...], Fraction]],
-               positions: Sequence[int]) -> Pmf:
-    """Sum (outcome, p) pairs by the outcome's values at positions."""
-    agg: Pmf = {}
-    for outcome, p in pairs:
+def _aggregate(pairs: Iterable[tuple[tuple[Value, ...], int]],
+               positions: Sequence[int]) -> Counts:
+    """Sum (outcome, weight) pairs by the outcome's values at positions."""
+    agg: Counts = {}
+    for outcome, w in pairs:
         key = tuple([outcome[i] for i in positions])
-        agg[key] = agg.get(key, _ZERO) + p
+        agg[key] = agg.get(key, 0) + w
     return agg
+
+
+def _conditional_entropy(joint: Counts, cut: int, total: int) -> float:
+    """H(rest | first cut values) of joint weights out of total."""
+    given = _aggregate(joint.items(), range(cut))
+    return _neg_fsum(
+        w / total * math.log2(w / given[key[:cut]]) for key, w in joint.items()
+    )
+
+
+def _independent(joint: Counts, spans: Sequence[tuple[int, int]], total: int) -> bool:
+    """Whether joint is the product of its marginals over the key slices spans.
+
+    Weights are probabilities times total, so for k slices the product
+    condition p(key) == prod p(slice) reads w * total**(k-1) == prod w_slice.
+    """
+    margs = [_aggregate(joint.items(), range(start, stop)) for start, stop in spans]
+    if len(joint) != math.prod(len(marg) for marg in margs):
+        return False
+    scale = total ** (len(spans) - 1)
+    for key, w in joint.items():
+        product = 1
+        for (start, stop), marg in zip(spans, margs):
+            product *= marg[key[start:stop]]
+        if w * scale != product:
+            return False
+    return True
 
 
 def _canonical(variables: tuple[str, ...], table: Pmf) -> "JointDistribution":
@@ -71,6 +104,8 @@ class JointDistribution:
     variables are sorted; outcomes are value tuples aligned with the
     variables and sorted canonically; probs are positive Fractions that
     sum to 1. Equality of two distributions is equality of these fields.
+    The integer view the queries read (_weights) and the variable index
+    are cached properties, not fields, so they never enter == or hash.
     """
 
     variables: tuple[str, ...]
@@ -135,36 +170,42 @@ class JointDistribution:
                 raise UnknownVariable(f"unknown variable {var!r}")
         return ordered
 
-    def _pmf(self, *groups: tuple[str, ...]) -> Pmf:
-        """Joint pmf of the concatenated groups, which must be disjoint."""
+    @cached_property
+    def _weights(self) -> tuple[int, tuple[int, ...]]:
+        """(D, w): D is the lcm of the denominators and w[i] == probs[i] * D."""
+        total = math.lcm(*(p.denominator for p in self.probs))
+        return total, tuple(p.numerator * (total // p.denominator) for p in self.probs)
+
+    def _positions(self, *groups: tuple[str, ...]) -> list[int]:
+        """Indices of the concatenated groups, which must be disjoint."""
         names = [var for group in groups for var in group]
         if len(set(names)) != len(names):
             shared = sorted({var for var in names if names.count(var) > 1})
             raise OverlappingVariableSets(f"variable sets share {shared}")
-        positions = [self._index[var] for var in names]
-        return _aggregate(zip(self.outcomes, self.probs), positions)
+        return [self._index[var] for var in names]
+
+    def _pmf(self, *groups: tuple[str, ...]) -> Counts:
+        """Joint weights of the concatenated groups; they sum to _weights[0]."""
+        return _aggregate(zip(self.outcomes, self._weights[1]), self._positions(*groups))
 
     def marginal(self, variables: Iterable[str]) -> "JointDistribution":
         """Marginal distribution over a non-empty variable subset."""
         ordered = self._resolve(variables)
-        return _canonical(ordered, self._pmf(ordered))
+        total = self._weights[0]
+        return _canonical(ordered, {key: Fraction(w, total)
+                                    for key, w in self._pmf(ordered).items()})
 
     def entropy(self, variables: Iterable[str]) -> float:
         """Shannon entropy H of the given variables, in bits."""
-        pmf = self._pmf(self._resolve(variables))
-        return _neg_fsum(float(p) * math.log2(float(p)) for p in pmf.values())
+        return _conditional_entropy(self._pmf(self._resolve(variables)), 0,
+                                    self._weights[0])
 
     def conditional_entropy(self, targets: Iterable[str], givens: Iterable[str]) -> float:
         """H(targets | givens); an empty given set means plain entropy."""
         target_vars = self._resolve(targets)
         given_vars = self._resolve(givens, allow_empty=True)
         joint = self._pmf(given_vars, target_vars)
-        cut = len(given_vars)
-        given = _aggregate(joint.items(), range(cut))
-        return _neg_fsum(
-            float(p) * math.log2(float(p / given[key[:cut]]))
-            for key, p in joint.items()
-        )
+        return _conditional_entropy(joint, len(given_vars), self._weights[0])
 
     def mutual_information(self, left: Iterable[str], right: Iterable[str]) -> float:
         """I(left; right) = H(left) - H(left | right)."""
@@ -185,11 +226,12 @@ class JointDistribution:
         """True iff the given variables determine the targets on the support.
 
         Exact predicate: no given-value has two target-values.
-        Equivalent to H(targets | givens) == 0.
+        Equivalent to H(targets | givens) == 0. Reads only the outcomes.
         """
         target_vars = self._resolve(targets)
         given_vars = self._resolve(givens)
-        joint = self._pmf(given_vars, target_vars)
+        positions = self._positions(given_vars, target_vars)
+        joint = {tuple([outcome[i] for i in positions]) for outcome in self.outcomes}
         cut = len(given_vars)
         return len({key[:cut] for key in joint}) == len(joint)
 
@@ -208,17 +250,23 @@ class JointDistribution:
         resolved = [self._resolve(group) for group in groups]
         if len(resolved) < 2:
             raise EmptyVariableSet("mutual independence needs at least two groups")
-        joint = self._pmf(*resolved)
         # Each group owns one slice start:stop of every joint key.
         bounds = itertools.accumulate((len(group) for group in resolved), initial=0)
-        spans = list(itertools.pairwise(bounds))
-        margs = [_aggregate(joint.items(), range(start, stop)) for start, stop in spans]
-        if len(joint) != math.prod(len(marg) for marg in margs):
-            return False
-        for key, p in joint.items():
-            product = Fraction(1)
-            for (start, stop), marg in zip(spans, margs):
-                product *= marg[key[start:stop]]
-            if p != product:
-                return False
-        return True
+        return _independent(self._pmf(*resolved), list(itertools.pairwise(bounds)),
+                            self._weights[0])
+
+    def _identity(self, parts: Iterable[str], givens: Iterable[str]) -> tuple[float, bool]:
+        """H(parts | givens) and whether each part, and the givens as one
+        more group when non-empty, are mutually independent.
+
+        Both come from one joint; fewer than two groups are independent.
+        """
+        part_vars = self._resolve(parts)
+        given_vars = self._resolve(givens, allow_empty=True)
+        joint = self._pmf(given_vars, part_vars)
+        cut = len(given_vars)
+        spans = [(0, cut)] if cut else []
+        spans += [(i, i + 1) for i in range(cut, cut + len(part_vars))]
+        total = self._weights[0]
+        return (_conditional_entropy(joint, cut, total),
+                len(spans) < 2 or _independent(joint, spans, total))

@@ -51,12 +51,12 @@ def _identity(scheme: Scheme, parts: Sequence[str], givens: Sequence[str],
 
     It holds exactly when each part, and the givens as one more group,
     are mutually independent; with fewer than two groups it holds
-    trivially. h maps each part to H(part). The floats only report.
+    trivially. h maps each part to H(part). The floats only report;
+    the left side and the verdict come from one scan of the support.
     """
-    lhs = scheme.dist.conditional_entropy(parts, givens)
+    lhs, holds = scheme.dist._identity(parts, givens)
     rhs = math.fsum(h[part] for part in parts)
-    groups = [(part,) for part in parts] + ([givens] if givens else [])
-    if len(groups) >= 2 and not scheme.dist.is_mutually_independent(groups):
+    if not holds:
         raise _violation(scheme, f"{claim} does not hold: {lhs!r} vs {rhs!r}")
     return lhs, rhs
 

@@ -274,3 +274,20 @@ def test_usage_errors_from_argparse(capsys):
               "--q", "2", "-o", "x.json"])
     assert exc_info.value.code == 2
     capsys.readouterr()
+
+
+def test_unexpected_exception_exits_2_with_one_line(capsys, monkeypatch):
+    def broken(_args):
+        raise RuntimeError("internal fault\nwith a second line")
+
+    monkeypatch.setattr("hkas.cli.cmd_check", broken)
+    code, out, err = run_cli(capsys, ["check", "--scheme", "unused.json"])
+    assert code == 2 and out == ""
+    assert err == "error: RuntimeError: internal fault with a second line\n"
+
+    def interrupted(_args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("hkas.cli.cmd_check", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["check", "--scheme", "unused.json"])

@@ -7,6 +7,7 @@ agreement is a real check rather than a restatement.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -313,3 +314,101 @@ def test_query_errors():
         dist.is_mutually_independent([["X"]])
     with pytest.raises(EmptyVariableSet):
         dist.is_functionally_determined(["X"], [])
+
+
+def coprime_product_dist(rng: random.Random,
+                         independent: bool) -> tuple[JointDistribution, Rows]:
+    """Four non-uniform variables with marginal denominators 2, 3, 5 and 7.
+
+    With independent set the variables are independent; otherwise mass
+    moves between two outcomes, keeping the support.
+    """
+    pmfs = []
+    for den in (2, 3, 5, 7):
+        cut = rng.randint(1, den - 1)
+        pmfs.append([Fraction(cut, den), Fraction(den - cut, den)])
+    rows: Rows = []
+    for outcome in itertools.product(range(2), repeat=4):
+        assignment = {f"v{i}": value for i, value in enumerate(outcome)}
+        rows.append((assignment, math.prod(pmf[v] for pmf, v in zip(pmfs, outcome))))
+    if not independent:
+        first, second = rng.sample(range(len(rows)), 2)
+        shift = min(rows[first][1], rows[second][1]) / 2
+        rows[first] = (rows[first][0], rows[first][1] - shift)
+        rows[second] = (rows[second][0], rows[second][1] + shift)
+    return JointDistribution.from_rows(rows), rows
+
+
+def mixed_denominator_dist(rng: random.Random) -> tuple[JointDistribution, Rows]:
+    """Four variables whose row probabilities are k/210 with k divisible by
+    2, 3, 5 or 7, so no row has the common denominator 210 in lowest terms."""
+    space = list(itertools.product(range(2), repeat=4))
+    while True:
+        chosen = rng.sample(space, rng.randint(5, len(space)))
+        # 2/210 = 1/105, 3/210 = 1/70, 5/210 = 1/42 and 7/210 = 1/30
+        weights = [2, 3, 5, 7] + [rng.choice((2, 3, 5, 7)) * rng.randint(1, 4)
+                                  for _ in chosen[5:]]
+        rest = 210 - sum(weights)
+        if rest > 0 and math.gcd(rest, 210) > 1:
+            break
+    rows: Rows = [
+        (dict(zip(["v0", "v1", "v2", "v3"], outcome)), Fraction(weight, 210))
+        for outcome, weight in zip(chosen, [rest] + weights)
+    ]
+    return JointDistribution.from_rows(rows), rows
+
+
+def test_integer_view_floats_and_verdicts_match_fraction_reference():
+    rng = random.Random(2357)
+    verdicts = set()
+    for trial in range(60):
+        if trial % 3 == 2:
+            dist, rows = mixed_denominator_dist(rng)
+            denominators = [p.denominator for p in dist.probs]
+            assert math.lcm(*denominators) != max(denominators)
+        else:
+            dist, rows = coprime_product_dist(rng, independent=trial % 3 == 0)
+        variables = list(dist.variables)
+        for labels in itertools.product(range(3), repeat=len(variables)):
+            targets = [var for var, label in zip(variables, labels) if label == 1]
+            givens = [var for var, label in zip(variables, labels) if label == 2]
+            if not targets:
+                continue
+            joint = oracle_marginal(rows, givens + targets)
+            given = oracle_marginal(rows, givens)
+            cut = len(givens)
+            expected = -math.fsum(
+                float(p) * math.log2(float(p / given[key[:cut]]))
+                for key, p in joint.items()
+            ) + 0.0
+            assert dist.conditional_entropy(targets, givens) == expected
+            if not givens:
+                assert dist.entropy(targets) == oracle_entropy(joint)
+        for split in itertools.combinations(range(1, 4), 2):
+            shuffled = variables[:]
+            rng.shuffle(shuffled)
+            groups = [shuffled[a:b] for a, b in itertools.pairwise((0, *split, 4))]
+            for grouping in (groups, [[var] for var in shuffled]):
+                mutual = dist.is_mutually_independent(grouping)
+                assert mutual == oracle_independent(rows, grouping)
+                verdicts.add(mutual)
+    assert verdicts == {True, False}
+
+
+def test_cached_views_stay_out_of_equality_and_hash():
+    rng = random.Random(11)
+    dist, rows = mixed_denominator_dist(rng)
+    twin = JointDistribution.from_rows(list(reversed(rows)))
+    dist.entropy(["v0", "v1"])
+    dist.is_mutually_independent([["v0"], ["v1"], ["v2", "v3"]])
+    dist.is_functionally_determined(["v0"], ["v1"])
+    marg = dist.marginal(["v2", "v3"])
+    assert dist == twin and hash(dist) == hash(twin)
+    twin.conditional_entropy(["v3"], ["v0"])
+    assert dist == twin and hash(dist) == hash(twin)
+    rebuilt = JointDistribution.from_rows(marg.rows())
+    marg.entropy(["v2"])
+    assert marg == rebuilt and hash(marg) == hash(rebuilt)
+    assert [field.name for field in dataclasses.fields(dist)] == [
+        "variables", "outcomes", "probs"
+    ]
