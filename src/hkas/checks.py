@@ -1,7 +1,7 @@
 """Security checks over schemes: correctness, KI, SKI, key independence.
 
-All verdicts are decided with exact rational arithmetic; the float
-entropies carried by witnesses are reporting detail only.
+All verdicts are decided with exact rational arithmetic; witness floats
+only report, and are read from the one scan that decided the coalition.
 
 KI and SKI share one coalition check. Against class u, an SKI coalition
 holds the secrets of classes in forbidden_set(u) and the keys of classes
@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
+from .dist import _Query
 from .errors import CoalitionSpaceTooLarge, InvalidArgument
 from .scheme import CheckReport, Scheme, Witness, key_var, secret_var
 
@@ -46,17 +47,16 @@ def _sorted_subsets(labels: Iterable[str]) -> list[tuple[str, ...]]:
     return subsets
 
 
-def _witness(scheme: Scheme, cls: str,
-             secrets: tuple[str, ...], keys: tuple[str, ...]) -> Witness:
-    target = [key_var(cls)]
+def _query_against(scheme: Scheme, cls: str,
+                   secrets: tuple[str, ...], keys: tuple[str, ...]) -> _Query:
+    """K:cls given a coalition holding these classes' secrets and keys."""
     givens = [secret_var(v) for v in secrets] + [key_var(w) for w in keys]
-    return Witness(
-        cls=cls,
-        secrets=secrets,
-        keys=keys,
-        h_key=scheme.dist.entropy(target),
-        h_key_given=scheme.dist.conditional_entropy(target, givens),
-    )
+    return scheme.dist._query([[key_var(cls)]], givens)
+
+
+def _witness_from(query: _Query, cls: str,
+                  secrets: tuple[str, ...], keys: tuple[str, ...]) -> Witness:
+    return Witness(cls, secrets, keys, query.part_entropies[0], query.conditional_entropy)
 
 
 def check_correctness(scheme: Scheme) -> CheckReport:
@@ -69,7 +69,8 @@ def check_correctness(scheme: Scheme) -> CheckReport:
     for v in sorted(scheme.graph.classes):
         for u in sorted(scheme.graph.accessible_set(v)):
             if not scheme.dist.is_functionally_determined([key_var(u)], [secret_var(v)]):
-                witnesses.append(_witness(scheme, u, (v,), ()))
+                query = _query_against(scheme, u, (v,), ())
+                witnesses.append(_witness_from(query, u, (v,), ()))
     return CheckReport(kind="correctness", passed=not witnesses,
                        witnesses=tuple(witnesses))
 
@@ -106,9 +107,9 @@ def _check_coalitions(scheme: Scheme, kind: str, with_keys: bool,
                 if secrets or keys
             )
         for secrets, keys in coalitions:
-            givens = [secret_var(v) for v in secrets] + [key_var(w) for w in keys]
-            if not scheme.dist.is_independent([key_var(u)], givens):
-                witnesses.append(_witness(scheme, u, secrets, keys))
+            query = _query_against(scheme, u, secrets, keys)
+            if not query.independent:
+                witnesses.append(_witness_from(query, u, secrets, keys))
                 break
     return CheckReport(kind=kind, passed=not witnesses, witnesses=tuple(witnesses))
 
@@ -140,9 +141,9 @@ def check_key_independence(scheme: Scheme) -> CheckReport:
     # witness.
     for i in range(1, len(labels)):
         prefix = tuple(labels[:i])
-        prefix_keys = [key_var(w) for w in prefix]
-        if not scheme.dist.is_independent([key_var(labels[i])], prefix_keys):
-            witness = _witness(scheme, labels[i], (), prefix)
+        query = _query_against(scheme, labels[i], (), prefix)
+        if not query.independent:
+            witness = _witness_from(query, labels[i], (), prefix)
             return CheckReport(kind="key-indep", passed=False, witnesses=(witness,))
     raise AssertionError("mutual independence failed but every prefix passed")
 

@@ -2,20 +2,19 @@
 
 A JointDistribution stores an explicit support: every outcome with
 positive probability, probabilities as Fractions summing to exactly 1.
-Queries never do Fraction arithmetic. Each distribution lazily computes
-one integer view of its probabilities: the common denominator D (the lcm
-of the denominators) and an int weight w = p * D per outcome. Verdicts
-(independence, functional determination) are decided exactly on these
-ints; entropies are reported as floats, converting to float only at the
-final step of each term.
+Queries never do Fraction arithmetic: each distribution lazily computes
+the common denominator D (the lcm of the denominators) and an int weight
+w = p * D per outcome, and decides verdicts (independence, functional
+determination) exactly on these ints. Entropies are floats, converted
+only at the final step of each term, and equal those of the Fraction
+formulas bit for bit: a term needs p = w / D and p(t,g) / p(g) =
+w_tg / w_g, and int / int true division is correctly rounded, as is
+float(Fraction).
 
-The floats equal those of the Fraction formulas bit for bit: a term
-needs p = w / D and a ratio p(t,g) / p(g) = w_tg / w_g, and Python's
-int / int true division is correctly rounded, as is float(Fraction).
-
-Every query makes one pass over the support, summing it into the joint
-weights of the variables it names; each marginal the query also needs is
-summed from that joint, not from another pass over the support.
+Entropy and independence queries wrap one private query, _query: one
+pass over the support sums the joint of (givens, parts), and independence,
+H(parts | givens) and each H(part) are read from that joint and from
+marginals summed from it once, only when first needed.
 
 Entropies use log base 2. Conditional entropy is computed directly from
 its definition, H(T|G) = -sum p(t,g) log2(p(t,g)/p(g)), not as a
@@ -41,8 +40,8 @@ from .errors import (
 )
 from .jsonutil import Value, value_sort_key
 
-Pmf = dict[tuple[Value, ...], Fraction]
 Counts = dict[tuple[Value, ...], int]
+KeyedRow = tuple[tuple, tuple[Value, ...], Fraction]
 
 
 def _neg_fsum(terms: Iterable[float]) -> float:
@@ -60,41 +59,64 @@ def _aggregate(pairs: Iterable[tuple[tuple[Value, ...], int]],
     return agg
 
 
-def _conditional_entropy(joint: Counts, cut: int, total: int) -> float:
-    """H(rest | first cut values) of joint weights out of total."""
-    given = _aggregate(joint.items(), range(cut))
-    return _neg_fsum(
-        w / total * math.log2(w / given[key[:cut]]) for key, w in joint.items()
-    )
+def _canonical(variables: tuple[str, ...], rows: Iterable[KeyedRow]) -> "JointDistribution":
+    """The distribution of rows (value_sort_key(outcome), outcome, p), in key order."""
+    _, outcomes, probs = zip(*sorted(rows, key=lambda row: row[0]))
+    return JointDistribution(variables=variables, outcomes=outcomes, probs=probs)
 
 
-def _independent(joint: Counts, spans: Sequence[tuple[int, int]], total: int) -> bool:
-    """Whether joint is the product of its marginals over the key slices spans.
+@dataclass(frozen=True)
+class _Query:
+    """Weights of (givens, parts) out of total from one scan of the support.
 
-    Weights are probabilities times total, so for k slices the product
-    condition p(key) == prod p(slice) reads w * total**(k-1) == prod w_slice.
+    The givens fill the first cut values of each joint key; spans slices
+    out each group, the givens first when non-empty, then each part.
     """
-    margs = [_aggregate(joint.items(), range(start, stop)) for start, stop in spans]
-    if len(joint) != math.prod(len(marg) for marg in margs):
-        return False
-    scale = total ** (len(spans) - 1)
-    for key, w in joint.items():
-        product = 1
-        for (start, stop), marg in zip(spans, margs):
-            product *= marg[key[start:stop]]
-        if w * scale != product:
+
+    joint: Counts
+    cut: int
+    spans: list[tuple[int, int]]
+    total: int
+
+    @cached_property
+    def _margs(self) -> list[Counts]:
+        return [_aggregate(self.joint.items(), range(start, stop))
+                for start, stop in self.spans]
+
+    @cached_property
+    def independent(self) -> bool:
+        """Whether the groups are mutually independent; fewer than two are.
+
+        For k groups, p(key) == prod p(group) reads w * total**(k-1) == prod w_group.
+        """
+        if len(self.spans) < 2:
+            return True
+        margs = self._margs
+        if len(self.joint) != math.prod(len(marg) for marg in margs):
             return False
-    return True
+        scale = self.total ** (len(self.spans) - 1)
+        for key, w in self.joint.items():
+            product = 1
+            for (start, stop), marg in zip(self.spans, margs):
+                product *= marg[key[start:stop]]
+            if w * scale != product:
+                return False
+        return True
 
+    @cached_property
+    def conditional_entropy(self) -> float:
+        """H(parts | givens) = -sum p(t,g) log2(p(t,g) / p(g)), in bits."""
+        cut, total = self.cut, self.total
+        given = self._margs[0] if cut else {(): total}
+        return _neg_fsum(w / total * math.log2(w / given[key[:cut]])
+                         for key, w in self.joint.items())
 
-def _canonical(variables: tuple[str, ...], table: Pmf) -> "JointDistribution":
-    """The distribution of table's outcomes in canonical order."""
-    ordered = sorted(table, key=lambda out: tuple(value_sort_key(v) for v in out))
-    return JointDistribution(
-        variables=variables,
-        outcomes=tuple(ordered),
-        probs=tuple(table[out] for out in ordered),
-    )
+    @cached_property
+    def part_entropies(self) -> list[float]:
+        """H(part) of each part, in bits."""
+        total = self.total
+        return [_neg_fsum(w / total * math.log2(w / total) for w in marg.values())
+                for marg in self._margs[bool(self.cut):]]
 
 
 @dataclass(frozen=True)
@@ -126,7 +148,7 @@ class JointDistribution:
         if not variables:
             raise EmptyVariableSet("outcomes must assign at least one variable")
         varset = set(variables)
-        table: Pmf = {}
+        table: dict[tuple[Value, ...], KeyedRow] = {}
         for assignment, raw_p in materialized:
             if set(assignment) != varset:
                 extra = sorted(set(assignment) - varset)
@@ -139,13 +161,14 @@ class JointDistribution:
             if p <= 0:
                 raise ProbabilityError(f"probability must be positive, got {raw_p}")
             outcome = tuple(assignment[var] for var in variables)
+            key = value_sort_key(outcome)  # before hashing: rejects lists, bools
             if outcome in table:
                 raise DuplicateOutcome(f"outcome {outcome!r} appears more than once")
-            table[outcome] = p
-        total = sum(table.values())
+            table[outcome] = (key, outcome, p)
+        total = sum(p for _, _, p in table.values())
         if total != 1:
             raise ProbabilityError(f"probabilities sum to {total}, expected 1")
-        return _canonical(variables, table)
+        return _canonical(variables, table.values())
 
     def support_size(self) -> int:
         return len(self.outcomes)
@@ -192,32 +215,37 @@ class JointDistribution:
         """Marginal distribution over a non-empty variable subset."""
         ordered = self._resolve(variables)
         total = self._weights[0]
-        return _canonical(ordered, {key: Fraction(w, total)
-                                    for key, w in self._pmf(ordered).items()})
+        return _canonical(ordered, [(value_sort_key(key), key, Fraction(w, total))
+                                    for key, w in self._pmf(ordered).items()])
+
+    def _query(self, parts: Sequence[Iterable[str]], givens: Iterable[str]) -> _Query:
+        """Parts (non-empty groups) given givens (maybe empty), all disjoint."""
+        groups = [self._resolve(part) for part in parts]
+        given_vars = self._resolve(givens, allow_empty=True)
+        if given_vars:
+            groups.insert(0, given_vars)
+        bounds = itertools.accumulate((len(group) for group in groups), initial=0)
+        return _Query(self._pmf(*groups), len(given_vars),
+                      list(itertools.pairwise(bounds)), self._weights[0])
 
     def entropy(self, variables: Iterable[str]) -> float:
         """Shannon entropy H of the given variables, in bits."""
-        return _conditional_entropy(self._pmf(self._resolve(variables)), 0,
-                                    self._weights[0])
+        return self._query([variables], ()).conditional_entropy
 
     def conditional_entropy(self, targets: Iterable[str], givens: Iterable[str]) -> float:
         """H(targets | givens); an empty given set means plain entropy."""
-        target_vars = self._resolve(targets)
-        given_vars = self._resolve(givens, allow_empty=True)
-        joint = self._pmf(given_vars, target_vars)
-        return _conditional_entropy(joint, len(given_vars), self._weights[0])
+        return self._query([targets], givens).conditional_entropy
 
     def mutual_information(self, left: Iterable[str], right: Iterable[str]) -> float:
         """I(left; right) = H(left) - H(left | right)."""
-        return self.entropy(left) - self.conditional_entropy(left, right)
+        query = self._query([left], right)
+        return query.part_entropies[0] - query.conditional_entropy
 
     def conditional_mutual_information(
         self, left: Iterable[str], right: Iterable[str], givens: Iterable[str]
     ) -> float:
-        """I(left; right | givens); empty givens reduce to mutual information."""
+        """I(left; right | givens) = H(left | givens) - H(left | right, givens)."""
         given_vars = self._resolve(givens, allow_empty=True)
-        if not given_vars:
-            return self.mutual_information(left, right)
         right_vars = self._resolve(right)
         both = tuple(sorted(set(right_vars) | set(given_vars)))
         return self.conditional_entropy(left, given_vars) - self.conditional_entropy(left, both)
@@ -236,37 +264,12 @@ class JointDistribution:
         return len({key[:cut] for key in joint}) == len(joint)
 
     def is_independent(self, left: Iterable[str], right: Iterable[str]) -> bool:
-        """Exact independence of two disjoint variable sets.
-
-        Checks the full product condition including zero-probability
-        combinations: the joint support must have exactly
-        |support(left)| * |support(right)| points and every joint
-        probability must equal the product of the marginals.
-        """
-        return self.is_mutually_independent([left, right])
+        """Exact independence of two disjoint variable sets: the product
+        condition on every combination, zero-probability ones included."""
+        return self._query([left, right], ()).independent
 
     def is_mutually_independent(self, groups: Sequence[Iterable[str]]) -> bool:
         """Exact mutual independence of two or more disjoint variable groups."""
-        resolved = [self._resolve(group) for group in groups]
-        if len(resolved) < 2:
+        if len(groups) < 2:
             raise EmptyVariableSet("mutual independence needs at least two groups")
-        # Each group owns one slice start:stop of every joint key.
-        bounds = itertools.accumulate((len(group) for group in resolved), initial=0)
-        return _independent(self._pmf(*resolved), list(itertools.pairwise(bounds)),
-                            self._weights[0])
-
-    def _identity(self, parts: Iterable[str], givens: Iterable[str]) -> tuple[float, bool]:
-        """H(parts | givens) and whether each part, and the givens as one
-        more group when non-empty, are mutually independent.
-
-        Both come from one joint; fewer than two groups are independent.
-        """
-        part_vars = self._resolve(parts)
-        given_vars = self._resolve(givens, allow_empty=True)
-        joint = self._pmf(given_vars, part_vars)
-        cut = len(given_vars)
-        spans = [(0, cut)] if cut else []
-        spans += [(i, i + 1) for i in range(cut, cut + len(part_vars))]
-        total = self._weights[0]
-        return (_conditional_entropy(joint, cut, total),
-                len(spans) < 2 or _independent(joint, spans, total))
+        return self._query(groups, ()).independent

@@ -80,6 +80,10 @@ class OverlappingVariableSets(DistributionError):
     """Variable sets that must be disjoint share a variable."""
 
 
+class UnsupportedValue(DistributionError):
+    """An outcome value is not a non-bool int, a str, or a tuple of those."""
+
+
 class InvalidArgument(HkasError, ValueError):
     """A library call received an out-of-range argument, such as q < 2."""
 

@@ -14,8 +14,9 @@ Verdicts are exact. Each entropy identity reads H(T_1..T_m | G) ==
 H(T_1) + ... + H(T_m) and holds exactly when T_1, ..., T_m and G are
 mutually independent, so _identity decides it with that predicate;
 determination uses is_functionally_determined. The float sides only
-report (abs_err, max_abs_err). Violations raise TheoremViolation
-carrying the serialized scheme, so the error alone reproduces them.
+report (abs_err, max_abs_err); both come with the verdict from one
+scan of the support. Violations raise TheoremViolation carrying the
+serialized scheme, so the error alone reproduces them.
 """
 
 from __future__ import annotations
@@ -46,23 +47,18 @@ def _require_preconditions(scheme: Scheme, labels: tuple[str, ...]) -> None:
 
 
 def _identity(scheme: Scheme, parts: Sequence[str], givens: Sequence[str],
-              claim: str, h: dict[str, float]) -> tuple[float, float]:
+              claim: str) -> tuple[float, float]:
     """Decide H(parts | givens) == sum of H(part); return both float sides.
 
     It holds exactly when each part, and the givens as one more group,
-    are mutually independent; with fewer than two groups it holds
-    trivially. h maps each part to H(part). The floats only report;
-    the left side and the verdict come from one scan of the support.
+    are mutually independent (trivially for fewer than two groups). The
+    floats only report; they come with the verdict from one scan.
     """
-    lhs, holds = scheme.dist._identity(parts, givens)
-    rhs = math.fsum(h[part] for part in parts)
-    if not holds:
+    query = scheme.dist._query([[part] for part in parts], givens)
+    lhs, rhs = query.conditional_entropy, math.fsum(query.part_entropies)
+    if not query.independent:
         raise _violation(scheme, f"{claim} does not hold: {lhs!r} vs {rhs!r}")
     return lhs, rhs
-
-
-def _key_entropies(scheme: Scheme, labels: Iterable[str]) -> dict[str, float]:
-    return {key_var(u): scheme.dist.entropy([key_var(u)]) for u in labels}
 
 
 def verify_independence_sum(scheme: Scheme, seq: Sequence[str]) -> dict:
@@ -75,14 +71,13 @@ def verify_independence_sum(scheme: Scheme, seq: Sequence[str]) -> dict:
     """
     labels = tuple(seq)
     _require_preconditions(scheme, labels)
-    return _independence_sum(scheme, labels, _key_entropies(scheme, labels))
+    return _independence_sum(scheme, labels)
 
 
-def _independence_sum(scheme: Scheme, labels: tuple[str, ...],
-                      h: dict[str, float]) -> dict:
+def _independence_sum(scheme: Scheme, labels: tuple[str, ...]) -> dict:
     joint, total = _identity(
         scheme, [key_var(u) for u in labels], [],
-        f"H(keys) == sum of key entropies on sequence {labels!r}", h,
+        f"H(keys) == sum of key entropies on sequence {labels!r}",
     )
     return {
         "sequence": list(labels),
@@ -120,12 +115,11 @@ def verify_conditional_identities(
     _require(len(labels) == n + m,
              f"sequence length {len(labels)} does not match n+m={n + m}")
     _require_preconditions(scheme, labels)
-    return _conditional_identities(scheme, labels, n, m,
-                                   _key_entropies(scheme, labels))
+    return _conditional_identities(scheme, labels, n, m)
 
 
 def _conditional_identities(scheme: Scheme, labels: tuple[str, ...],
-                            n: int, m: int, h: dict[str, float]) -> dict:
+                            n: int, m: int) -> dict:
     prefix_secrets = [secret_var(v) for v in labels[: n - 1]]
     pivot_key = key_var(labels[n - 1])
     suffix_keys = [key_var(u) for u in labels[n:]]
@@ -141,15 +135,15 @@ def _conditional_identities(scheme: Scheme, labels: tuple[str, ...],
     if m >= 1:
         sides.append(_identity(
             scheme, suffix_keys, [pivot_key] + prefix_secrets,
-            f"H(suffix keys | pivot key, prefix secrets) == entropy sum {where}", h,
+            f"H(suffix keys | pivot key, prefix secrets) == entropy sum {where}",
         ))
         sides.append(_identity(
             scheme, suffix_keys, prefix_secrets,
-            f"H(suffix keys | prefix secrets) == entropy sum {where}", h,
+            f"H(suffix keys | prefix secrets) == entropy sum {where}",
         ))
     sides.append(_identity(
         scheme, [pivot_key], suffix_keys + prefix_secrets,
-        f"H(pivot key | suffix keys, prefix secrets) == H(pivot key) {where}", h,
+        f"H(pivot key | suffix keys, prefix secrets) == H(pivot key) {where}",
     ))
     return {
         "sequence": list(labels),
@@ -177,7 +171,7 @@ def verify_main_theorem_sequence(scheme: Scheme, u: str) -> dict:
     """
     seq, n, m = _theorem_split(scheme.graph, u)
     _require_preconditions(scheme, seq)
-    report = _conditional_identities(scheme, seq, n, m, _key_entropies(scheme, seq))
+    report = _conditional_identities(scheme, seq, n, m)
     report["identity_checks"] += int(len(seq) >= 2)
     report["target"] = u
     return report
@@ -275,10 +269,9 @@ def run_validation(graph: AccessGraph, q: int, trials: int, seed: int) -> dict:
     for index, (scheme, verdict) in enumerate(zip(corpus, equivalence["verdicts"])):
         if not verdict["ki"]:
             continue
-        h = _key_entropies(scheme, full_seq)
         try:
-            report = _independence_sum(scheme, full_seq, h)
-            decided = {split: _conditional_identities(scheme, *split, h)
+            report = _independence_sum(scheme, full_seq)
+            decided = {split: _conditional_identities(scheme, *split)
                        for split in dict.fromkeys(splits)}
         except TheoremViolation as exc:
             raise TheoremViolation(f"corpus scheme {index}: {exc}",

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .errors import ParseError, ProbabilityError
+from .errors import ParseError, ProbabilityError, UnsupportedValue
 
 # Outcome values are ints, strings, or nested tuples of values.
 Value = int | str | tuple
@@ -66,14 +66,15 @@ def value_to_json(value: Value) -> object:
 
 
 def value_sort_key(value: Value) -> tuple:
-    """Total order over heterogeneous outcome values (ints, strs, tuples)."""
-    if isinstance(value, bool):
-        return (0, int(value))
-    if isinstance(value, int):
+    """Total order over outcome values (ints, strs, tuples); injective on
+    them. Anything else, bools included, raises UnsupportedValue."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return (0, value)
     if isinstance(value, str):
         return (1, value)
-    return (2, tuple(value_sort_key(item) for item in value))
+    if isinstance(value, tuple):
+        return (2, tuple([value_sort_key(item) for item in value]))
+    raise UnsupportedValue(f"unsupported outcome value {value!r}")
 
 
 def round_float(x: float) -> float:

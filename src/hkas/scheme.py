@@ -93,22 +93,16 @@ def scheme_query_entropy(scheme: Scheme, query: CoalitionQuery) -> float:
     """H(K:target | held secrets, held keys) for a valid coalition."""
     graph = scheme.graph
     graph._check_class(query.target)
-    forbidden = graph.forbidden_set(query.target)
-    ancestors = graph.ancestor_set(query.target)
-    for label in sorted(query.secrets_held):
-        graph._check_class(label)
-        if label not in forbidden:
-            raise InvalidCoalition(
-                f"class {label!r} is not in the forbidden set of {query.target!r}"
-            )
-    for label in sorted(query.keys_held):
-        graph._check_class(label)
-        if label not in ancestors:
-            raise InvalidCoalition(
-                f"class {label!r} is not in the ancestor set of {query.target!r}"
-            )
-    givens = [secret_var(v) for v in query.secrets_held]
-    givens += [key_var(w) for w in query.keys_held]
+    givens: list[str] = []
+    for held, allowed, name, var in (
+            (query.secrets_held, graph.forbidden_set(query.target), "forbidden", secret_var),
+            (query.keys_held, graph.ancestor_set(query.target), "ancestor", key_var)):
+        for label in sorted(held):
+            graph._check_class(label)
+            if label not in allowed:
+                raise InvalidCoalition(
+                    f"class {label!r} is not in the {name} set of {query.target!r}")
+            givens.append(var(label))
     return scheme.dist.conditional_entropy([key_var(query.target)], givens)
 
 
@@ -151,10 +145,9 @@ class CheckReport:
 def _parse_support(doc: object) -> list[tuple[dict[str, Value], Fraction]]:
     if not isinstance(doc, list) or not doc:
         raise ParseError("scheme 'support' must be a non-empty list")
-    if len(doc) > max_support_size():
-        raise SupportTooLarge(
-            f"support has {len(doc)} rows, bound is {max_support_size()}"
-        )
+    bound = max_support_size()
+    if len(doc) > bound:
+        raise SupportTooLarge(f"support has {len(doc)} rows, bound is {bound}")
     rows: list[tuple[dict[str, Value], Fraction]] = []
     for i, item in enumerate(doc):
         if not isinstance(item, dict) or set(item) != {"assignment", "p"}:

@@ -1,13 +1,17 @@
-"""Shared fixtures: the standard graph shapes and a random DAG builder."""
+"""Shared fixtures: the standard graph shapes, a random DAG builder, a
+support-scan counter, and the Fraction reference for entropies."""
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from hkas import AccessGraph
+from hkas import AccessGraph, JointDistribution
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -69,3 +73,37 @@ def tree7() -> AccessGraph:
 @pytest.fixture
 def antichain4() -> AccessGraph:
     return make_antichain4()
+
+
+def fraction_conditional_entropy(rows: list[tuple[dict, Fraction]],
+                                 targets: list[str], givens: list[str]) -> float:
+    """H(targets | givens) of support rows by the Fraction reference formula
+    -sum float(p(t,g)) * log2(float(p(t,g) / p(g))); empty givens give H(targets)."""
+    joint: dict[tuple, Fraction] = {}
+    given: dict[tuple, Fraction] = {}
+    for assignment, p in rows:
+        gkey = tuple(assignment[var] for var in givens)
+        key = gkey + tuple(assignment[var] for var in targets)
+        joint[key] = joint.get(key, 0) + p
+        given[gkey] = given.get(gkey, 0) + p
+    cut = len(givens)
+    return -math.fsum(
+        float(p) * math.log2(float(p / given[key[:cut]])) for key, p in joint.items()
+    ) + 0.0
+
+
+@pytest.fixture
+def support_scans(monkeypatch) -> SimpleNamespace:
+    """Counts the passes over a distribution's support made through
+    JointDistribution._pmf, the one primitive its queries scan with, and
+    the rows those passes read. Reset the fields to count a stretch."""
+    counter = SimpleNamespace(scans=0, rows=0)
+    scan = JointDistribution._pmf
+
+    def counted(self, *groups):
+        counter.scans += 1
+        counter.rows += len(self.outcomes)
+        return scan(self, *groups)
+
+    monkeypatch.setattr(JointDistribution, "_pmf", counted)
+    return counter

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_random_dag
+from conftest import fraction_conditional_entropy, make_random_dag
 from hkas import (
     AccessGraph,
     CoalitionSpaceTooLarge,
@@ -95,17 +95,20 @@ def test_exhaustive_witnesses_with_keys_held(diamond):
     assert [(w["class"], w["secrets"], w["keys"]) for w in ki] == [("r", ["a"], [])]
 
 
-def test_correctness_witness_shape(diamond):
-    # break correctness: keys independent of secrets entirely
-    labels = sorted(diamond.classes)
+def incorrect_scheme(graph: AccessGraph) -> Scheme:
+    """Breaks correctness: the keys are independent of the secrets entirely."""
     rows = []
     for bit in (0, 1):
         assignment = {}
-        for u in labels:
+        for u in sorted(graph.classes):
             assignment[f"K:{u}"] = bit
             assignment[f"S:{u}"] = 0
         rows.append((assignment, Fraction(1, 2)))
-    scheme = Scheme(graph=diamond, dist=JointDistribution.from_rows(rows))
+    return Scheme(graph=graph, dist=JointDistribution.from_rows(rows))
+
+
+def test_correctness_witness_shape(diamond):
+    scheme = incorrect_scheme(diamond)
     report = check_correctness(scheme)
     assert not report.passed
     # every (v, u) accessible pair fails; u=a, v=a comes first
@@ -115,6 +118,42 @@ def test_correctness_witness_shape(diamond):
     assert first.h_key_given == pytest.approx(1.0, abs=TOL)
     pairs = {(w.secrets[0], w.cls) for w in report.witnesses}
     assert ("r", "c") in pairs and ("a", "c") in pairs
+
+
+def test_witness_floats_match_fraction_reference(diamond):
+    rng = random.Random(29)
+    schemes = [incorrect_scheme(diamond)]
+    for trial in range(24):
+        graph = make_random_dag(rng, max_nodes=5, min_nodes=2)
+        q = 2 + trial % 2
+        schemes.append(gen_random_correct(graph, q, rng.getrandbits(63)))
+        schemes.append(gen_correlated(graph, q, *rng.sample(sorted(graph.classes), 2)))
+    kinds = set()
+    for scheme in schemes:
+        rows = scheme.dist.rows()
+        for exhaustive in (False, True):
+            for report in run_checks(scheme, "all", exhaustive=exhaustive):
+                for w in report.witnesses:
+                    target = [f"K:{w.cls}"]
+                    givens = [f"S:{v}" for v in w.secrets] + [f"K:{v}" for v in w.keys]
+                    assert w.h_key == fraction_conditional_entropy(rows, target, [])
+                    assert w.h_key_given == fraction_conditional_entropy(rows, target, givens)
+                    kinds.add(report.kind)
+    assert kinds == {"correctness", "ki", "ski", "key-indep"}
+
+
+def test_each_decided_coalition_scans_the_support_once(diamond, support_scans):
+    leaky = gen_leaky(diamond, 2, "a", "b")
+    correlated = gen_correlated(diamond, 2, "a", "r")
+    # Maximal mode decides one coalition per class with a non-empty one:
+    # KI three, SKI four; key independence decides all keys, then three
+    # prefixes. The witness of the failure reads the deciding joint.
+    for check, scheme, scans in ((check_ki, leaky, 3), (check_ski, leaky, 4),
+                                 (check_key_independence, correlated, 4)):
+        support_scans.scans = 0
+        report = check(scheme)
+        assert not report.passed and len(report.witnesses) == 1
+        assert support_scans.scans == scans, report.kind
 
 
 def test_vacuous_passes():

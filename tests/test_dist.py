@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import fraction_conditional_entropy
 from hkas import (
     DuplicateOutcome,
     EmptyVariableSet,
@@ -22,6 +23,7 @@ from hkas import (
     OverlappingVariableSets,
     ProbabilityError,
     UnknownVariable,
+    UnsupportedValue,
 )
 
 TOL = 1e-9
@@ -292,6 +294,14 @@ def test_construction_errors():
         JointDistribution.from_rows(
             [({"X": 0}, Fraction(1, 2)), ({"X": 1}, Fraction(1, 4))]
         )
+    # values outside ints, strs and tuples of those; True is not 1
+    for bad in (1.5, None, [1], True, (0, 2.0)):
+        with pytest.raises(UnsupportedValue):
+            JointDistribution.from_rows(
+                [({"X": bad}, Fraction(1, 2)), ({"X": 1}, Fraction(1, 2))]
+            )
+        with pytest.raises(UnsupportedValue):
+            JointDistribution.from_rows([({"X": bad}, Fraction(1))])
 
 
 def test_query_errors():
@@ -374,16 +384,10 @@ def test_integer_view_floats_and_verdicts_match_fraction_reference():
             givens = [var for var, label in zip(variables, labels) if label == 2]
             if not targets:
                 continue
-            joint = oracle_marginal(rows, givens + targets)
-            given = oracle_marginal(rows, givens)
-            cut = len(givens)
-            expected = -math.fsum(
-                float(p) * math.log2(float(p / given[key[:cut]]))
-                for key, p in joint.items()
-            ) + 0.0
+            expected = fraction_conditional_entropy(rows, targets, givens)
             assert dist.conditional_entropy(targets, givens) == expected
             if not givens:
-                assert dist.entropy(targets) == oracle_entropy(joint)
+                assert dist.entropy(targets) == oracle_entropy(oracle_marginal(rows, targets))
         for split in itertools.combinations(range(1, 4), 2):
             shuffled = variables[:]
             rng.shuffle(shuffled)
