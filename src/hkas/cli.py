@@ -10,7 +10,9 @@ Subcommands:
 
 Exit codes: 0 all requested checks passed, 1 a check or validation
 failed (witnesses or the violation are printed), 2 bad input, usage or
-any other error (one "error:" line on stderr, never a traceback).
+any other error (one "error:" line on stderr, never a traceback). A
+warning, such as an embedded graph overriding --graph, is one "warning:"
+line on stderr and changes neither stdout nor the exit code.
 JSON output (--json) is canonical: sorted keys, rationals as "num/den",
 floats at 12 significant digits, so reruns are byte identical.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .checks import run_checks
 from .errors import HkasError, TheoremViolation
@@ -104,8 +107,8 @@ def _print_report(report: CheckReport) -> None:
         print(
             f"  witness: class={witness.cls} "
             f"secrets={{{secrets}}} keys={{{keys}}} "
-            f"h_key={round_float(witness.h_key):.12g} "
-            f"h_key_given={round_float(witness.h_key_given):.12g}"
+            f"h_key={witness.h_key:.12g} "
+            f"h_key_given={witness.h_key_given:.12g}"
         )
 
 
@@ -196,9 +199,9 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     scheme = load_scheme_file(args.scheme)
     value = evaluate_entropy_expr(scheme, args.expr)
     if args.json:
-        sys.stdout.write(dumps_canonical({"expr": args.expr, "value": value}))
+        sys.stdout.write(dumps_canonical({"expr": args.expr, "value": round_float(value)}))
     else:
-        print(f"{round_float(value):.12g}")
+        print(f"{value:.12g}")
     return 0
 
 
@@ -206,20 +209,28 @@ def cmd_validate(args: argparse.Namespace) -> int:
     graph = graph_from_json(load_json_file(args.graph))
     summary = run_validation(graph, args.q, args.trials, args.seed)
     if args.json:
+        summary["max_abs_err"] = round_float(summary["max_abs_err"])
         sys.stdout.write(dumps_canonical(summary))
     else:
         for field in ("schemes", "ki_pass", "ki_fail", "discrepancies",
                       "identity_checks"):
             print(f"{field}: {summary[field]}")
-        print(f"max_abs_err: {round_float(summary['max_abs_err']):.12g}")
+        print(f"max_abs_err: {summary['max_abs_err']:.12g}")
     return 0 if summary["discrepancies"] == 0 else 1
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,11 @@
 """Canonical JSON helpers shared by loaders, serializers, and the CLI.
 
-Canonical form: keys sorted, rationals rendered as "num/den" strings,
-floats rounded to 12 significant digits, two-space indent, trailing
-newline. Re-serializing the same object yields byte-identical text.
+Canonical form: keys sorted, two-space indent, trailing newline.
+dumps_canonical writes the document as given, in one json.dumps call,
+so whoever builds a document puts its values in canonical form first:
+rationals as "num/den" strings (prob_str), floats rounded to 12
+significant digits (round_float). Tuples are written as arrays.
+Re-serializing the same object yields byte-identical text.
 """
 
 from __future__ import annotations
@@ -45,24 +48,18 @@ def prob_str(p: Fraction) -> str:
 
 
 def value_from_json(raw: object, _depth: int = 0) -> Value:
-    """Decode an outcome value: int, string, or lists thereof nested
-    at most MAX_VALUE_DEPTH deep (_depth counts the lists enclosing raw)."""
+    """Decode an outcome value: int, string, or lists (or tuples) thereof
+    nested at most MAX_VALUE_DEPTH deep (_depth counts the lists
+    enclosing raw). A decoded value decodes to itself."""
     if isinstance(raw, bool):
         raise ParseError(f"unsupported outcome value {raw!r}")
     if isinstance(raw, int) or isinstance(raw, str):
         return raw
-    if isinstance(raw, list):
+    if isinstance(raw, (list, tuple)):
         if _depth >= MAX_VALUE_DEPTH:
             raise ParseError(f"outcome value nests lists more than {MAX_VALUE_DEPTH} deep")
         return tuple([value_from_json(item, _depth + 1) for item in raw])
     raise ParseError(f"unsupported outcome value {raw!r}")
-
-
-def value_to_json(value: Value) -> object:
-    """Encode an outcome value back to JSON-compatible form."""
-    if isinstance(value, tuple):
-        return [value_to_json(item) for item in value]
-    return value
 
 
 def value_sort_key(value: Value) -> tuple:
@@ -82,18 +79,6 @@ def round_float(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, Fraction):
-        return prob_str(obj)
-    if isinstance(obj, float):
-        return round_float(obj)
-    if isinstance(obj, dict):
-        return {key: _jsonable(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(item) for item in obj]
-    return obj
-
-
 def dumps_canonical(doc: Any) -> str:
     """Serialize to the canonical JSON text form."""
-    return json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -21,14 +21,7 @@ from fractions import Fraction
 from .dist import JointDistribution
 from .errors import InvalidCoalition, ParseError, SupportTooLarge, VariableMismatch
 from .graph import AccessGraph, graph_from_json, graph_to_json
-from .jsonutil import (
-    Value,
-    dumps_canonical,
-    parse_prob,
-    prob_str,
-    value_from_json,
-    value_to_json,
-)
+from .jsonutil import Value, dumps_canonical, parse_prob, prob_str, round_float, value_from_json
 
 MAX_SUPPORT_ENV = "HKAS_MAX_SUPPORT"
 DEFAULT_MAX_SUPPORT = 1_000_000
@@ -121,8 +114,8 @@ class Witness:
             "class": self.cls,
             "secrets": list(self.secrets),
             "keys": list(self.keys),
-            "h_key": self.h_key,
-            "h_key_given": self.h_key_given,
+            "h_key": round_float(self.h_key),
+            "h_key_given": round_float(self.h_key_given),
         }
 
 
@@ -230,12 +223,11 @@ def load_json_file(path: str) -> object:
 
 
 def scheme_to_json(scheme: Scheme) -> dict:
-    """Serialize with the graph embedded; rows in canonical order."""
+    """Serialize with the graph embedded; rows in canonical order. Tuple
+    values stay tuples: json writes them as arrays, load_scheme reads
+    them back."""
     support = [
-        {
-            "assignment": {var: value_to_json(val) for var, val in assignment.items()},
-            "p": prob_str(p),
-        }
+        {"assignment": assignment, "p": prob_str(p)}
         for assignment, p in scheme.dist.rows()
     ]
     return {"graph": graph_to_json(scheme.graph), "support": support}

@@ -1,8 +1,10 @@
 """Shared fixtures: the standard graph shapes, a random DAG builder, a
-support-scan counter, and the Fraction reference for entropies."""
+support-scan counter, the Fraction reference for entropies, and the
+reference encoder for canonical JSON."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,7 +13,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from hkas import AccessGraph, JointDistribution
+from hkas import AccessGraph, JointDistribution, Scheme
+from hkas.graph import graph_to_json
+from hkas.jsonutil import prob_str, round_float
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -107,3 +111,41 @@ def support_scans(monkeypatch) -> SimpleNamespace:
 
     monkeypatch.setattr(JointDistribution, "_pmf", counted)
     return counter
+
+
+def _reference_value(value):
+    if isinstance(value, tuple):
+        return [_reference_value(item) for item in value]
+    return value
+
+
+def _reference_normalise(obj):
+    if isinstance(obj, Fraction):
+        return prob_str(obj)
+    if isinstance(obj, float):
+        return round_float(obj)
+    if isinstance(obj, dict):
+        return {key: _reference_normalise(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_normalise(item) for item in obj]
+    return obj
+
+
+def reference_dumps(doc) -> str:
+    """The reference canonical encoder: copy the document, rendering
+    Fractions as "num/den", rounding floats to 12 significant digits and
+    turning tuples into lists, then json.dumps the copy. dumps_canonical
+    and serialize_scheme must match it byte for byte."""
+    return json.dumps(_reference_normalise(doc), sort_keys=True, indent=2) + "\n"
+
+
+def reference_serialize_scheme(scheme: Scheme) -> str:
+    """A scheme through the reference encoder, each value copied to lists."""
+    support = [
+        {
+            "assignment": {var: _reference_value(val) for var, val in assignment.items()},
+            "p": prob_str(p),
+        }
+        for assignment, p in scheme.dist.rows()
+    ]
+    return reference_dumps({"graph": graph_to_json(scheme.graph), "support": support})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hkas import (
     JointDistribution,
     Scheme,
     SplitMix64,
+    Witness,
     check_correctness,
     check_key_independence,
     check_ki,
@@ -239,3 +241,11 @@ def test_report_json_shape(diamond):
             "h_key_given": pytest.approx(0.0, abs=TOL),
         }
     ]
+
+
+def test_witness_to_json_rounds():
+    witness = Witness("a", ("b",), (), math.log2(3), 8.881784197001252e-16)
+    assert witness.to_json() == {
+        "class": "a", "secrets": ["b"], "keys": [],
+        "h_key": 1.58496250072, "h_key_given": 8.881784197e-16,
+    }

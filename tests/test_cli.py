@@ -89,6 +89,17 @@ def test_check_separate_graph_file(capsys, tmp_path):
     assert "error" in err
 
 
+def test_embedded_graph_warning_is_one_line(capsys, tmp_path):
+    path = gen_scheme(capsys, tmp_path, "trivial", [])
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"classes": ["r", "a", "b", "c"], "edges": [["r", "a"]]}))
+    _code, expected, _err = run_cli(capsys, ["check", "--scheme", path])
+    code, out, err = run_cli(capsys, ["check", "--scheme", path, "--graph", str(other)])
+    assert code == 0 and out == expected
+    assert err == ("warning: scheme embeds a graph that differs from the supplied "
+                   "one; using the embedded graph\n")
+
+
 def test_graph_file_reference_resolution(capsys, tmp_path):
     path = gen_scheme(capsys, tmp_path, "trivial", [])
     doc = json.loads(Path(path).read_text())
@@ -208,6 +219,33 @@ def test_validate_command(capsys):
     code, out, _err = run_cli(capsys, argv[:-1])
     assert code == 0
     assert "discrepancies: 0" in out
+
+
+def test_floats_rounded_to_12_digits_at_q3(capsys, tmp_path):
+    # At q=2 every reported float is a whole number; at q=3 log2(3) and
+    # the identity gaps show whether each document rounds its floats.
+    path = str(tmp_path / "leaky3.json")
+    code, _out, _err = run_cli(capsys, ["gen", "--graph", DIAMOND, "--kind", "leaky",
+                                        "--target", "a", "--leaker", "b", "--q", "3",
+                                        "-o", path])
+    assert code == 0
+    entropy = ["entropy", "--scheme", path, "--expr", "H(K:a)"]
+    assert run_cli(capsys, entropy) == (0, "1.58496250072\n", "")
+    code, out, _err = run_cli(capsys, entropy + ["--json"])
+    assert code == 0 and '"value": 1.58496250072\n' in out
+    assert json.loads(out)["value"] == 1.58496250072
+    check = ["check", "--scheme", path, "--mode", "ki"]
+    code, out, _err = run_cli(capsys, check)
+    assert code == 1 and "h_key=1.58496250072 h_key_given=0\n" in out
+    code, out, _err = run_cli(capsys, check + ["--json"])
+    assert code == 1 and '"h_key": 1.58496250072,' in out
+    assert json.loads(out)["witnesses"][0]["h_key"] == 1.58496250072
+    validate = ["validate", "--graph", DIAMOND, "--q", "3", "--trials", "10", "--seed", "3"]
+    code, out, _err = run_cli(capsys, validate)
+    assert code == 0 and "max_abs_err: 8.881784197e-16\n" in out
+    code, out, _err = run_cli(capsys, validate + ["--json"])
+    assert code == 0 and '"max_abs_err": 8.881784197e-16' in out
+    assert json.loads(out)["max_abs_err"] == 8.881784197e-16
 
 
 def test_input_error_exit_codes(capsys, tmp_path):

@@ -18,7 +18,9 @@ from hkas import (
     Scheme,
     TheoremViolation,
     build_corpus,
+    check_correctness,
     check_ki,
+    check_ski,
     gen_correlated,
     gen_leaky,
     gen_trivial,
@@ -124,6 +126,27 @@ def test_verify_equivalence_summary(diamond):
     assert summary["ki_fail"] == 2
     assert summary["discrepancies"] == 0
     assert summary["verdicts"][0] == {"ki": True, "ski": True}
+
+
+def test_equivalence_needs_correctness():
+    # Chain r -> a with K:a = K:r and S:r = K:r, but S:a an independent
+    # bit: a cannot derive its own key. KI holds, yet r's key, which the
+    # SKI coalition against a holds, gives K:a away. The paper assumes
+    # correctness; without it KI and SKI disagree.
+    graph = AccessGraph.build(["r", "a"], [("r", "a")])
+    rows = [
+        ({"K:r": k, "K:a": k, "S:r": k, "S:a": bit}, Fraction(1, 4))
+        for k in (0, 1) for bit in (0, 1)
+    ]
+    scheme = Scheme(graph, JointDistribution.from_rows(rows))
+    correctness = check_correctness(scheme)
+    assert not correctness.passed
+    assert {w.cls for w in correctness.witnesses} == {"a"}
+    assert check_ki(scheme).passed
+    ski = check_ski(scheme)
+    assert not ski.passed
+    assert [(w.cls, w.secrets, w.keys) for w in ski.witnesses] == [("a", (), ("r",))]
+    assert verify_equivalence([scheme], strict=False)["discrepancies"] == 1
 
 
 def test_verify_equivalence_strictness(monkeypatch, diamond):

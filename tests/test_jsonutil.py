@@ -22,7 +22,6 @@ from hkas.jsonutil import (
     round_float,
     value_from_json,
     value_sort_key,
-    value_to_json,
 )
 
 
@@ -46,7 +45,10 @@ def test_value_codec():
     assert value_from_json(3) == 3
     assert value_from_json("x") == "x"
     assert value_from_json([["a", 0], ["b", 1]]) == (("a", 0), ("b", 1))
-    assert value_to_json((("a", 0),)) == [["a", 0]]
+    # Decoded values are tuples, which json writes as arrays; a decoded
+    # value decodes to itself, so the library round trip needs no copy.
+    assert json.loads(json.dumps((("a", 0),))) == [["a", 0]]
+    assert value_from_json((("a", 0), ("b", 1))) == (("a", 0), ("b", 1))
     for bad in (0.5, True, None, {"k": 1}):
         with pytest.raises(Exception):
             value_from_json(bad)
@@ -59,9 +61,13 @@ def test_value_depth_bound():
             raw = [raw]
         return raw
 
-    assert value_to_json(value_from_json(nested(MAX_VALUE_DEPTH))) == nested(MAX_VALUE_DEPTH)
+    decoded = value_from_json(nested(MAX_VALUE_DEPTH))
+    assert json.loads(json.dumps(decoded)) == nested(MAX_VALUE_DEPTH)
+    assert value_from_json(decoded) == decoded
     with pytest.raises(ParseError):
         value_from_json(nested(MAX_VALUE_DEPTH + 1))
+    with pytest.raises(ParseError):
+        value_from_json((decoded,))
 
 
 def test_value_sort_key_total_order():
@@ -77,13 +83,18 @@ def test_round_float():
 
 
 def test_dumps_canonical():
-    doc = {"b": Fraction(1, 3), "a": [1.23456789012345e-5, ("x", 2)]}
+    # The document is written as given: its builder renders rationals
+    # (prob_str) and rounds floats (round_float); tuples become arrays.
+    doc = {"b": prob_str(Fraction(1, 3)), "a": [round_float(1.23456789012345e-5), ("x", 2)]}
     text = dumps_canonical(doc)
     assert text.endswith("\n")
     parsed = json.loads(text)
     assert parsed == {"a": [1.23456789012e-05, ["x", 2]], "b": "1/3"}
     assert text.index('"a"') < text.index('"b"')
     assert dumps_canonical(doc) == text
+    assert json.loads(dumps_canonical({"x": 1.23456789012345e-5})) == {"x": 1.23456789012345e-5}
+    with pytest.raises(TypeError):
+        dumps_canonical({"p": Fraction(1, 3)})
 
 
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
