@@ -11,6 +11,15 @@ formulas bit for bit: a term needs p = w / D and p(t,g) / p(g) =
 w_tg / w_g, and int / int true division is correctly rounded, as is
 float(Fraction).
 
+Queries never hash or compare outcome values either. from_rows validates
+and sort-keys each distinct value object once (memoised by identity), and
+codes each value as its rank among its variable's distinct values. Each
+distribution keeps the rank tuples of its outcomes as a second cached
+view (_codes), in canonical order: a tuple's sort key is the tuple of its
+items' keys, so sorting rank tuples sorts outcomes canonically. Every
+query reads that view, so its joint keys are flat int tuples; marginal
+maps its codes back to values.
+
 Entropy and independence queries wrap one private query, _query: one
 pass over the support sums the joint of (givens, parts), and independence,
 H(parts | givens) and each H(part) are read from that joint and from
@@ -29,7 +38,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateOutcome,
@@ -40,8 +50,14 @@ from .errors import (
 )
 from .jsonutil import Value, value_sort_key
 
-Counts = dict[tuple[Value, ...], int]
-KeyedRow = tuple[tuple, tuple[Value, ...], Fraction]
+Codes = tuple[int, ...]
+Counts = dict[Codes, int]
+# Per variable: id(value) -> (value, value_sort_key(value)). The entry
+# holds the value, so its id is not reused while the memo lives.
+SortKeyMemo = dict[int, tuple[Value, tuple]]
+# Per variable, its distinct values in sort-key order: a value's code is
+# its index.
+Decoding = tuple[tuple[Value, ...], ...]
 
 
 def _neg_fsum(terms: Iterable[float]) -> float:
@@ -49,20 +65,58 @@ def _neg_fsum(terms: Iterable[float]) -> float:
     return -math.fsum(terms) + 0.0
 
 
-def _aggregate(pairs: Iterable[tuple[tuple[Value, ...], int]],
-               positions: Sequence[int]) -> Counts:
-    """Sum (outcome, weight) pairs by the outcome's values at positions."""
+def _getter(positions: Sequence[int]) -> Callable[[Codes], Codes]:
+    """The function that picks the codes at positions (at least one) as a tuple."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
+
+
+def _aggregate(pairs: Iterable[tuple[Codes, int]], positions: Sequence[int]) -> Counts:
+    """Sum (codes, weight) pairs by the codes at positions."""
+    pick = _getter(positions)
     agg: Counts = {}
-    for outcome, w in pairs:
-        key = tuple([outcome[i] for i in positions])
+    for codes, w in pairs:
+        key = pick(codes)
         agg[key] = agg.get(key, 0) + w
     return agg
 
 
-def _canonical(variables: tuple[str, ...], rows: Iterable[KeyedRow]) -> "JointDistribution":
-    """The distribution of rows (value_sort_key(outcome), outcome, p), in key order."""
-    _, outcomes, probs = zip(*sorted(rows, key=lambda row: row[0]))
-    return JointDistribution(variables=variables, outcomes=outcomes, probs=probs)
+def _remember(memos: list[SortKeyMemo], outcome: tuple[Value, ...]) -> None:
+    """Validate and sort-key each value of outcome not met before, by identity.
+
+    Raises UnsupportedValue for anything but ints, strs and tuples of
+    them; equality is never consulted, since True == 1 and 1.0 == 1.
+    """
+    for memo, value in zip(memos, outcome):
+        if id(value) not in memo:
+            memo[id(value)] = (value, value_sort_key(value))
+
+
+def _encode(memos: list[SortKeyMemo],
+            outcomes: Iterable[tuple[Value, ...]]) -> tuple[list[Codes], Decoding]:
+    """Outcomes as rank tuples, and the decoding, from the memos of their values."""
+    ranks_by_id, decoding = [], []
+    for memo in memos:
+        value_of = {key: value for value, key in memo.values()}
+        keys = sorted(value_of)
+        rank_of = {key: rank for rank, key in enumerate(keys)}
+        ranks_by_id.append({ident: rank_of[key] for ident, (_, key) in memo.items()})
+        decoding.append(tuple([value_of[key] for key in keys]))
+    codes = [tuple([ranks[id(value)] for ranks, value in zip(ranks_by_id, outcome)])
+             for outcome in outcomes]
+    return codes, tuple(decoding)
+
+
+def _canonical(variables: tuple[str, ...], decoding: Decoding,
+               rows: Iterable[tuple[Codes, tuple[Value, ...], Fraction]]) -> "JointDistribution":
+    """The distribution of rows (codes, outcome, p), in code order, with
+    its int-coded view set from the codes and the decoding."""
+    codes, outcomes, probs = zip(*sorted(rows, key=itemgetter(0)))
+    dist = JointDistribution(variables=variables, outcomes=outcomes, probs=probs)
+    # What the cached property would compute; it lives in the instance dict.
+    object.__setattr__(dist, "_codes", (codes, decoding))
+    return dist
 
 
 @dataclass(frozen=True)
@@ -126,8 +180,9 @@ class JointDistribution:
     variables are sorted; outcomes are value tuples aligned with the
     variables and sorted canonically; probs are positive Fractions that
     sum to 1. Equality of two distributions is equality of these fields.
-    The integer view the queries read (_weights) and the variable index
-    are cached properties, not fields, so they never enter == or hash.
+    The integer views the queries read (_weights, and _codes: each
+    outcome as a tuple of int ranks) and the variable index are cached
+    properties, not fields, so they never enter == or hash.
     """
 
     variables: tuple[str, ...]
@@ -148,7 +203,8 @@ class JointDistribution:
         if not variables:
             raise EmptyVariableSet("outcomes must assign at least one variable")
         varset = set(variables)
-        table: dict[tuple[Value, ...], KeyedRow] = {}
+        memos: list[SortKeyMemo] = [{} for _ in variables]
+        table: dict[tuple[Value, ...], Fraction] = {}
         for assignment, raw_p in materialized:
             if set(assignment) != varset:
                 extra = sorted(set(assignment) - varset)
@@ -160,15 +216,16 @@ class JointDistribution:
             p = Fraction(raw_p)
             if p <= 0:
                 raise ProbabilityError(f"probability must be positive, got {raw_p}")
-            outcome = tuple(assignment[var] for var in variables)
-            key = value_sort_key(outcome)  # before hashing: rejects lists, bools
+            outcome = tuple([assignment[var] for var in variables])
+            _remember(memos, outcome)  # before hashing: rejects lists, bools
             if outcome in table:
                 raise DuplicateOutcome(f"outcome {outcome!r} appears more than once")
-            table[outcome] = (key, outcome, p)
-        total = sum(p for _, _, p in table.values())
+            table[outcome] = p
+        total = sum(table.values())
         if total != 1:
             raise ProbabilityError(f"probabilities sum to {total}, expected 1")
-        return _canonical(variables, table.values())
+        codes, decoding = _encode(memos, table)
+        return _canonical(variables, decoding, zip(codes, table, table.values()))
 
     def support_size(self) -> int:
         return len(self.outcomes)
@@ -199,6 +256,18 @@ class JointDistribution:
         total = math.lcm(*(p.denominator for p in self.probs))
         return total, tuple(p.numerator * (total // p.denominator) for p in self.probs)
 
+    @cached_property
+    def _codes(self) -> tuple[tuple[Codes, ...], Decoding]:
+        """(codes, decoding): codes[i] holds the rank of each value of
+        outcomes[i] among its variable's values, and decoding[j][r] is the
+        value of variables[j] with rank r. Set by the constructors; computed
+        here only for a distribution built from its fields."""
+        memos: list[SortKeyMemo] = [{} for _ in self.variables]
+        for outcome in self.outcomes:
+            _remember(memos, outcome)
+        codes, decoding = _encode(memos, self.outcomes)
+        return tuple(codes), decoding
+
     def _positions(self, *groups: tuple[str, ...]) -> list[int]:
         """Indices of the concatenated groups, which must be disjoint."""
         names = [var for group in groups for var in group]
@@ -209,14 +278,17 @@ class JointDistribution:
 
     def _pmf(self, *groups: tuple[str, ...]) -> Counts:
         """Joint weights of the concatenated groups; they sum to _weights[0]."""
-        return _aggregate(zip(self.outcomes, self._weights[1]), self._positions(*groups))
+        return _aggregate(zip(self._codes[0], self._weights[1]), self._positions(*groups))
 
     def marginal(self, variables: Iterable[str]) -> "JointDistribution":
         """Marginal distribution over a non-empty variable subset."""
         ordered = self._resolve(variables)
         total = self._weights[0]
-        return _canonical(ordered, [(value_sort_key(key), key, Fraction(w, total))
-                                    for key, w in self._pmf(ordered).items()])
+        decoding = tuple(self._codes[1][i] for i in self._positions(ordered))
+        return _canonical(ordered, decoding, [
+            (key, tuple([values[code] for values, code in zip(decoding, key)]),
+             Fraction(w, total))
+            for key, w in self._pmf(ordered).items()])
 
     def _query(self, parts: Sequence[Iterable[str]], givens: Iterable[str]) -> _Query:
         """Parts (non-empty groups) given givens (maybe empty), all disjoint."""
@@ -254,12 +326,12 @@ class JointDistribution:
         """True iff the given variables determine the targets on the support.
 
         Exact predicate: no given-value has two target-values.
-        Equivalent to H(targets | givens) == 0. Reads only the outcomes.
+        Equivalent to H(targets | givens) == 0. Reads only the codes.
         """
         target_vars = self._resolve(targets)
         given_vars = self._resolve(givens)
         positions = self._positions(given_vars, target_vars)
-        joint = {tuple([outcome[i] for i in positions]) for outcome in self.outcomes}
+        joint = set(map(_getter(positions), self._codes[0]))
         cut = len(given_vars)
         return len({key[:cut] for key in joint}) == len(joint)
 

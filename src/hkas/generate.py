@@ -94,16 +94,21 @@ def _scheme(graph: AccessGraph, members: dict[str, tuple[str, ...]],
     """The generator core: one support row per weighted key tuple.
 
     Key tuples are aligned with the sorted class labels; the secret of u
-    lists (v, k_v) for every v in members[u].
+    lists (v, k_v) for every v in members[u]. Rows share one tuple per
+    distinct secret, so from_rows validates each secret once.
     """
     labels = tuple(sorted(graph.classes))
+    secrets: dict[str, dict[tuple[int, ...], Value]] = {u: {} for u in labels}
     rows = []
     for combo, p in weighted_keys:
         keys = dict(zip(labels, combo))
         assignment: dict[str, Value] = {}
         for u in labels:
             assignment[key_var(u)] = keys[u]
-            assignment[secret_var(u)] = tuple((v, keys[v]) for v in members[u])
+            held = tuple([keys[v] for v in members[u]])
+            if held not in secrets[u]:
+                secrets[u][held] = tuple(zip(members[u], held))
+            assignment[secret_var(u)] = secrets[u][held]
         rows.append((assignment, p))
     return Scheme(graph=graph, dist=JointDistribution.from_rows(rows))
 

@@ -8,6 +8,11 @@ classes exactly: one key and one secret per class, nothing else.
 Scheme documents are JSON objects {"graph": ..., "support": [...]} or
 {"graph_file": "path", "support": [...]}; each support row is
 {"assignment": {"K:a": 0, "S:a": [...], ...}, "p": "1/8"}.
+
+Secrets spell out keys, so the same values repeat across rows. The
+loader decodes each distinct raw value once and gives its repeats the
+same object, so JointDistribution.from_rows, which validates each
+distinct value object once, sees each distinct value once.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Any, Callable
 
 from .dist import JointDistribution
 from .errors import InvalidCoalition, ParseError, SupportTooLarge, VariableMismatch
@@ -135,12 +141,29 @@ class CheckReport:
         }
 
 
+def _decode_once(memo: dict[str, Any], decode: Callable[[object], Any], raw: object) -> Any:
+    """decode(raw), computed once per distinct raw value; repeats share the
+    decoded object. The memo is keyed by repr, which is injective on
+    decoded JSON (1, 1.0, True, '1' and None all differ), not by equality,
+    under which True == 1 == 1.0 would share one entry."""
+    try:
+        text = repr(raw)
+    except (ValueError, RecursionError):  # an int past the digit limit, or nesting past the stack
+        return decode(raw)
+    if text not in memo:
+        memo[text] = decode(raw)
+    return memo[text]
+
+
 def _parse_support(doc: object) -> list[tuple[dict[str, Value], Fraction]]:
     if not isinstance(doc, list) or not doc:
         raise ParseError("scheme 'support' must be a non-empty list")
     bound = max_support_size()
     if len(doc) > bound:
         raise SupportTooLarge(f"support has {len(doc)} rows, bound is {bound}")
+    # Apart: the value "1/2" is a string, the probability "1/2" a Fraction.
+    values: dict[str, Value] = {}
+    probs: dict[str, Fraction] = {}
     rows: list[tuple[dict[str, Value], Fraction]] = []
     for i, item in enumerate(doc):
         if not isinstance(item, dict) or set(item) != {"assignment", "p"}:
@@ -151,9 +174,10 @@ def _parse_support(doc: object) -> list[tuple[dict[str, Value], Fraction]]:
         if not isinstance(raw_assignment, dict):
             raise ParseError(f"support row {i}: 'assignment' must be an object")
         assignment = {
-            str(var): value_from_json(raw) for var, raw in raw_assignment.items()
+            str(var): _decode_once(values, value_from_json, raw)
+            for var, raw in raw_assignment.items()
         }
-        rows.append((assignment, parse_prob(item["p"])))
+        rows.append((assignment, _decode_once(probs, parse_prob, item["p"])))
     return rows
 
 

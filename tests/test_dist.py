@@ -25,6 +25,7 @@ from hkas import (
     UnknownVariable,
     UnsupportedValue,
 )
+from hkas.jsonutil import value_sort_key
 
 TOL = 1e-9
 
@@ -77,12 +78,23 @@ def xor_triple() -> tuple[JointDistribution, Rows]:
     return JointDistribution.from_rows(rows), rows
 
 
-def random_dist(rng: random.Random, max_vars: int = 3,
-                max_values: int = 3) -> tuple[JointDistribution, Rows]:
+# Values whose codes (ranks) never equal them: negative and large ints,
+# strs and nested tuples, in a non-sorted order.
+MIXED_POOL = ("b", -7, (1, "x"), 2**70, "", ((-3,), "y"), 5, (0,), "a", -1,
+              ("a", (2**65, "z")), ())
+
+
+def _values(rng: random.Random, size: int, pool: tuple | None) -> list:
+    """size distinct values: range(size), or a sample of pool."""
+    return list(range(size)) if pool is None else rng.sample(pool, size)
+
+
+def random_dist(rng: random.Random, max_vars: int = 3, max_values: int = 3,
+                pool: tuple | None = None) -> tuple[JointDistribution, Rows]:
     count = rng.randint(1, max_vars)
     variables = [f"v{i}" for i in range(count)]
     sizes = [rng.randint(1, max_values) for _ in range(count)]
-    space = list(itertools.product(*[range(size) for size in sizes]))
+    space = list(itertools.product(*[_values(rng, size, pool) for size in sizes]))
     chosen = rng.sample(space, rng.randint(1, len(space)))
     weights = [rng.randint(1, 8) for _ in chosen]
     total = sum(weights)
@@ -93,15 +105,17 @@ def random_dist(rng: random.Random, max_vars: int = 3,
     return JointDistribution.from_rows(rows), rows
 
 
-def random_product_dist(rng: random.Random, max_vars: int = 4,
-                        max_values: int = 3) -> tuple[JointDistribution, Rows]:
+def random_product_dist(rng: random.Random, max_vars: int = 4, max_values: int = 3,
+                        pool: tuple | None = None) -> tuple[JointDistribution, Rows]:
     """Independent variables, each with its own random pmf."""
     pmfs = []
     for _ in range(rng.randint(1, max_vars)):
         weights = [rng.randint(1, 8) for _ in range(rng.randint(1, max_values))]
-        pmfs.append([Fraction(weight, sum(weights)) for weight in weights])
+        values = _values(rng, len(weights), pool)
+        pmfs.append({value: Fraction(weight, sum(weights))
+                     for value, weight in zip(values, weights)})
     rows: Rows = []
-    for outcome in itertools.product(*[range(len(pmf)) for pmf in pmfs]):
+    for outcome in itertools.product(*pmfs):
         assignment = {f"v{i}": value for i, value in enumerate(outcome)}
         rows.append((assignment, math.prod(pmf[v] for pmf, v in zip(pmfs, outcome))))
     return JointDistribution.from_rows(rows), rows
@@ -182,6 +196,49 @@ def test_marginal_matches_oracle():
             expected = oracle_marginal(rows, variables)
             assert dict(zip(marg.outcomes, marg.probs)) == expected
             assert sum(marg.probs) == 1
+
+
+def test_mixed_values_match_oracles():
+    """The queries read int codes and the oracles read values; drawn from
+    MIXED_POOL, no code equals its value, so a code/value mix-up shows."""
+    rng = random.Random(8128)
+    verdicts = set()
+    for trial in range(80):
+        make = random_product_dist if trial % 2 else random_dist
+        dist, rows = make(rng, 3, 4, pool=MIXED_POOL)
+        assert dist.outcomes == tuple(sorted(dist.outcomes, key=value_sort_key))
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert JointDistribution.from_rows(shuffled) == dist
+        variables = list(dist.variables)
+        for labels in itertools.product(range(3), repeat=len(variables)):
+            targets = [var for var, label in zip(variables, labels) if label == 1]
+            givens = [var for var, label in zip(variables, labels) if label == 2]
+            if not targets:
+                continue
+            marg = dist.marginal(targets)
+            assert dict(zip(marg.outcomes, marg.probs)) == oracle_marginal(rows, targets)
+            assert marg.outcomes == tuple(sorted(marg.outcomes, key=value_sort_key))
+            h_targets = fraction_conditional_entropy(rows, targets, [])
+            assert marg.entropy(targets) == h_targets
+            expected = fraction_conditional_entropy(rows, targets, givens)
+            assert dist.conditional_entropy(targets, givens) == expected
+            groups = [[var] for var in targets]
+            query = dist._query(groups, givens)
+            assert query.conditional_entropy == expected
+            assert query.part_entropies == [
+                fraction_conditional_entropy(rows, group, []) for group in groups]
+            if givens:
+                groups.insert(0, givens)
+                determined = dist.is_functionally_determined(targets, givens)
+                assert determined == oracle_determined(rows, targets, givens)
+                independent = dist.is_independent(targets, givens)
+                assert independent == oracle_independent(rows, [targets, givens])
+                verdicts |= {("determined", determined), ("independent", independent)}
+            if len(groups) > 1:
+                assert query.independent == oracle_independent(rows, groups)
+                verdicts.add(("query", query.independent))
+    assert len(verdicts) == 6
 
 
 def test_entropy_properties_random():
@@ -302,6 +359,18 @@ def test_construction_errors():
             )
         with pytest.raises(UnsupportedValue):
             JointDistribution.from_rows([({"X": bad}, Fraction(1))])
+    # an impostor after an equal valid value: checked by type, not by equality
+    for good, bad in ((1, True), (0, False), (1, 1.0), (1, Fraction(1)),
+                      ((0, 1), (0, True)), (("a", (1,)), ("a", (1.0,)))):
+        with pytest.raises(UnsupportedValue):
+            JointDistribution.from_rows(
+                [({"X": good}, Fraction(1, 2)), ({"X": bad}, Fraction(1, 2))]
+            )
+        # distinct Y values, so the rows are no duplicates even if bad == good
+        with pytest.raises(UnsupportedValue):
+            JointDistribution.from_rows(
+                [({"X": good, "Y": 0}, Fraction(1, 2)), ({"X": bad, "Y": 1}, Fraction(1, 2))]
+            )
 
 
 def test_query_errors():

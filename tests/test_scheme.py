@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+import hkas
 from conftest import DATA_DIR
 from hkas import (
+    AccessGraph,
     CoalitionQuery,
     InvalidCoalition,
     ParseError,
@@ -17,6 +19,7 @@ from hkas import (
     SupportTooLarge,
     UnknownClass,
     VariableMismatch,
+    gen_leaky,
     gen_trivial,
     load_scheme,
     load_scheme_file,
@@ -44,6 +47,60 @@ def test_load_minimal_scheme():
     assert scheme.graph.classes == ("x",)
     assert scheme.dist.support_size() == 2
     assert scheme.dist.entropy(["K:x"]) == pytest.approx(1.0, abs=TOL)
+
+
+def test_loader_keeps_values_and_probabilities_apart():
+    # The same raw text "1/2" is a probability in row 0 and a value in row 1.
+    doc = minimal_doc()
+    doc["support"][1]["assignment"]["S:x"] = "1/2"
+    scheme = load_scheme(doc)
+    assert scheme.dist.probs == (Fraction(1, 2), Fraction(1, 2))
+    assert {outcome[1] for outcome in scheme.dist.outcomes} == {(("x", 0),), "1/2"}
+
+
+def test_loader_decodes_values_without_a_repr():
+    # repr fails on an int past the str conversion limit and on nesting
+    # past the stack; such values are decoded as they were without the memo.
+    doc = minimal_doc()
+    doc["support"][0]["assignment"]["K:x"] = 10 ** 5000
+    assert load_scheme(doc).dist.outcomes[1][0] == 10 ** 5000
+    deep: list = [0]
+    for _ in range(100_000):
+        deep = [deep]
+    doc["support"][0]["assignment"]["S:x"] = deep
+    with pytest.raises(ParseError):
+        load_scheme(doc)
+
+
+def test_each_distinct_value_is_decoded_and_keyed_once(tmp_path, monkeypatch):
+    """Work per distinct value, not per value instance: on a 729-row scheme
+    with 132 distinct (variable, value) pairs, loading decodes each raw
+    value once and sort-keys each pair once, and so does generating."""
+    labels = ["n0", "n1", "n2", "n3", "n4", "n5"]
+    graph = AccessGraph.build(labels, [("n0", "n1"), ("n0", "n2"), ("n1", "n3"),
+                                       ("n2", "n3"), ("n4", "n5")])
+    path = tmp_path / "trivial.json"
+    path.write_text(serialize_scheme(gen_trivial(graph, 3)))
+    calls = {"value_from_json": 0, "value_sort_key": 0}
+    for module, name in ((hkas.scheme, "value_from_json"), (hkas.dist, "value_sort_key")):
+        def counted(value, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(value)
+        monkeypatch.setattr(module, name, counted)
+
+    def distinct_pairs(scheme):
+        return {(var, json.dumps(value)) for assignment, _ in scheme.dist.rows()
+                for var, value in assignment.items()}
+
+    scheme = load_scheme_file(str(path))
+    raw = {json.dumps(value) for row in json.loads(path.read_text())["support"]
+           for value in row["assignment"].values()}
+    assert scheme.dist.support_size() == 729 and len(distinct_pairs(scheme)) == 132
+    assert calls["value_from_json"] <= len(raw)
+    assert calls["value_sort_key"] <= len(distinct_pairs(scheme))
+    calls["value_sort_key"] = 0
+    leaky = gen_leaky(graph, 3, "n3", "n4")
+    assert calls["value_sort_key"] <= len(distinct_pairs(leaky))
 
 
 def test_round_trip(diamond):
