@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable
 
 from .dist import JointDistribution
@@ -98,17 +99,24 @@ def _scheme(graph: AccessGraph, members: dict[str, tuple[str, ...]],
     distinct secret, so from_rows validates each secret once.
     """
     labels = tuple(sorted(graph.classes))
-    secrets: dict[str, dict[tuple[int, ...], Value]] = {u: {} for u in labels}
+    position = {u: i for i, u in enumerate(labels)}
+    # Per class: its key's index in a key tuple, its two variable names,
+    # the getter of its members' keys and its memo of secrets by those keys.
+    classes = [
+        (i, key_var(u), secret_var(u), itemgetter(*[position[v] for v in members[u]]),
+         members[u], {})
+        for i, u in enumerate(labels)
+    ]
     rows = []
     for combo, p in weighted_keys:
-        keys = dict(zip(labels, combo))
         assignment: dict[str, Value] = {}
-        for u in labels:
-            assignment[key_var(u)] = keys[u]
-            held = tuple([keys[v] for v in members[u]])
-            if held not in secrets[u]:
-                secrets[u][held] = tuple(zip(members[u], held))
-            assignment[secret_var(u)] = secrets[u][held]
+        for i, key, secret, held, names, memo in classes:
+            assignment[key] = combo[i]
+            keys = held(combo)
+            value = memo.get(keys)
+            if value is None:
+                value = memo[keys] = tuple([(v, combo[position[v]]) for v in names])
+            assignment[secret] = value
         rows.append((assignment, p))
     return Scheme(graph=graph, dist=JointDistribution.from_rows(rows))
 

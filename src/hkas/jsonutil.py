@@ -1,11 +1,15 @@
 """Canonical JSON helpers shared by loaders, serializers, and the CLI.
 
 Canonical form: keys sorted, two-space indent, trailing newline.
-dumps_canonical writes the document as given, in one json.dumps call,
-so whoever builds a document puts its values in canonical form first:
-rationals as "num/den" strings (prob_str), floats rounded to 12
-significant digits (round_float). Tuples are written as arrays.
-Re-serializing the same object yields byte-identical text.
+There is one encoder, dumps_at, which writes a fragment as it would
+appear nested depth levels deep in an indented document. dumps_canonical
+is dumps_at at depth 0 plus the newline; serialize_scheme assembles a
+scheme's text from fragments, each distinct value encoded once. Either
+way the document is written as given, so whoever builds it puts its
+values in canonical form first: rationals as "num/den" strings
+(prob_str), floats rounded to 12 significant digits (round_float).
+Tuples are written as arrays. Re-serializing the same object yields
+byte-identical text.
 """
 
 from __future__ import annotations
@@ -79,6 +83,15 @@ def round_float(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def dumps_at(value: Any, depth: int) -> str:
+    """value in canonical form, as it reads nested depth levels deep in an
+    indented document: its first line unindented, each later line shifted
+    by depth indents. json escapes every control character inside a
+    string, so each newline in its output separates two lines of layout,
+    and shifting them all is safe."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
 def dumps_canonical(doc: Any) -> str:
     """Serialize to the canonical JSON text form."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dumps_at(doc, 0) + "\n"

@@ -12,12 +12,16 @@ Scheme documents are JSON objects {"graph": ..., "support": [...]} or
 Secrets spell out keys, so the same values repeat across rows. The
 loader decodes each distinct raw value once and gives its repeats the
 same object, so JointDistribution.from_rows, which validates each
-distinct value object once, sees each distinct value once.
+distinct value object once, sees each distinct value once. The writer,
+serialize_scheme, likewise encodes each distinct value of a variable
+once and builds every row from a fixed template over the int codes of
+its values; its text is the canonical JSON of scheme_to_json.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -27,7 +31,7 @@ from typing import Any, Callable
 from .dist import JointDistribution
 from .errors import InvalidCoalition, ParseError, SupportTooLarge, VariableMismatch
 from .graph import AccessGraph, graph_from_json, graph_to_json
-from .jsonutil import Value, dumps_canonical, parse_prob, prob_str, round_float, value_from_json
+from .jsonutil import Value, dumps_at, parse_prob, prob_str, round_float, value_from_json
 
 MAX_SUPPORT_ENV = "HKAS_MAX_SUPPORT"
 DEFAULT_MAX_SUPPORT = 1_000_000
@@ -141,18 +145,20 @@ class CheckReport:
         }
 
 
-def _decode_once(memo: dict[str, Any], decode: Callable[[object], Any], raw: object) -> Any:
+def _decode_once(memo: dict[bytes, Any], decode: Callable[[object], Any], raw: object) -> Any:
     """decode(raw), computed once per distinct raw value; repeats share the
-    decoded object. The memo is keyed by repr, which is injective on
-    decoded JSON (1, 1.0, True, '1' and None all differ), not by equality,
-    under which True == 1 == 1.0 would share one entry."""
+    decoded object. The memo is keyed by marshal format 2, which tags each
+    type and writes no back-references, so the key is injective on decoded
+    JSON (1, 1.0, True, '1' and None all differ) and does not depend on a
+    string being interned, as format 4's does. Keying by equality would
+    share one entry among True == 1 == 1.0."""
     try:
-        text = repr(raw)
-    except (ValueError, RecursionError):  # an int past the digit limit, or nesting past the stack
+        key = marshal.dumps(raw, 2)
+    except ValueError:  # nesting too deep to marshal, or a type it cannot write
         return decode(raw)
-    if text not in memo:
-        memo[text] = decode(raw)
-    return memo[text]
+    if key not in memo:
+        memo[key] = decode(raw)
+    return memo[key]
 
 
 def _parse_support(doc: object) -> list[tuple[dict[str, Value], Fraction]]:
@@ -162,8 +168,8 @@ def _parse_support(doc: object) -> list[tuple[dict[str, Value], Fraction]]:
     if len(doc) > bound:
         raise SupportTooLarge(f"support has {len(doc)} rows, bound is {bound}")
     # Apart: the value "1/2" is a string, the probability "1/2" a Fraction.
-    values: dict[str, Value] = {}
-    probs: dict[str, Fraction] = {}
+    values: dict[bytes, Value] = {}
+    probs: dict[bytes, Fraction] = {}
     rows: list[tuple[dict[str, Value], Fraction]] = []
     for i, item in enumerate(doc):
         if not isinstance(item, dict) or set(item) != {"assignment", "p"}:
@@ -258,5 +264,30 @@ def scheme_to_json(scheme: Scheme) -> dict:
 
 
 def serialize_scheme(scheme: Scheme) -> str:
-    """Canonical JSON text; loading it back reproduces an equal Scheme."""
-    return dumps_canonical(scheme_to_json(scheme))
+    """Canonical JSON text; loading it back reproduces an equal Scheme.
+
+    The text is dumps_canonical(scheme_to_json(scheme)), built from a row
+    template over the int-coded view: each distinct value of a variable
+    is encoded once, as its whole line of the assignment, and each
+    distinct probability once, as the row's tail. A row is a fixed head,
+    the lines its codes pick and its tail.
+    """
+    dist = scheme.dist
+    codes, decoding = dist._codes
+    total, weights = dist._weights
+    last = len(dist.variables) - 1
+    lines = []
+    for j, (var, values) in enumerate(zip(dist.variables, decoding)):
+        head = "        " + json.dumps(var) + ": "
+        end = ",\n" if j < last else "\n"
+        lines.append(tuple([head + dumps_at(value, 4) + end for value in values]))
+    tails = {
+        w: '      },\n      "p": "' + prob_str(Fraction(w, total)) + '"\n    }'
+        for w in set(weights)
+    }
+    support = ",\n".join([
+        '    {\n      "assignment": {\n' + "".join(map(tuple.__getitem__, lines, row)) + tails[w]
+        for row, w in zip(codes, weights)
+    ])
+    graph = dumps_at(graph_to_json(scheme.graph), 1)
+    return '{\n  "graph": ' + graph + ',\n  "support": [\n' + support + "\n  ]\n}\n"

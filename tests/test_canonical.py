@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,11 @@ from conftest import (
     reference_dumps,
     reference_serialize_scheme,
 )
+import hkas.scheme
 from hkas import (
+    AccessGraph,
+    JointDistribution,
+    Scheme,
     evaluate_entropy_expr,
     gen_correlated,
     gen_leaky,
@@ -33,6 +38,7 @@ from hkas import (
 )
 from hkas.cli import main
 from hkas.graph import graph_to_json
+from hkas.scheme import key_var, secret_var
 
 SHAPES = {"diamond": make_diamond, "chain4": make_chain4, "antichain4": make_antichain4}
 
@@ -72,6 +78,57 @@ def test_random_dag_schemes_match_reference():
     for seed in range(30):
         graph = make_random_dag(rng, max_nodes=4)
         _assert_canonical(gen_random_correct(graph, rng.choice([2, 3]), seed))
+
+
+HOSTILE_LABELS = ["é", "ab\u2028", "ÿy"]
+HOSTILE_VALUES = [0, -1, 10 ** 40, "", "é", 'q"\n\t', (), ((),), (("a", ()), -7),
+                  ((((0,),),),)]
+
+
+def test_hostile_schemes_match_reference():
+    """Escapes (quotes, control characters, U+2028, non-ASCII labels and
+    values), empty and nested arrays and big ints at every place a row
+    template puts a value, over schemes of 1 to 6 rows with several
+    distinct probabilities."""
+    rng = random.Random(10)
+    for _ in range(40):
+        labels = rng.sample(HOSTILE_LABELS, rng.randint(1, 3))
+        edges = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]
+                 if rng.random() < 0.5]
+        graph = AccessGraph.build(labels, edges)
+        names = [var(u) for u in labels for var in (key_var, secret_var)]
+        outcomes = {}
+        for _ in range(rng.randint(1, 6)):
+            assignment = {var: rng.choice(HOSTILE_VALUES) for var in names}
+            outcomes[json.dumps(assignment, sort_keys=True)] = assignment
+        weights = [rng.randint(1, 5) for _ in outcomes]
+        rows = [(assignment, Fraction(w, sum(weights)))
+                for assignment, w in zip(outcomes.values(), weights)]
+        _assert_canonical(Scheme(graph=graph, dist=JointDistribution.from_rows(rows)))
+
+
+def test_serialize_encodes_each_distinct_value_once(monkeypatch):
+    """Encoding work is per distinct (variable, value) pair, not per row:
+    one fragment per pair, plus one for the graph."""
+    labels = ["n0", "n1", "n2", "n3", "n4", "n5"]
+    graph = AccessGraph.build(labels, [("n0", "n1"), ("n0", "n2"), ("n1", "n3"),
+                                       ("n2", "n3"), ("n4", "n5")])
+    scheme = gen_leaky(graph, 3, "n3", "n4")
+    calls = 0
+    encode = hkas.scheme.dumps_at
+
+    def counted(value, depth):
+        nonlocal calls
+        calls += 1
+        return encode(value, depth)
+
+    monkeypatch.setattr(hkas.scheme, "dumps_at", counted)
+    text = serialize_scheme(scheme)
+    pairs = {(var, json.dumps(value)) for assignment, _ in scheme.dist.rows()
+             for var, value in assignment.items()}
+    assert scheme.dist.support_size() == 729
+    assert calls <= len(pairs) + 1
+    assert text == reference_serialize_scheme(scheme)
 
 
 def _raw_report(report) -> dict:

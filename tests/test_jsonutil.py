@@ -97,6 +97,11 @@ def test_dumps_canonical():
         dumps_canonical({"p": Fraction(1, 3)})
 
 
+def test_dumps_canonical_is_indented_json_dumps():
+    doc = {"z": [{"b": [], "a": {}}, ("x", [1, [2, "\n\u2028é"]])], "a": {"c": {"d": [0]}}}
+    assert dumps_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 

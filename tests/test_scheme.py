@@ -59,8 +59,8 @@ def test_loader_keeps_values_and_probabilities_apart():
 
 
 def test_loader_decodes_values_without_a_repr():
-    # repr fails on an int past the str conversion limit and on nesting
-    # past the stack; such values are decoded as they were without the memo.
+    # An int past the str conversion limit still loads, and nesting past
+    # marshal's depth limit is decoded as it would be without the memo.
     doc = minimal_doc()
     doc["support"][0]["assignment"]["K:x"] = 10 ** 5000
     assert load_scheme(doc).dist.outcomes[1][0] == 10 ** 5000
