@@ -35,13 +35,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
+    DistributionError,
     DuplicateOutcome,
     EmptyVariableSet,
     OverlappingVariableSets,
@@ -93,19 +95,26 @@ def _remember(memos: list[SortKeyMemo], outcome: tuple[Value, ...]) -> None:
             memo[id(value)] = (value, value_sort_key(value))
 
 
+def _rank(memo: Mapping[Hashable, tuple[Value, tuple]]) -> tuple[dict[Hashable, int],
+                                                                  tuple[Value, ...]]:
+    """Ranks of one variable's values, from a memo that maps a handle of
+    each value met (its id, or the text it was read from) to the value and
+    its sort key: the rank of each handle's value among the distinct
+    values, and those values in rank order."""
+    value_of = {key: value for value, key in memo.values()}
+    keys = sorted(value_of)
+    rank_of = {key: rank for rank, key in enumerate(keys)}
+    return ({handle: rank_of[key] for handle, (_, key) in memo.items()},
+            tuple([value_of[key] for key in keys]))
+
+
 def _encode(memos: list[SortKeyMemo],
             outcomes: Iterable[tuple[Value, ...]]) -> tuple[list[Codes], Decoding]:
     """Outcomes as rank tuples, and the decoding, from the memos of their values."""
-    ranks_by_id, decoding = [], []
-    for memo in memos:
-        value_of = {key: value for value, key in memo.values()}
-        keys = sorted(value_of)
-        rank_of = {key: rank for rank, key in enumerate(keys)}
-        ranks_by_id.append({ident: rank_of[key] for ident, (_, key) in memo.items()})
-        decoding.append(tuple([value_of[key] for key in keys]))
+    ranks_by_id, decoding = zip(*map(_rank, memos))
     codes = [tuple([ranks[id(value)] for ranks, value in zip(ranks_by_id, outcome)])
              for outcome in outcomes]
-    return codes, tuple(decoding)
+    return codes, decoding
 
 
 def _canonical(variables: tuple[str, ...], decoding: Decoding,
@@ -116,6 +125,23 @@ def _canonical(variables: tuple[str, ...], decoding: Decoding,
     dist = JointDistribution(variables=variables, outcomes=outcomes, probs=probs)
     # What the cached property would compute; it lives in the instance dict.
     object.__setattr__(dist, "_codes", (codes, decoding))
+    return dist
+
+
+def _from_codes(variables: tuple[str, ...], decoding: Decoding, codes: list[Codes],
+                probs: list[Fraction]) -> "JointDistribution":
+    """The distribution whose i-th row holds the values codes[i] picks
+    from decoding, with the positive probability probs[i]. Raises a
+    DistributionError unless the codes strictly increase, so the rows
+    are distinct and in canonical order, and the probabilities sum to
+    exactly 1."""
+    if not all(map(operator.lt, codes, itertools.islice(codes, 1, None))):
+        raise DistributionError("rows are not in strictly increasing canonical order")
+    outcomes = [tuple(map(tuple.__getitem__, decoding, row)) for row in codes]
+    dist = _canonical(variables, decoding, zip(codes, outcomes, probs))
+    total, weights = dist._weights
+    if sum(weights) != total:
+        raise ProbabilityError(f"probabilities sum to {Fraction(sum(weights), total)}, expected 1")
     return dist
 
 

@@ -10,12 +10,23 @@ Scheme documents are JSON objects {"graph": ..., "support": [...]} or
 {"assignment": {"K:a": 0, "S:a": [...], ...}, "p": "1/8"}.
 
 Secrets spell out keys, so the same values repeat across rows. The
-loader decodes each distinct raw value once and gives its repeats the
-same object, so JointDistribution.from_rows, which validates each
-distinct value object once, sees each distinct value once. The writer,
-serialize_scheme, likewise encodes each distinct value of a variable
+writer, serialize_scheme, encodes each distinct value of a variable
 once and builds every row from a fixed template over the int codes of
 its values; its text is the canonical JSON of scheme_to_json.
+
+load_scheme_file reads such a text by the same template, as its
+inverse: it cuts the rows on the template's frame, interns each line
+and probability as a string, row by row, and decodes only the distinct
+ones; the int codes and weights come straight from their ranks. The
+cut is accepted only when the writer certifies it, that is when
+serialize_scheme of the result would give back the text byte for byte,
+so the format has one definition, the writer's. Every other text
+(hand-written, a graph_file reference, other key orders or layouts,
+anything one byte off) is decoded by json and load_scheme, which
+decodes each distinct raw value once and gives its repeats the same
+object, so JointDistribution.from_rows validates each distinct value
+once. Both paths give equal Schemes, and every error comes from the
+second.
 """
 
 from __future__ import annotations
@@ -28,10 +39,24 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
-from .dist import JointDistribution
-from .errors import InvalidCoalition, ParseError, SupportTooLarge, VariableMismatch
+from .dist import Decoding, JointDistribution, _from_codes, _rank
+from .errors import (
+    HkasError,
+    InvalidCoalition,
+    ParseError,
+    SupportTooLarge,
+    VariableMismatch,
+)
 from .graph import AccessGraph, graph_from_json, graph_to_json
-from .jsonutil import Value, dumps_at, parse_prob, prob_str, round_float, value_from_json
+from .jsonutil import (
+    Value,
+    dumps_at,
+    parse_prob,
+    prob_str,
+    round_float,
+    value_from_json,
+    value_sort_key,
+)
 
 MAX_SUPPORT_ENV = "HKAS_MAX_SUPPORT"
 DEFAULT_MAX_SUPPORT = 1_000_000
@@ -187,6 +212,16 @@ def _parse_support(doc: object) -> list[tuple[dict[str, Value], Fraction]]:
     return rows
 
 
+def _check_supplied(graph: AccessGraph, graph_doc: object) -> None:
+    """Warn when a supplied graph differs from the embedded one, which wins."""
+    if graph_from_json(graph_doc) != graph:
+        warnings.warn(
+            "scheme embeds a graph that differs from the supplied one; "
+            "using the embedded graph",
+            stacklevel=3,
+        )
+
+
 def load_scheme(scheme_doc: object, graph_doc: object | None = None) -> Scheme:
     """Build a validated Scheme from parsed JSON documents.
 
@@ -206,13 +241,7 @@ def load_scheme(scheme_doc: object, graph_doc: object | None = None) -> Scheme:
     if embedded is not None:
         graph = graph_from_json(embedded)
         if graph_doc is not None:
-            other = graph_from_json(graph_doc)
-            if other != graph:
-                warnings.warn(
-                    "scheme embeds a graph that differs from the supplied one; "
-                    "using the embedded graph",
-                    stacklevel=2,
-                )
+            _check_supplied(graph, graph_doc)
     elif graph_doc is not None:
         graph = graph_from_json(graph_doc)
     elif "graph_file" in scheme_doc:
@@ -228,8 +257,20 @@ def load_scheme(scheme_doc: object, graph_doc: object | None = None) -> Scheme:
 
 
 def load_scheme_file(path: str, graph_path: str | None = None) -> Scheme:
-    """Load a scheme from disk, resolving graph_file relative to the scheme."""
-    scheme_doc = load_json_file(path)
+    """Load a scheme from disk, resolving graph_file relative to the scheme.
+
+    A text that serialize_scheme writes is read by its row template
+    (_read_canonical); any other is decoded as JSON and goes through
+    load_scheme. Both give the same Scheme, errors and warnings.
+    """
+    text = _read_text(path)
+    scheme = _read_canonical(text)
+    if scheme is not None:
+        if graph_path is not None:
+            _check_supplied(scheme.graph, load_json_file(graph_path))
+        return scheme
+    scheme_doc = _decode_json(path, text)
+    del text  # as json.load would, free the text before building the scheme
     graph_doc = None
     if graph_path is None and isinstance(scheme_doc, dict):
         ref = scheme_doc.get("graph_file")
@@ -242,14 +283,25 @@ def load_scheme_file(path: str, graph_path: str | None = None) -> Scheme:
     return load_scheme(scheme_doc, graph_doc)
 
 
-def load_json_file(path: str) -> object:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, digit limit
+            return handle.read()
+        except ValueError as exc:  # UnicodeDecodeError
             raise ParseError(f"{path}: {exc}") from None
-        except RecursionError:
-            raise ParseError(f"{path}: JSON nests too deeply to decode") from None
+
+
+def _decode_json(path: str, text: str) -> object:
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, digit limit
+        raise ParseError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nests too deeply to decode") from None
+
+
+def load_json_file(path: str) -> object:
+    return _decode_json(path, _read_text(path))
 
 
 def scheme_to_json(scheme: Scheme) -> dict:
@@ -263,31 +315,149 @@ def scheme_to_json(scheme: Scheme) -> dict:
     return {"graph": graph_to_json(scheme.graph), "support": support}
 
 
+# The frame of serialize_scheme's text. The document is _DOC_HEAD, the
+# graph, _DOC_MID, the rows joined by ",\n", and _DOC_END. A row is
+# _ROW_HEAD, its assignment lines joined by _LINE_BREAK, _ROW_MID, its
+# probability and _ROW_END. A line, here cut off its indent, its opening
+# quote and its line break, is _head(var) + dumps_at(value, 4).
+_DOC_HEAD = '{\n  "graph": '
+_DOC_MID = ',\n  "support": [\n'
+_DOC_END = "\n  ]\n}\n"
+_ROW_HEAD = '    {\n      "assignment": {\n        "'
+_LINE_BREAK = ',\n        "'
+_ROW_MID = '\n      },\n      "p": "'
+_ROW_END = '"\n    }'
+
+
+def _head(var: str) -> str:
+    return json.dumps(var)[1:] + ": "
+
+
 def serialize_scheme(scheme: Scheme) -> str:
     """Canonical JSON text; loading it back reproduces an equal Scheme.
 
     The text is dumps_canonical(scheme_to_json(scheme)), built from a row
     template over the int-coded view: each distinct value of a variable
     is encoded once, as its whole line of the assignment, and each
-    distinct probability once, as the row's tail. A row is a fixed head,
-    the lines its codes pick and its tail.
+    distinct probability once. A row is a fixed frame around the lines
+    its codes pick and its probability.
     """
     dist = scheme.dist
     codes, decoding = dist._codes
     total, weights = dist._weights
-    last = len(dist.variables) - 1
-    lines = []
-    for j, (var, values) in enumerate(zip(dist.variables, decoding)):
-        head = "        " + json.dumps(var) + ": "
-        end = ",\n" if j < last else "\n"
-        lines.append(tuple([head + dumps_at(value, 4) + end for value in values]))
-    tails = {
-        w: '      },\n      "p": "' + prob_str(Fraction(w, total)) + '"\n    }'
-        for w in set(weights)
-    }
+    lines = [tuple([_head(var) + dumps_at(value, 4) for value in values])
+             for var, values in zip(dist.variables, decoding)]
+    tails = {w: _ROW_MID + prob_str(Fraction(w, total)) + _ROW_END for w in set(weights)}
     support = ",\n".join([
-        '    {\n      "assignment": {\n' + "".join(map(tuple.__getitem__, lines, row)) + tails[w]
+        _ROW_HEAD + _LINE_BREAK.join(map(tuple.__getitem__, lines, row)) + tails[w]
         for row, w in zip(codes, weights)
     ])
     graph = dumps_at(graph_to_json(scheme.graph), 1)
-    return '{\n  "graph": ' + graph + ',\n  "support": [\n' + support + "\n  ]\n}\n"
+    return _DOC_HEAD + graph + _DOC_MID + support + _DOC_END
+
+
+class _NotCanonical(ValueError):
+    """A text that serialize_scheme would not write."""
+
+
+def _read_canonical(text: str) -> Scheme | None:
+    """The scheme s with serialize_scheme(s) == text, or None if there is none.
+
+    The text is cut on the frame (_cut_rows), and only the distinct
+    lines and probabilities are decoded. The cut is accepted only if
+    serialize_scheme would write the text back exactly: the graph is
+    its dumps_at, each distinct line is _head of its variable plus
+    dumps_at of its value, each probability is its prob_str, the rows'
+    codes strictly increase and the probabilities sum to 1. Since
+    load_scheme(json.loads(serialize_scheme(s))) == s, the json path
+    would give the same Scheme; every other text is left to that path,
+    which raises every error.
+    """
+    cut = text.find(_DOC_MID)
+    if not text.startswith(_DOC_HEAD) or not text.endswith(_DOC_END) or cut < 0:
+        return None
+    try:
+        graph_text = text[len(_DOC_HEAD):cut]
+        graph = graph_from_json(json.loads(graph_text))
+        if dumps_at(graph_to_json(graph), 1) != graph_text:
+            raise _NotCanonical
+        lines, tails, rows = _cut_rows(text, cut + len(_DOC_MID), len(text) - len(_DOC_END))
+        variables, ranks, decoding = _decode_lines(lines)
+        probs = {p: parse_prob(p) for p in tails}
+        if any(prob_str(prob) != p for p, prob in probs.items()):
+            raise _NotCanonical
+        codes = [tuple(map(dict.__getitem__, ranks, row)) for row, _ in rows]
+        dist = _from_codes(variables, decoding, codes, [probs[p] for _, p in rows])
+        return Scheme(graph=graph, dist=dist)
+    except (HkasError, ValueError, RecursionError):  # _NotCanonical is a ValueError
+        return None
+
+
+def _cut_rows(text: str, pos: int, stop: int) -> tuple[
+        list[dict[str, str]], dict[str, str], list[tuple[tuple[str, ...], str]]]:
+    """Cut the rows of text[pos:stop] on the row frame, row by row, into
+    (lines, tails, rows): lines[j] and tails map each distinct text of a
+    row's j-th line and of its probability to itself, and each row is
+    the tuple of its lines and its probability, so rows share one string
+    per distinct text. Raises _NotCanonical if the frame does not fit or
+    there are more rows than max_support_size()."""
+    bound = max_support_size()
+    lines: list[dict[str, str]] = []
+    tails: dict[str, str] = {}
+    rows: list[tuple[tuple[str, ...], str]] = []
+    while len(rows) < bound:
+        if not text.startswith(_ROW_HEAD, pos):
+            raise _NotCanonical
+        start = pos + len(_ROW_HEAD)
+        mid = text.find(_ROW_MID, start, stop)
+        end = text.find(_ROW_END, mid, stop) if mid >= 0 else -1
+        if end < 0:
+            raise _NotCanonical
+        parts = text[start:mid].split(_LINE_BREAK)
+        if not lines:
+            lines = [{} for _ in parts]
+        if len(parts) != len(lines):
+            raise _NotCanonical
+        p = text[mid + len(_ROW_MID):end]
+        rows.append((tuple(map(dict.setdefault, lines, parts, parts)), tails.setdefault(p, p)))
+        pos = end + len(_ROW_END)
+        if pos == stop:
+            return lines, tails, rows
+        if not text.startswith(",\n", pos):
+            raise _NotCanonical
+        pos += 2
+    raise _NotCanonical
+
+
+def _decode_lines(lines: list[dict[str, str]]) -> tuple[
+        tuple[str, ...], list[dict[str, int]], Decoding]:
+    """(variables, ranks, decoding) of the distinct lines of each row
+    position: the position's variable, the rank of each line's value
+    among the position's values, and those values in rank order. Each
+    distinct value text is decoded, checked and sort-keyed once, in
+    whichever positions it is met. Raises _NotCanonical unless every
+    line is _head(var) + dumps_at(value, 4) and the variables strictly
+    increase."""
+    decoded: dict[str, tuple[Value, tuple]] = {}
+    variables, ranks, decoding = [], [], []
+    for seen in lines:
+        ((var, _),) = json.loads('{"' + next(iter(seen)) + "}").items()
+        head = _head(var)
+        memo = {}
+        for line in seen:
+            if not line.startswith(head):
+                raise _NotCanonical
+            raw = line[len(head):]
+            if raw not in decoded:
+                value = value_from_json(json.loads(raw))
+                if dumps_at(value, 4) != raw:
+                    raise _NotCanonical
+                decoded[raw] = (value, value_sort_key(value))
+            memo[line] = decoded[raw]
+        variables.append(var)
+        rank, values = _rank(memo)
+        ranks.append(rank)
+        decoding.append(values)
+    if variables != sorted(set(variables)):
+        raise _NotCanonical
+    return tuple(variables), ranks, tuple(decoding)

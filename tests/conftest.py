@@ -1,6 +1,7 @@
 """Shared fixtures: the standard graph shapes, a random DAG builder, a
-support-scan counter, the Fraction reference for entropies, and the
-reference encoder for canonical JSON."""
+support-scan counter, a counter of scheme files read through json, the
+Fraction reference for entropies, and the reference encoder for
+canonical JSON."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import hkas.scheme
 from hkas import AccessGraph, JointDistribution, Scheme
 from hkas.graph import graph_to_json
 from hkas.jsonutil import prob_str, round_float
@@ -110,6 +112,22 @@ def support_scans(monkeypatch) -> SimpleNamespace:
         return scan(self, *groups)
 
     monkeypatch.setattr(JointDistribution, "_pmf", counted)
+    return counter
+
+
+@pytest.fixture
+def fallbacks(monkeypatch) -> SimpleNamespace:
+    """Counts the scheme files load_scheme_file reads through json and
+    load_scheme, the path for every text serialize_scheme would not
+    write; the others take the row template."""
+    counter = SimpleNamespace(count=0)
+    decode = hkas.scheme.load_scheme
+
+    def counted(*args):
+        counter.count += 1
+        return decode(*args)
+
+    monkeypatch.setattr(hkas.scheme, "load_scheme", counted)
     return counter
 
 

@@ -1,11 +1,14 @@
 """Canonical output, byte for byte against the reference encoder in
 conftest: schemes, goldens and the CLI's check, entropy and validate
-documents."""
+documents; and canonical input: the loader's row template reads every
+canonical text to the Scheme the json path gives, and leaves every
+other text to that path."""
 
 from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,19 +41,42 @@ from hkas import (
 )
 from hkas.cli import main
 from hkas.graph import graph_to_json
-from hkas.scheme import key_var, secret_var
+from hkas.scheme import _read_canonical, key_var, load_json_file, secret_var
 
 SHAPES = {"diamond": make_diamond, "chain4": make_chain4, "antichain4": make_antichain4}
+
+
+GOLDENS = ["golden-random-q2-s42.json", "golden-random-q2-s2.json"]
+
+
+def _assert_same_scheme(read, decoded) -> None:
+    """Equal, with equal hashes and equal int-coded views."""
+    assert read == decoded and hash(read) == hash(decoded)
+    assert read.dist._codes == decoded.dist._codes
+    assert read.dist._weights == decoded.dist._weights
 
 
 def _assert_canonical(scheme) -> None:
     text = serialize_scheme(scheme)
     assert text == reference_serialize_scheme(scheme)
-    assert load_scheme(json.loads(text)) == scheme
+    decoded = load_scheme(json.loads(text))
+    assert decoded == scheme
     assert load_scheme(scheme_to_json(scheme)) == scheme
+    _assert_same_scheme(_read_canonical(text), decoded)
 
 
-@pytest.mark.parametrize("name", ["golden-random-q2-s42.json", "golden-random-q2-s2.json"])
+def _every_gen_kind(graph, q: int) -> list[Scheme]:
+    labels = sorted(graph.classes)
+    target = next(u for u in labels if graph.forbidden_set(u))
+    leaker = sorted(graph.forbidden_set(target))[0]
+    return [gen_trivial(graph, q),
+            gen_leaky(graph, q, target, leaker),
+            gen_correlated(graph, q, labels[0], labels[-1]),
+            gen_random_correct(graph, q, 0),
+            gen_random_correct(graph, q, 1)]
+
+
+@pytest.mark.parametrize("name", GOLDENS)
 def test_goldens_match_reference(name):
     path = DATA_DIR / name
     scheme = load_scheme_file(str(path))
@@ -61,16 +87,24 @@ def test_goldens_match_reference(name):
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("q", [2, 3])
 def test_every_gen_kind_matches_reference(shape, q):
-    graph = SHAPES[shape]()
-    labels = sorted(graph.classes)
-    target = next(u for u in labels if graph.forbidden_set(u))
-    leaker = sorted(graph.forbidden_set(target))[0]
-    for scheme in (gen_trivial(graph, q),
-                   gen_leaky(graph, q, target, leaker),
-                   gen_correlated(graph, q, labels[0], labels[-1]),
-                   gen_random_correct(graph, q, 0),
-                   gen_random_correct(graph, q, 1)):
+    for scheme in _every_gen_kind(SHAPES[shape](), q):
         _assert_canonical(scheme)
+
+
+def test_canonical_files_take_the_row_template(tmp_path, fallbacks):
+    """The goldens and every gen kind's file load by the row template,
+    to the Scheme the json path gives."""
+    paths = [DATA_DIR / name for name in GOLDENS]
+    for shape in sorted(SHAPES):
+        for q in (2, 3):
+            for i, scheme in enumerate(_every_gen_kind(SHAPES[shape](), q)):
+                path = tmp_path / f"{shape}-{q}-{i}.json"
+                path.write_text(serialize_scheme(scheme))
+                paths.append(path)
+    for path in paths:
+        _assert_same_scheme(load_scheme_file(str(path)),
+                            load_scheme(json.loads(path.read_text())))
+    assert len(paths) == 32 and fallbacks.count == 0
 
 
 def test_random_dag_schemes_match_reference():
@@ -105,6 +139,78 @@ def test_hostile_schemes_match_reference():
         rows = [(assignment, Fraction(w, sum(weights)))
                 for assignment, w in zip(outcomes.values(), weights)]
         _assert_canonical(Scheme(graph=graph, dist=JointDistribution.from_rows(rows)))
+
+
+def _nested(depth: int, level: int) -> str:
+    """A list nesting 0 depth deep, laid out as dumps_at(value, level) would."""
+    opens = "".join("[\n" + "  " * (level + i + 1) for i in range(depth))
+    closes = "".join("\n" + "  " * (level + i) + "]" for i in reversed(range(depth)))
+    return opens + "0" + closes
+
+
+def _near_canonical(text: str) -> dict[str, str]:
+    """Texts one edit away from the canonical text of the scheme built in
+    test_near_canonical_files_take_the_json_path."""
+    rows = text.split(",\n    {")  # the first holds the graph, the last the end
+    swapped = ",\n    {".join([rows[0], rows[2], rows[1]] + rows[3:])
+    duplicated = ",\n    {".join(rows[:2] + rows[1:])
+    first = '"K:x": 0,'
+    value = '[\n          [\n            "x",\n            0\n          ],\n          []\n        ]'
+    graph = '"classes": [\n      "x"\n    ]'
+    assert text.count(first) == 1 and text.count('"p": "1/2"') == 1
+    assert text.count(value) == 1 and text.count(graph) == 1
+    keys = re.compile(r'"K:x": (\d+),\n        "S:x": (.*?)\n      }', re.DOTALL)
+    swap_keys = r'"S:x": \2,\n        "K:x": \1\n      }'
+    before_last, key, last = text.rpartition('"K:x"')
+    return {
+        "trailing space": text + " ",
+        "value on one line": text.replace(value, '[["x", 0], []]'),
+        "graph on one line": text.replace(graph, '"classes": ["x"]'),
+        "keys out of order": keys.sub(swap_keys, text),
+        "keys out of order in the last row": before_last + keys.sub(swap_keys, key + last),
+        "unreduced probability": text.replace('"p": "1/2"', '"p": "2/4"'),
+        "rows swapped": swapped,
+        "row duplicated": duplicated,
+        "probabilities sum past 1": text.replace('"p": "1/2"', '"p": "3/4"'),
+        "bool value": text.replace(first, '"K:x": true,'),
+        "int over the digit limit": text.replace(first, '"K:x": ' + "1" * 5000 + ","),
+        "list 900 deep": text.replace(first, '"K:x": ' + _nested(900, 4) + ","),
+        "byte order mark": "\ufeff" + text,
+    }
+
+
+def _outcome(load):
+    try:
+        scheme = load()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return scheme
+
+
+def test_near_canonical_files_take_the_json_path(tmp_path, fallbacks):
+    """A text one edit off canonical, valid JSON or not, goes through json
+    and load_scheme, so it loads to the same Scheme, or fails with the
+    same exception and message, as that path. A CRLF copy of a canonical
+    text reads as the text itself, so it takes the row template."""
+    graph = AccessGraph.build(["x"], [])
+    scheme = Scheme(graph=graph, dist=JointDistribution.from_rows([
+        ({"K:x": k, "S:x": (("x", k), ())}, p)
+        for k, p in enumerate([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)])]))
+    text = serialize_scheme(scheme)
+    path = tmp_path / "scheme.json"
+    for name, changed in _near_canonical(text).items():
+        assert _read_canonical(changed) is None, name
+        path.write_text(changed)
+        got = _outcome(lambda: load_scheme_file(str(path)))
+        want = _outcome(lambda: load_scheme(load_json_file(str(path))))
+        if isinstance(want, tuple):
+            assert got == want, name
+        else:
+            _assert_same_scheme(got, want)
+    assert fallbacks.count == 11  # all but the two that json rejects
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    _assert_same_scheme(load_scheme_file(str(path)), scheme)
+    assert fallbacks.count == 11
 
 
 def test_serialize_encodes_each_distinct_value_once(monkeypatch):

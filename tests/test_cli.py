@@ -89,7 +89,7 @@ def test_check_separate_graph_file(capsys, tmp_path):
     assert "error" in err
 
 
-def test_embedded_graph_warning_is_one_line(capsys, tmp_path):
+def test_embedded_graph_warning_is_one_line(capsys, tmp_path, fallbacks):
     path = gen_scheme(capsys, tmp_path, "trivial", [])
     other = tmp_path / "other.json"
     other.write_text(json.dumps({"classes": ["r", "a", "b", "c"], "edges": [["r", "a"]]}))
@@ -98,6 +98,10 @@ def test_embedded_graph_warning_is_one_line(capsys, tmp_path):
     assert code == 0 and out == expected
     assert err == ("warning: scheme embeds a graph that differs from the supplied "
                    "one; using the embedded graph\n")
+    # The same graph supplied beside the embedded one: no warning.
+    code, out, err = run_cli(capsys, ["check", "--scheme", path, "--graph", DIAMOND])
+    assert (code, out, err) == (0, expected, "")
+    assert fallbacks.count == 0  # the generated file took the row template
 
 
 def test_graph_file_reference_resolution(capsys, tmp_path):
@@ -285,6 +289,13 @@ def test_input_error_exit_codes(capsys, tmp_path):
         code, out, err = run_cli(capsys, ["check", "--scheme", str(bad)])
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+    # A canonical file with one byte that is not UTF-8, inside a label.
+    canonical = Path(gen_scheme(capsys, tmp_path, "trivial", [], name="canonical.json"))
+    canonical.write_bytes(canonical.read_bytes().replace(b'"r"', b'"\xff"', 1))
+    code, out, err = run_cli(capsys, ["check", "--scheme", str(canonical)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {canonical}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
 
 
 def test_later_support_row_with_extra_variable(capsys, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from hkas import (
     scheme_to_json,
     serialize_scheme,
 )
+from hkas.scheme import load_json_file
 
 TOL = 1e-9
 
@@ -75,14 +77,17 @@ def test_loader_decodes_values_without_a_repr():
 def test_each_distinct_value_is_decoded_and_keyed_once(tmp_path, monkeypatch):
     """Work per distinct value, not per value instance: on a 729-row scheme
     with 132 distinct (variable, value) pairs, loading decodes each raw
-    value once and sort-keys each pair once, and so does generating."""
+    value once and sort-keys each pair once, and so does generating. The
+    file is canonical, so it loads by the row template, which calls
+    value_sort_key from hkas.scheme."""
     labels = ["n0", "n1", "n2", "n3", "n4", "n5"]
     graph = AccessGraph.build(labels, [("n0", "n1"), ("n0", "n2"), ("n1", "n3"),
                                        ("n2", "n3"), ("n4", "n5")])
     path = tmp_path / "trivial.json"
     path.write_text(serialize_scheme(gen_trivial(graph, 3)))
     calls = {"value_from_json": 0, "value_sort_key": 0}
-    for module, name in ((hkas.scheme, "value_from_json"), (hkas.dist, "value_sort_key")):
+    for module, name in ((hkas.scheme, "value_from_json"), (hkas.scheme, "value_sort_key"),
+                         (hkas.dist, "value_sort_key")):
         def counted(value, _fn=getattr(module, name), _name=name):
             calls[_name] += 1
             return _fn(value)
@@ -101,6 +106,34 @@ def test_each_distinct_value_is_decoded_and_keyed_once(tmp_path, monkeypatch):
     calls["value_sort_key"] = 0
     leaky = gen_leaky(graph, 3, "n3", "n4")
     assert calls["value_sort_key"] <= len(distinct_pairs(leaky))
+
+
+def test_canonical_load_peaks_below_the_json_path(tmp_path):
+    """The row template holds one string per distinct line and
+    probability, never every row's lines at once: on a 729-row file its
+    traced peak stays at or below that of json.load and load_scheme, and
+    within 10% of the peak of reading the file's text alone (the bytes
+    and the text they decode to). Cutting every row up front, or keeping
+    each row's own line strings, goes past that."""
+    labels = ["n0", "n1", "n2", "n3", "n4", "n5"]
+    graph = AccessGraph.build(labels, [("n0", "n1"), ("n0", "n2"), ("n1", "n3"),
+                                       ("n2", "n3"), ("n4", "n5")])
+    path = tmp_path / "trivial.json"
+    path.write_text(serialize_scheme(gen_trivial(graph, 3)))
+
+    def peak(load) -> int:
+        tracemalloc.start()
+        try:
+            load()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    template = peak(lambda: load_scheme_file(str(path)))
+    json_path = peak(lambda: load_scheme(load_json_file(str(path))))
+    read = peak(lambda: path.read_text(encoding="utf-8"))
+    assert template <= json_path, (template, json_path)
+    assert template <= 1.1 * read, (template, read)
 
 
 def test_round_trip(diamond):
@@ -248,18 +281,26 @@ def test_query_entropy(diamond):
         scheme_query_entropy(scheme, CoalitionQuery("a", frozenset({"zz"})))
 
 
-def test_support_bound(monkeypatch, diamond):
+def test_support_bound(monkeypatch, tmp_path, diamond):
     assert max_support_size() == 1_000_000
     monkeypatch.setenv("HKAS_MAX_SUPPORT", "8")
     assert max_support_size() == 8
     with pytest.raises(SupportTooLarge):
         gen_trivial(diamond, 2)
-    doc = scheme_to_json(gen_trivial(diamond.build(["x"], []), 2))
-    # 2 rows fit in a bound of 8
+    scheme = gen_trivial(diamond.build(["x"], []), 2)
+    doc = scheme_to_json(scheme)
+    path = tmp_path / "canonical.json"
+    path.write_text(serialize_scheme(scheme))
+    # 2 rows fit in a bound of 8, and in a bound of 2
     assert load_scheme(doc).dist.support_size() == 2
+    monkeypatch.setenv("HKAS_MAX_SUPPORT", "2")
+    assert load_scheme_file(str(path)) == scheme
     monkeypatch.setenv("HKAS_MAX_SUPPORT", "1")
     with pytest.raises(SupportTooLarge):
         load_scheme(doc)
+    # A canonical file over the bound fails as any other file does.
+    with pytest.raises(SupportTooLarge, match=r"^support has 2 rows, bound is 1$"):
+        load_scheme_file(str(path))
     monkeypatch.setenv("HKAS_MAX_SUPPORT", "zero")
     with pytest.raises(ParseError):
         max_support_size()
