@@ -18,7 +18,9 @@ distribution keeps the rank tuples of its outcomes as a second cached
 view (_codes), in canonical order: a tuple's sort key is the tuple of its
 items' keys, so sorting rank tuples sorts outcomes canonically. Every
 query reads that view, so its joint keys are flat int tuples; marginal
-maps its codes back to values.
+maps its codes back to values. A reader that has ranked the values
+itself (the scheme loader's row template) builds a distribution from
+the rank tuples with _from_codes, which checks their order.
 
 Entropy and independence queries wrap one private query, _query: one
 pass over the support sums the joint of (givens, parts), and independence,
@@ -35,11 +37,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -135,7 +136,7 @@ def _from_codes(variables: tuple[str, ...], decoding: Decoding, codes: list[Code
     DistributionError unless the codes strictly increase, so the rows
     are distinct and in canonical order, and the probabilities sum to
     exactly 1."""
-    if not all(map(operator.lt, codes, itertools.islice(codes, 1, None))):
+    if not all(map(lt, codes, itertools.islice(codes, 1, None))):
         raise DistributionError("rows are not in strictly increasing canonical order")
     outcomes = [tuple(map(tuple.__getitem__, decoding, row)) for row in codes]
     dist = _canonical(variables, decoding, zip(codes, outcomes, probs))
