@@ -31,7 +31,6 @@ from .errors import (
     GraphError,
     HkasError,
     InvalidArgument,
-    InvalidCoalition,
     InvalidLabel,
     InvalidLeak,
     OverlappingVariableSets,
@@ -65,14 +64,12 @@ from .harness import (
 )
 from .scheme import (
     CheckReport,
-    CoalitionQuery,
     Scheme,
     Witness,
     key_var,
     load_scheme,
     load_scheme_file,
     max_support_size,
-    scheme_query_entropy,
     scheme_to_json,
     secret_var,
     serialize_scheme,
@@ -83,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccessGraph",
     "CheckReport",
-    "CoalitionQuery",
     "CoalitionSpaceTooLarge",
     "CycleDetected",
     "DanglingEdge",
@@ -99,7 +95,6 @@ __all__ = [
     "GraphError",
     "HkasError",
     "InvalidArgument",
-    "InvalidCoalition",
     "InvalidLabel",
     "InvalidLeak",
     "JointDistribution",
@@ -136,7 +131,6 @@ __all__ = [
     "parse_entropy_expr",
     "run_checks",
     "run_validation",
-    "scheme_query_entropy",
     "scheme_to_json",
     "secret_var",
     "serialize_scheme",

@@ -1,26 +1,30 @@
 """Finite joint distributions with exact rational probabilities.
 
-A JointDistribution stores an explicit support: every outcome with
-positive probability, probabilities as Fractions summing to exactly 1.
-Queries never do Fraction arithmetic: each distribution lazily computes
-the common denominator D (the lcm of the denominators) and an int weight
-w = p * D per outcome, and decides verdicts (independence, functional
-determination) exactly on these ints. Entropies are floats, converted
-only at the final step of each term, and equal those of the Fraction
-formulas bit for bit: a term needs p = w / D and p(t,g) / p(g) =
-w_tg / w_g, and int / int true division is correctly rounded, as is
-float(Fraction).
+A JointDistribution stores an explicit support, every outcome with
+positive probability, in one int-coded canonical form. Each value is
+coded as its rank, by value_sort_key, among its variable's values on
+the support; decoding maps the ranks back to values. Each row is the
+tuple of its codes, and the rows strictly increase: a tuple's sort key
+is the tuple of its items' keys, so this is the canonical order of the
+outcomes. Row i has probability weights[i] / total, with positive int
+weights that share no common factor, so total is the common
+denominator (the lcm of the reduced denominators). The value tuples
+and Fractions are decoded views, computed only when read.
 
-Queries never hash or compare outcome values either. from_rows validates
-and sort-keys each distinct value object once (memoised by identity), and
-codes each value as its rank among its variable's distinct values. Each
-distribution keeps the rank tuples of its outcomes as a second cached
-view (_codes), in canonical order: a tuple's sort key is the tuple of its
-items' keys, so sorting rank tuples sorts outcomes canonically. Every
-query reads that view, so its joint keys are flat int tuples; marginal
-maps its codes back to values. A reader that has ranked the values
-itself (the scheme loader's row template) builds a distribution from
-the rank tuples with _from_codes, which checks their order.
+One private builder, _build, checks that form and reduces the weights;
+from_rows, marginal and the scheme loader's row template all build
+through it. from_rows validates and sort-keys each distinct value
+object once (memoised by identity) and ranks them; the row template
+ranks the values it decoded itself; marginal takes its codes and
+summed weights from its parent.
+
+Queries never do Fraction arithmetic and never hash or compare values:
+they group rows by flat int tuples and decide verdicts (independence,
+functional determination) exactly on the int weights. Entropies are
+floats, converted only at the final step of each term, and equal those
+of the Fraction formulas bit for bit: a term needs p = w / total and
+p(t,g) / p(g) = w_tg / w_g, and int / int true division is correctly
+rounded, as is float(Fraction).
 
 Entropy and independence queries wrap one private query, _query: one
 pass over the support sums the joint of (givens, parts), and independence,
@@ -109,41 +113,26 @@ def _rank(memo: Mapping[Hashable, tuple[Value, tuple]]) -> tuple[dict[Hashable, 
             tuple([value_of[key] for key in keys]))
 
 
-def _encode(memos: list[SortKeyMemo],
-            outcomes: Iterable[tuple[Value, ...]]) -> tuple[list[Codes], Decoding]:
-    """Outcomes as rank tuples, and the decoding, from the memos of their values."""
-    ranks_by_id, decoding = zip(*map(_rank, memos))
-    codes = [tuple([ranks[id(value)] for ranks, value in zip(ranks_by_id, outcome)])
-             for outcome in outcomes]
-    return codes, decoding
-
-
-def _canonical(variables: tuple[str, ...], decoding: Decoding,
-               rows: Iterable[tuple[Codes, tuple[Value, ...], Fraction]]) -> "JointDistribution":
-    """The distribution of rows (codes, outcome, p), in code order, with
-    its int-coded view set from the codes and the decoding."""
-    codes, outcomes, probs = zip(*sorted(rows, key=itemgetter(0)))
-    dist = JointDistribution(variables=variables, outcomes=outcomes, probs=probs)
-    # What the cached property would compute; it lives in the instance dict.
-    object.__setattr__(dist, "_codes", (codes, decoding))
-    return dist
-
-
-def _from_codes(variables: tuple[str, ...], decoding: Decoding, codes: list[Codes],
-                probs: list[Fraction]) -> "JointDistribution":
+def _build(variables: tuple[str, ...], decoding: Decoding, codes: Sequence[Codes],
+           weights: Sequence[int | Fraction], total: int) -> "JointDistribution":
     """The distribution whose i-th row holds the values codes[i] picks
-    from decoding, with the positive probability probs[i]. Raises a
-    DistributionError unless the codes strictly increase, so the rows
-    are distinct and in canonical order, and the probabilities sum to
-    exactly 1."""
+    from decoding, with probability weights[i] / total; the weights are
+    positive ints or Fractions, and are stored as coprime ints. Raises a
+    DistributionError unless the variables and the codes strictly
+    increase, so the rows are distinct and in canonical order, and a
+    ProbabilityError unless the probabilities sum to exactly 1."""
+    if not all(map(lt, variables, variables[1:])):
+        raise DistributionError("variables are not in strictly increasing order")
     if not all(map(lt, codes, itertools.islice(codes, 1, None))):
         raise DistributionError("rows are not in strictly increasing canonical order")
-    outcomes = [tuple(map(tuple.__getitem__, decoding, row)) for row in codes]
-    dist = _canonical(variables, decoding, zip(codes, outcomes, probs))
-    total, weights = dist._weights
-    if sum(weights) != total:
-        raise ProbabilityError(f"probabilities sum to {Fraction(sum(weights), total)}, expected 1")
-    return dist
+    scale = math.lcm(*(w.denominator for w in weights))
+    ints = [w.numerator * (scale // w.denominator) for w in weights]
+    if sum(ints) != total * scale:
+        raise ProbabilityError(
+            f"probabilities sum to {Fraction(sum(ints), total * scale)}, expected 1")
+    common = math.gcd(*ints)
+    return JointDistribution(variables, decoding, tuple(codes),
+                             tuple([w // common for w in ints]))
 
 
 @dataclass(frozen=True)
@@ -202,19 +191,23 @@ class _Query:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Canonical finite joint distribution.
+    """Canonical finite joint distribution, in int-coded form.
 
-    variables are sorted; outcomes are value tuples aligned with the
-    variables and sorted canonically; probs are positive Fractions that
-    sum to 1. Equality of two distributions is equality of these fields.
-    The integer views the queries read (_weights, and _codes: each
-    outcome as a tuple of int ranks) and the variable index are cached
-    properties, not fields, so they never enter == or hash.
+    variables are sorted, and decoding[j] holds the values of
+    variables[j] on the support, strictly increasing by value_sort_key.
+    Each row of codes holds, per variable, the rank of its value in
+    decoding, every rank is used, and the rows strictly increase. Row i
+    has probability weights[i] / total, with positive int weights that
+    share no common factor. The form is unique, so equality of two
+    distributions is equality of these fields. total, the decoded views
+    outcomes and probs, and the variable index are cached properties,
+    not fields, so they never enter == or hash.
     """
 
     variables: tuple[str, ...]
-    outcomes: tuple[tuple[Value, ...], ...]
-    probs: tuple[Fraction, ...]
+    decoding: Decoding
+    codes: tuple[Codes, ...]
+    weights: tuple[int, ...]
 
     @staticmethod
     def from_rows(rows: Iterable[tuple[Mapping[str, Value], Fraction]]) -> "JointDistribution":
@@ -248,14 +241,29 @@ class JointDistribution:
             if outcome in table:
                 raise DuplicateOutcome(f"outcome {outcome!r} appears more than once")
             table[outcome] = p
-        total = sum(table.values())
-        if total != 1:
-            raise ProbabilityError(f"probabilities sum to {total}, expected 1")
-        codes, decoding = _encode(memos, table)
-        return _canonical(variables, decoding, zip(codes, table, table.values()))
+        ranks, decoding = zip(*map(_rank, memos))
+        rows = sorted([(tuple([rank[id(value)] for rank, value in zip(ranks, outcome)]), p)
+                       for outcome, p in table.items()], key=itemgetter(0))
+        codes, probs = zip(*rows)
+        return _build(variables, decoding, codes, probs, 1)
 
     def support_size(self) -> int:
-        return len(self.outcomes)
+        return len(self.codes)
+
+    @cached_property
+    def total(self) -> int:
+        """The common denominator of the probabilities: the sum of the weights."""
+        return sum(self.weights)
+
+    @cached_property
+    def outcomes(self) -> tuple[tuple[Value, ...], ...]:
+        """The rows as value tuples aligned with the variables."""
+        return tuple([tuple(map(tuple.__getitem__, self.decoding, row)) for row in self.codes])
+
+    @cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        """The rows' probabilities as Fractions."""
+        return tuple([Fraction(w, self.total) for w in self.weights])
 
     def rows(self) -> list[tuple[dict[str, Value], Fraction]]:
         """Outcomes as dicts, in canonical order."""
@@ -277,24 +285,6 @@ class JointDistribution:
                 raise UnknownVariable(f"unknown variable {var!r}")
         return ordered
 
-    @cached_property
-    def _weights(self) -> tuple[int, tuple[int, ...]]:
-        """(D, w): D is the lcm of the denominators and w[i] == probs[i] * D."""
-        total = math.lcm(*(p.denominator for p in self.probs))
-        return total, tuple(p.numerator * (total // p.denominator) for p in self.probs)
-
-    @cached_property
-    def _codes(self) -> tuple[tuple[Codes, ...], Decoding]:
-        """(codes, decoding): codes[i] holds the rank of each value of
-        outcomes[i] among its variable's values, and decoding[j][r] is the
-        value of variables[j] with rank r. Set by the constructors; computed
-        here only for a distribution built from its fields."""
-        memos: list[SortKeyMemo] = [{} for _ in self.variables]
-        for outcome in self.outcomes:
-            _remember(memos, outcome)
-        codes, decoding = _encode(memos, self.outcomes)
-        return tuple(codes), decoding
-
     def _positions(self, *groups: tuple[str, ...]) -> list[int]:
         """Indices of the concatenated groups, which must be disjoint."""
         names = [var for group in groups for var in group]
@@ -304,18 +294,15 @@ class JointDistribution:
         return [self._index[var] for var in names]
 
     def _pmf(self, *groups: tuple[str, ...]) -> Counts:
-        """Joint weights of the concatenated groups; they sum to _weights[0]."""
-        return _aggregate(zip(self._codes[0], self._weights[1]), self._positions(*groups))
+        """Joint weights of the concatenated groups; they sum to total."""
+        return _aggregate(zip(self.codes, self.weights), self._positions(*groups))
 
     def marginal(self, variables: Iterable[str]) -> "JointDistribution":
         """Marginal distribution over a non-empty variable subset."""
         ordered = self._resolve(variables)
-        total = self._weights[0]
-        decoding = tuple(self._codes[1][i] for i in self._positions(ordered))
-        return _canonical(ordered, decoding, [
-            (key, tuple([values[code] for values, code in zip(decoding, key)]),
-             Fraction(w, total))
-            for key, w in self._pmf(ordered).items()])
+        decoding = tuple([self.decoding[i] for i in self._positions(ordered)])
+        codes, weights = zip(*sorted(self._pmf(ordered).items(), key=itemgetter(0)))
+        return _build(ordered, decoding, codes, weights, self.total)
 
     def _query(self, parts: Sequence[Iterable[str]], givens: Iterable[str]) -> _Query:
         """Parts (non-empty groups) given givens (maybe empty), all disjoint."""
@@ -325,7 +312,7 @@ class JointDistribution:
             groups.insert(0, given_vars)
         bounds = itertools.accumulate((len(group) for group in groups), initial=0)
         return _Query(self._pmf(*groups), len(given_vars),
-                      list(itertools.pairwise(bounds)), self._weights[0])
+                      list(itertools.pairwise(bounds)), self.total)
 
     def entropy(self, variables: Iterable[str]) -> float:
         """Shannon entropy H of the given variables, in bits."""
@@ -358,7 +345,7 @@ class JointDistribution:
         target_vars = self._resolve(targets)
         given_vars = self._resolve(givens)
         positions = self._positions(given_vars, target_vars)
-        joint = set(map(_getter(positions), self._codes[0]))
+        joint = set(map(_getter(positions), self.codes))
         cut = len(given_vars)
         return len({key[:cut] for key in joint}) == len(joint)
 

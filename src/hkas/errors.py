@@ -96,10 +96,6 @@ class VariableMismatch(HkasError):
     """A scheme's variables do not match its graph's classes."""
 
 
-class InvalidCoalition(HkasError):
-    """A coalition query names classes outside the allowed sets."""
-
-
 class SupportTooLarge(HkasError):
     """A support would exceed the configured size bound."""
 

@@ -35,18 +35,12 @@ import json
 import marshal
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from .dist import Decoding, JointDistribution, _from_codes, _rank
-from .errors import (
-    HkasError,
-    InvalidCoalition,
-    ParseError,
-    SupportTooLarge,
-    VariableMismatch,
-)
+from .dist import Decoding, JointDistribution, _build, _rank
+from .errors import HkasError, ParseError, SupportTooLarge, VariableMismatch
 from .graph import AccessGraph, graph_from_json, graph_to_json
 from .jsonutil import (
     Value,
@@ -102,36 +96,6 @@ class Scheme:
                 f"distribution variables do not match graph classes: "
                 f"extra {extra}, missing {missing}"
             )
-
-
-@dataclass(frozen=True)
-class CoalitionQuery:
-    """A question about one target key given held secrets and keys.
-
-    secrets_held must lie in forbidden_set(target); keys_held must lie
-    in ancestor_set(target).
-    """
-
-    target: str
-    secrets_held: frozenset[str] = field(default_factory=frozenset)
-    keys_held: frozenset[str] = field(default_factory=frozenset)
-
-
-def scheme_query_entropy(scheme: Scheme, query: CoalitionQuery) -> float:
-    """H(K:target | held secrets, held keys) for a valid coalition."""
-    graph = scheme.graph
-    graph._check_class(query.target)
-    givens: list[str] = []
-    for held, allowed, name, var in (
-            (query.secrets_held, graph.forbidden_set(query.target), "forbidden", secret_var),
-            (query.keys_held, graph.ancestor_set(query.target), "ancestor", key_var)):
-        for label in sorted(held):
-            graph._check_class(label)
-            if label not in allowed:
-                raise InvalidCoalition(
-                    f"class {label!r} is not in the {name} set of {query.target!r}")
-            givens.append(var(label))
-    return scheme.dist.conditional_entropy([key_var(query.target)], givens)
 
 
 @dataclass(frozen=True)
@@ -337,20 +301,19 @@ def serialize_scheme(scheme: Scheme) -> str:
     """Canonical JSON text; loading it back reproduces an equal Scheme.
 
     The text is dumps_canonical(scheme_to_json(scheme)), built from a row
-    template over the int-coded view: each distinct value of a variable
-    is encoded once, as its whole line of the assignment, and each
-    distinct probability once. A row is a fixed frame around the lines
-    its codes pick and its probability.
+    template over the distribution's codes: each distinct value of a
+    variable is encoded once, as its whole line of the assignment, and
+    each distinct weight's probability once. A row is a fixed frame
+    around the lines its codes pick and its probability.
     """
     dist = scheme.dist
-    codes, decoding = dist._codes
-    total, weights = dist._weights
     lines = [tuple([_head(var) + dumps_at(value, 4) for value in values])
-             for var, values in zip(dist.variables, decoding)]
-    tails = {w: _ROW_MID + prob_str(Fraction(w, total)) + _ROW_END for w in set(weights)}
+             for var, values in zip(dist.variables, dist.decoding)]
+    tails = {w: _ROW_MID + prob_str(Fraction(w, dist.total)) + _ROW_END
+             for w in set(dist.weights)}
     support = ",\n".join([
         _ROW_HEAD + _LINE_BREAK.join(map(tuple.__getitem__, lines, row)) + tails[w]
-        for row, w in zip(codes, weights)
+        for row, w in zip(dist.codes, dist.weights)
     ])
     graph = dumps_at(graph_to_json(scheme.graph), 1)
     return _DOC_HEAD + graph + _DOC_MID + support + _DOC_END
@@ -367,8 +330,9 @@ def _read_canonical(text: str) -> Scheme | None:
     lines and probabilities are decoded. The cut is accepted only if
     serialize_scheme would write the text back exactly: the graph is
     its dumps_at, each distinct line is _head of its variable plus
-    dumps_at of its value, each probability is its prob_str, the rows'
-    codes strictly increase and the probabilities sum to 1. Since
+    dumps_at of its value, each probability is its prob_str, and the
+    distribution's builder accepts the result: the variables and the
+    rows' codes strictly increase and the probabilities sum to 1. Since
     load_scheme(json.loads(serialize_scheme(s))) == s, the json path
     would give the same Scheme; every other text is left to that path,
     which raises every error.
@@ -387,7 +351,7 @@ def _read_canonical(text: str) -> Scheme | None:
         if any(prob_str(prob) != p for p, prob in probs.items()):
             raise _NotCanonical
         codes = [tuple(map(dict.__getitem__, ranks, row)) for row, _ in rows]
-        dist = _from_codes(variables, decoding, codes, [probs[p] for _, p in rows])
+        dist = _build(variables, decoding, codes, [probs[p] for _, p in rows], 1)
         return Scheme(graph=graph, dist=dist)
     except (HkasError, ValueError, RecursionError):  # _NotCanonical is a ValueError
         return None
@@ -436,8 +400,7 @@ def _decode_lines(lines: list[dict[str, str]]) -> tuple[
     among the position's values, and those values in rank order. Each
     distinct value text is decoded, checked and sort-keyed once, in
     whichever positions it is met. Raises _NotCanonical unless every
-    line is _head(var) + dumps_at(value, 4) and the variables strictly
-    increase."""
+    line is _head(var) + dumps_at(value, 4)."""
     decoded: dict[str, tuple[Value, tuple]] = {}
     variables, ranks, decoding = [], [], []
     for seen in lines:
@@ -458,6 +421,4 @@ def _decode_lines(lines: list[dict[str, str]]) -> tuple[
         rank, values = _rank(memo)
         ranks.append(rank)
         decoding.append(values)
-    if variables != sorted(set(variables)):
-        raise _NotCanonical
     return tuple(variables), ranks, tuple(decoding)

@@ -1,10 +1,11 @@
 """Shared fixtures: the standard graph shapes, a random DAG builder, a
 support-scan counter, a counter of scheme files read through json, the
-Fraction reference for entropies, and the reference encoder for
-canonical JSON."""
+Fraction reference for entropies, the check of a distribution's
+canonical form, and the reference encoder for canonical JSON."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -17,7 +18,7 @@ import pytest
 import hkas.scheme
 from hkas import AccessGraph, JointDistribution, Scheme
 from hkas.graph import graph_to_json
-from hkas.jsonutil import prob_str, round_float
+from hkas.jsonutil import prob_str, round_float, value_sort_key
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -98,6 +99,22 @@ def fraction_conditional_entropy(rows: list[tuple[dict, Fraction]],
     ) + 0.0
 
 
+def assert_canonical_form(dist: JointDistribution) -> None:
+    """The fields are the unique int-coded form: the variables and the
+    rows' codes strictly increase, each variable's decoding strictly
+    increases by value_sort_key with every code used, and the weights
+    are positive and coprime."""
+    assert all(a < b for a, b in itertools.pairwise(dist.variables))
+    assert all(a < b for a, b in itertools.pairwise(dist.codes))
+    assert len(dist.decoding) == len(dist.variables)
+    for j, values in enumerate(dist.decoding):
+        keys = [value_sort_key(value) for value in values]
+        assert all(a < b for a, b in itertools.pairwise(keys))
+        assert {row[j] for row in dist.codes} == set(range(len(values)))
+    assert len(dist.weights) == len(dist.codes) and min(dist.weights) > 0
+    assert math.gcd(*dist.weights) == 1
+
+
 @pytest.fixture
 def support_scans(monkeypatch) -> SimpleNamespace:
     """Counts the passes over a distribution's support made through
@@ -108,7 +125,7 @@ def support_scans(monkeypatch) -> SimpleNamespace:
 
     def counted(self, *groups):
         counter.scans += 1
-        counter.rows += len(self.outcomes)
+        counter.rows += self.support_size()
         return scan(self, *groups)
 
     monkeypatch.setattr(JointDistribution, "_pmf", counted)

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (
     DATA_DIR,
+    assert_canonical_form,
     make_antichain4,
     make_chain4,
     make_diamond,
@@ -50,13 +51,16 @@ GOLDENS = ["golden-random-q2-s42.json", "golden-random-q2-s2.json"]
 
 
 def _assert_same_scheme(read, decoded) -> None:
-    """Equal, with equal hashes and equal int-coded views."""
+    """Equal, with equal hashes and equal int-coded fields, in canonical form."""
     assert read == decoded and hash(read) == hash(decoded)
-    assert read.dist._codes == decoded.dist._codes
-    assert read.dist._weights == decoded.dist._weights
+    assert_canonical_form(read.dist)
+    assert read.dist.codes == decoded.dist.codes
+    assert read.dist.decoding == decoded.dist.decoding
+    assert read.dist.weights == decoded.dist.weights
 
 
 def _assert_canonical(scheme) -> None:
+    assert_canonical_form(scheme.dist)
     text = serialize_scheme(scheme)
     assert text == reference_serialize_scheme(scheme)
     decoded = load_scheme(json.loads(text))

@@ -15,8 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fraction_conditional_entropy
+from conftest import assert_canonical_form, fraction_conditional_entropy
 from hkas import (
+    DistributionError,
     DuplicateOutcome,
     EmptyVariableSet,
     JointDistribution,
@@ -25,6 +26,7 @@ from hkas import (
     UnknownVariable,
     UnsupportedValue,
 )
+from hkas.dist import _build
 from hkas.jsonutil import value_sort_key
 
 TOL = 1e-9
@@ -196,6 +198,37 @@ def test_marginal_matches_oracle():
             expected = oracle_marginal(rows, variables)
             assert dict(zip(marg.outcomes, marg.probs)) == expected
             assert sum(marg.probs) == 1
+
+
+def test_every_builder_keeps_the_canonical_form():
+    """from_rows and marginal give the unique int-coded form, and _build,
+    which every builder goes through, rejects what is not in it."""
+    rng = random.Random(4099)
+    for trial in range(40):
+        make = random_product_dist if trial % 2 else random_dist
+        dist, _ = make(rng, 3, 4, pool=MIXED_POOL)
+        assert_canonical_form(dist)
+        for size in range(1, len(dist.variables) + 1):
+            for variables in itertools.combinations(dist.variables, size):
+                assert_canonical_form(dist.marginal(variables))
+    # summed weights that share a factor come out reduced
+    half = Fraction(1, 2)
+    uniform = JointDistribution.from_rows(
+        [({"X": x, "Y": y}, Fraction(1, 4)) for x in (0, 1) for y in (0, 1)])
+    marg = uniform.marginal(["X"])
+    assert uniform.weights == (1, 1, 1, 1) and marg.weights == (1, 1) and marg.total == 2
+    assert marg == JointDistribution.from_rows([({"X": 0}, half), ({"X": 1}, half)])
+    # equal codes are caught by the codes alone, whatever their probabilities
+    with pytest.raises(DistributionError, match="canonical order"):
+        _build(("X",), ((0, 1),), [(0,), (0,)], [Fraction(1, 3), Fraction(2, 3)], 1)
+    with pytest.raises(DistributionError, match="canonical order"):
+        _build(("X",), ((0, 1),), [(1,), (0,)], [half, half], 1)
+    with pytest.raises(DistributionError, match="variables"):
+        _build(("Y", "X"), ((0,), (0,)), [(0, 0)], [1], 1)
+    with pytest.raises(ProbabilityError, match="^probabilities sum to 3/4, expected 1$"):
+        _build(("X",), ((0, 1),), [(0,), (1,)], [half, Fraction(1, 4)], 1)
+    with pytest.raises(ProbabilityError, match="^probabilities sum to 3/4, expected 1$"):
+        JointDistribution.from_rows([({"X": 0}, half), ({"X": 1}, Fraction(1, 4))])
 
 
 def test_mixed_values_match_oracles():
@@ -476,6 +509,9 @@ def test_cached_views_stay_out_of_equality_and_hash():
     dist.is_mutually_independent([["v0"], ["v1"], ["v2", "v3"]])
     dist.is_functionally_determined(["v0"], ["v1"])
     marg = dist.marginal(["v2", "v3"])
+    # the decoded views, read on one side only
+    assert len(dist.outcomes) == len(dist.probs) == dist.support_size()
+    assert sum(dist.probs) == 1 and dist.total == 210
     assert dist == twin and hash(dist) == hash(twin)
     twin.conditional_entropy(["v3"], ["v0"])
     assert dist == twin and hash(dist) == hash(twin)
@@ -483,5 +519,5 @@ def test_cached_views_stay_out_of_equality_and_hash():
     marg.entropy(["v2"])
     assert marg == rebuilt and hash(marg) == hash(rebuilt)
     assert [field.name for field in dataclasses.fields(dist)] == [
-        "variables", "outcomes", "probs"
+        "variables", "decoding", "codes", "weights"
     ]

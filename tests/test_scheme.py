@@ -1,4 +1,4 @@
-"""Scheme documents: loading, validation, serialization, coalition queries."""
+"""Scheme documents: loading, validation, serialization."""
 
 from __future__ import annotations
 
@@ -12,20 +12,16 @@ import hkas
 from conftest import DATA_DIR
 from hkas import (
     AccessGraph,
-    CoalitionQuery,
-    InvalidCoalition,
     ParseError,
     ProbabilityError,
     Scheme,
     SupportTooLarge,
-    UnknownClass,
     VariableMismatch,
     gen_leaky,
     gen_trivial,
     load_scheme,
     load_scheme_file,
     max_support_size,
-    scheme_query_entropy,
     scheme_to_json,
     serialize_scheme,
 )
@@ -261,24 +257,6 @@ def test_scheme_constructor_validates(diamond):
     trivial = gen_trivial(diamond, 2)
     with pytest.raises(VariableMismatch):
         Scheme(graph=diamond, dist=trivial.dist.marginal(["K:a", "S:a"]))
-
-
-def test_query_entropy(diamond):
-    scheme = gen_trivial(diamond, 2)
-    full = CoalitionQuery("a", frozenset({"b", "c"}), frozenset({"r"}))
-    assert scheme_query_entropy(scheme, full) == pytest.approx(1.0, abs=TOL)
-    empty = CoalitionQuery("a")
-    assert scheme_query_entropy(scheme, empty) == pytest.approx(1.0, abs=TOL)
-    with pytest.raises(InvalidCoalition):
-        scheme_query_entropy(scheme, CoalitionQuery("a", frozenset({"r"})))
-    with pytest.raises(InvalidCoalition):
-        scheme_query_entropy(
-            scheme, CoalitionQuery("a", frozenset(), frozenset({"b"}))
-        )
-    with pytest.raises(UnknownClass):
-        scheme_query_entropy(scheme, CoalitionQuery("zz"))
-    with pytest.raises(UnknownClass):
-        scheme_query_entropy(scheme, CoalitionQuery("a", frozenset({"zz"})))
 
 
 def test_support_bound(monkeypatch, tmp_path, diamond):
