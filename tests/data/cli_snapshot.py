@@ -17,8 +17,8 @@ directory that holds the graph files and the malformed inputs, so every
 path in an argv is relative to it. They cover every gen kind at q=2,3
 on a diamond, a chain and an antichain; check in every mode, maximal
 and exhaustive, as text and JSON, on each generated scheme; entropy,
-including conditional mutual information; graph analyze; validate at
-two seeds; and inputs that must exit 2.
+including conditional mutual information; graph analyze; validate on
+each shape at q=2,3 and two seeds; and inputs that must exit 2.
 """
 
 from __future__ import annotations
@@ -154,10 +154,12 @@ def commands() -> list[list[str]]:
     result.append(["check", "--scheme", "diamond-q2-trivial.json", "--graph", "chain.json"])
     for shape in GRAPHS:
         result.append(["graph", "analyze", "--graph", f"{shape}.json", "--json"])
-    for seed in ("0", "3"):
-        for extra in ([], ["--json"]):
-            result.append(["validate", "--graph", "diamond.json", "--q", "2",
-                           "--trials", "10", "--seed", seed] + extra)
+    for shape in GRAPHS:
+        for q in ("2", "3"):
+            for seed in ("0", "3"):
+                for extra in ([], ["--json"]):
+                    result.append(["validate", "--graph", f"{shape}.json", "--q", q,
+                                   "--trials", "10", "--seed", seed] + extra)
     return result + _error_commands()
 
 
