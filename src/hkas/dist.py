@@ -11,12 +11,13 @@ weights that share no common factor, so total is the common
 denominator (the lcm of the reduced denominators). The value tuples
 and Fractions are decoded views, computed only when read.
 
-One private builder, _build, checks that form and reduces the weights;
-from_rows, marginal and the scheme loader's row template all build
-through it. from_rows validates and sort-keys each distinct value
-object once (memoised by identity) and ranks them; the row template
-ranks the values it decoded itself; marginal takes its codes and
-summed weights from its parent.
+The constructor checks that form, all but the order of the decoding.
+One private builder, _build, checks that the probabilities sum to 1
+and reduces the weights; from_rows, marginal and the scheme loader's
+row template all build through it. from_rows validates and sort-keys
+each distinct value object once (memoised by identity) and ranks them;
+the row template ranks the values it decoded itself; marginal takes
+its codes and summed weights from its parent.
 
 Queries never do Fraction arithmetic and never hash or compare values:
 they group rows by flat int tuples and decide verdicts (independence,
@@ -118,13 +119,8 @@ def _build(variables: tuple[str, ...], decoding: Decoding, codes: Sequence[Codes
     """The distribution whose i-th row holds the values codes[i] picks
     from decoding, with probability weights[i] / total; the weights are
     positive ints or Fractions, and are stored as coprime ints. Raises a
-    DistributionError unless the variables and the codes strictly
-    increase, so the rows are distinct and in canonical order, and a
-    ProbabilityError unless the probabilities sum to exactly 1."""
-    if not all(map(lt, variables, variables[1:])):
-        raise DistributionError("variables are not in strictly increasing order")
-    if not all(map(lt, codes, itertools.islice(codes, 1, None))):
-        raise DistributionError("rows are not in strictly increasing canonical order")
+    ProbabilityError unless the probabilities sum to exactly 1, and
+    whatever the constructor raises."""
     scale = math.lcm(*(w.denominator for w in weights))
     ints = [w.numerator * (scale // w.denominator) for w in weights]
     if sum(ints) != total * scale:
@@ -202,12 +198,29 @@ class JointDistribution:
     distributions is equality of these fields. total, the decoded views
     outcomes and probs, and the variable index are cached properties,
     not fields, so they never enter == or hash.
+
+    The constructor checks that the variables and the rows strictly
+    increase, that there is one weight per row, and that the weights are
+    positive with no common factor, raising a DistributionError
+    otherwise. It takes the decoding as given: checking its order would
+    sort-key every value on every load.
     """
 
     variables: tuple[str, ...]
     decoding: Decoding
     codes: tuple[Codes, ...]
     weights: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not all(map(lt, self.variables, self.variables[1:])):
+            raise DistributionError("variables are not in strictly increasing order")
+        if not all(map(lt, self.codes, itertools.islice(self.codes, 1, None))):
+            raise DistributionError("rows are not in strictly increasing canonical order")
+        if len(self.weights) != len(self.codes):
+            raise DistributionError(
+                f"{len(self.weights)} weights for {len(self.codes)} rows")
+        if min(self.weights, default=0) <= 0 or math.gcd(*self.weights) != 1:
+            raise ProbabilityError("weights must be positive ints with no common factor")
 
     @staticmethod
     def from_rows(rows: Iterable[tuple[Mapping[str, Value], Fraction]]) -> "JointDistribution":

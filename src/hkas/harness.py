@@ -71,10 +71,6 @@ def verify_independence_sum(scheme: Scheme, seq: Sequence[str]) -> dict:
     """
     labels = tuple(seq)
     _require_preconditions(scheme, labels)
-    return _independence_sum(scheme, labels)
-
-
-def _independence_sum(scheme: Scheme, labels: tuple[str, ...]) -> dict:
     joint, total = _identity(
         scheme, [key_var(u) for u in labels], [],
         f"H(keys) == sum of key entropies on sequence {labels!r}",
@@ -115,11 +111,6 @@ def verify_conditional_identities(
     _require(len(labels) == n + m,
              f"sequence length {len(labels)} does not match n+m={n + m}")
     _require_preconditions(scheme, labels)
-    return _conditional_identities(scheme, labels, n, m)
-
-
-def _conditional_identities(scheme: Scheme, labels: tuple[str, ...],
-                            n: int, m: int) -> dict:
     prefix_secrets = [secret_var(v) for v in labels[: n - 1]]
     pivot_key = key_var(labels[n - 1])
     suffix_keys = [key_var(u) for u in labels[n:]]
@@ -154,12 +145,6 @@ def _conditional_identities(scheme: Scheme, labels: tuple[str, ...],
     }
 
 
-def _theorem_split(graph: AccessGraph, u: str) -> tuple[tuple[str, ...], int, int]:
-    """theorem_sequence(u) with n = |forbidden_set(u)| + 1, m = |ancestor_set(u)|."""
-    return (graph.theorem_sequence(u), len(graph.forbidden_set(u)) + 1,
-            len(graph.ancestor_set(u)))
-
-
 def verify_main_theorem_sequence(scheme: Scheme, u: str) -> dict:
     """Run the conditional identities on theorem_sequence(u).
 
@@ -169,9 +154,10 @@ def verify_main_theorem_sequence(scheme: Scheme, u: str) -> dict:
     ancestor keys). identity_checks counts that statement once more when
     the coalition is non-empty; it shares the pivot identity's decision.
     """
-    seq, n, m = _theorem_split(scheme.graph, u)
-    _require_preconditions(scheme, seq)
-    report = _conditional_identities(scheme, seq, n, m)
+    graph = scheme.graph
+    seq = graph.theorem_sequence(u)
+    report = verify_conditional_identities(
+        scheme, seq, len(graph.forbidden_set(u)) + 1, len(graph.ancestor_set(u)))
     report["identity_checks"] += int(len(seq) >= 2)
     report["target"] = u
     return report
@@ -180,27 +166,30 @@ def verify_main_theorem_sequence(scheme: Scheme, u: str) -> dict:
 def verify_equivalence(schemes: Iterable[Scheme], strict: bool = True) -> dict:
     """KI and SKI verdicts must agree on every scheme.
 
-    Returns a summary with per-scheme verdicts; with strict=True (the
-    default) a disagreement raises TheoremViolation carrying the first
-    offending scheme.
+    Each distinct scheme is decided once; the counts and the verdicts
+    list still cover every scheme passed in. Returns a summary with
+    per-scheme verdicts; with strict=True (the default) a disagreement
+    raises TheoremViolation carrying the first offending scheme.
     """
     ki_pass = 0
     ki_fail = 0
     discrepancies = 0
     verdicts: list[dict] = []
     first_bad: Scheme | None = None
+    decided: dict[Scheme, tuple[bool, bool]] = {}
     for scheme in schemes:
-        ki = check_ki(scheme)
-        ski = check_ski(scheme)
-        if ki.passed:
+        if scheme not in decided:
+            decided[scheme] = (check_ki(scheme).passed, check_ski(scheme).passed)
+        ki, ski = decided[scheme]
+        if ki:
             ki_pass += 1
         else:
             ki_fail += 1
-        if ki.passed != ski.passed:
+        if ki != ski:
             discrepancies += 1
             if first_bad is None:
                 first_bad = scheme
-        verdicts.append({"ki": ki.passed, "ski": ski.passed})
+        verdicts.append({"ki": ki, "ski": ski})
     if strict and first_bad is not None:
         raise _violation(
             first_bad,
@@ -243,44 +232,42 @@ def build_corpus(graph: AccessGraph, q: int, trials: int, seed: int) -> list[Sch
 def run_validation(graph: AccessGraph, q: int, trials: int, seed: int) -> dict:
     """Full validation pass over a generated corpus; returns the summary.
 
-    Checks KI/SKI agreement on every scheme, then runs the entropy
-    identities on every KI-passing scheme: the independence sum on the
-    graph's full well-ordered sequence, the conditional identities on
-    every split of it, and the theorem sequence of every class. KI is
-    decided once per scheme (verify_equivalence's verdict), being well
-    ordered once per sequence, and each distinct (sequence, split) once
-    per scheme; identity_checks and max_abs_err still total every split
-    listed, as the public verify_* calls would. A violation is
-    re-raised prefixed "corpus scheme <index>: ", an index into
+    Checks KI/SKI agreement on every scheme, then runs the public
+    verifiers on every KI-passing scheme: verify_independence_sum on the
+    graph's full well-ordered sequence, verify_conditional_identities on
+    every split of it, and verify_main_theorem_sequence for every class.
+    Each distinct scheme is decided once; identity_checks and max_abs_err
+    count every corpus scheme. A violation is re-raised prefixed "corpus
+    scheme <index>: ", the index of the scheme's first occurrence in
     build_corpus(graph, q, trials, seed). Summary fields: schemes,
     ki_pass, ki_fail, discrepancies, identity_checks, max_abs_err.
     """
     corpus = build_corpus(graph, q, trials, seed)
     equivalence = verify_equivalence(corpus, strict=False)
-    full_seq = graph.well_ordered_all()
-    theorem_splits = [_theorem_split(graph, u) for u in sorted(graph.classes)]
-    for seq in (full_seq, *(split[0] for split in theorem_splits)):
-        _require(graph.is_well_ordered(seq), f"sequence {seq!r} is not well ordered")
-    splits = [(full_seq, n, len(full_seq) - n) for n in range(1, len(full_seq) + 1)]
-    splits += theorem_splits
-    coalition_statements = sum(len(seq) >= 2 for seq, _, _ in theorem_splits)
+    seq = graph.well_ordered_all()
+    decided: dict[Scheme, tuple[int, float]] = {}
     identity_checks = 0
     max_abs_err = 0.0
     for index, (scheme, verdict) in enumerate(zip(corpus, equivalence["verdicts"])):
         if not verdict["ki"]:
             continue
-        try:
-            report = _independence_sum(scheme, full_seq)
-            decided = {split: _conditional_identities(scheme, *split)
-                       for split in dict.fromkeys(splits)}
-        except TheoremViolation as exc:
-            raise TheoremViolation(f"corpus scheme {index}: {exc}",
-                                   scheme_json=exc.scheme_json) from None
-        identity_checks += report["identity_checks"] + coalition_statements
-        max_abs_err = max(max_abs_err, report["abs_err"])
-        for split in splits:
-            identity_checks += decided[split]["identity_checks"]
-            max_abs_err = max(max_abs_err, decided[split]["max_abs_err"])
+        if scheme not in decided:
+            try:
+                summed = verify_independence_sum(scheme, seq)
+                reports = [verify_conditional_identities(scheme, seq, n, len(seq) - n)
+                           for n in range(1, len(seq) + 1)]
+                reports += [verify_main_theorem_sequence(scheme, u)
+                            for u in sorted(graph.classes)]
+            except TheoremViolation as exc:
+                raise TheoremViolation(f"corpus scheme {index}: {exc}",
+                                       scheme_json=exc.scheme_json) from None
+            decided[scheme] = (
+                summed["identity_checks"] + sum(r["identity_checks"] for r in reports),
+                max([summed["abs_err"]] + [r["max_abs_err"] for r in reports]),
+            )
+        checks, err = decided[scheme]
+        identity_checks += checks
+        max_abs_err = max(max_abs_err, err)
     return {
         "schemes": equivalence["schemes"],
         "ki_pass": equivalence["ki_pass"],

@@ -148,10 +148,11 @@ def test_each_decided_coalition_scans_the_support_once(diamond, support_scans):
     leaky = gen_leaky(diamond, 2, "a", "b")
     correlated = gen_correlated(diamond, 2, "a", "r")
     # Maximal mode decides one coalition per class with a non-empty one:
-    # KI three, SKI four; key independence decides all keys, then three
-    # prefixes. The witness of the failure reads the deciding joint.
+    # KI three, SKI four; key independence decides each key against the
+    # keys before it and stops at the third, r. The witness of the failure
+    # reads the deciding joint.
     for check, scheme, scans in ((check_ki, leaky, 3), (check_ski, leaky, 4),
-                                 (check_key_independence, correlated, 4)):
+                                 (check_key_independence, correlated, 3)):
         support_scans.scans = 0
         report = check(scheme)
         assert not report.passed and len(report.witnesses) == 1

@@ -202,7 +202,8 @@ def test_marginal_matches_oracle():
 
 def test_every_builder_keeps_the_canonical_form():
     """from_rows and marginal give the unique int-coded form, and _build,
-    which every builder goes through, rejects what is not in it."""
+    which every builder goes through, and the constructor reject what is
+    not in it."""
     rng = random.Random(4099)
     for trial in range(40):
         make = random_product_dist if trial % 2 else random_dist
@@ -229,6 +230,13 @@ def test_every_builder_keeps_the_canonical_form():
         _build(("X",), ((0, 1),), [(0,), (1,)], [half, Fraction(1, 4)], 1)
     with pytest.raises(ProbabilityError, match="^probabilities sum to 3/4, expected 1$"):
         JointDistribution.from_rows([({"X": 0}, half), ({"X": 1}, Fraction(1, 4))])
+    # the constructor rejects what would compare unequal to the same
+    # distribution in canonical form: unreduced weights, rows out of order
+    with pytest.raises(ProbabilityError, match="no common factor"):
+        JointDistribution(("X",), ((0, 1),), ((0,), (1,)), (2, 2))
+    with pytest.raises(DistributionError, match="canonical order"):
+        JointDistribution(("X",), ((0, 1),), ((1,), (0,)), (1, 1))
+    assert JointDistribution(("X",), ((0, 1),), ((0,), (1,)), (1, 1)) == marg
 
 
 def test_mixed_values_match_oracles():

@@ -227,9 +227,9 @@ def test_run_validation_names_corpus_scheme(monkeypatch, diamond):
 @pytest.mark.parametrize("shape", ["diamond", "antichain3"])
 @pytest.mark.parametrize("q", [2, 3])
 def test_run_validation_totals_public_verifiers(shape, q):
-    # run_validation decides each distinct split once per scheme; its
-    # totals must still equal those of the public verifiers called on
-    # every split it lists (at q=3 the float gaps are not all zero).
+    # run_validation decides each distinct scheme once; its totals must
+    # still equal those of the public verifiers called on every KI-passing
+    # corpus scheme (at q=3 the float gaps are not all zero).
     graph = make_diamond() if shape == "diamond" else AccessGraph.build(["a", "b", "c"], [])
     seq = graph.well_ordered_all()
     identity_checks = 0
@@ -249,3 +249,18 @@ def test_run_validation_totals_public_verifiers(shape, q):
     summary = run_validation(graph, q, 4, 31)
     assert summary["identity_checks"] == identity_checks
     assert summary["max_abs_err"] == max_abs_err
+
+
+def test_run_validation_decides_each_distinct_scheme_once(monkeypatch, diamond):
+    # 121 of the 214 schemes are distinct, and the 94 KI-passing ones are
+    # all gen_trivial's scheme.
+    calls = {"check_ski": 0, "verify_independence_sum": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(harness, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(harness, name, counted)
+    summary = run_validation(diamond, 2, 200, 7)
+    assert calls == {"check_ski": 121, "verify_independence_sum": 1}
+    assert summary == {"schemes": 214, "ki_pass": 94, "ki_fail": 120,
+                       "discrepancies": 0, "identity_checks": 3666, "max_abs_err": 0.0}
