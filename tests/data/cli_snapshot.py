@@ -18,7 +18,8 @@ path in an argv is relative to it. They cover every gen kind at q=2,3
 on a diamond, a chain and an antichain; check in every mode, maximal
 and exhaustive, as text and JSON, on each generated scheme; entropy,
 including conditional mutual information; graph analyze; validate on
-each shape at q=2,3 and two seeds; and inputs that must exit 2.
+each shape at q=2,3 and two seeds; the exhaustive checks of a parity
+leak and of a six-class DAG; and inputs that must exit 2.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ GRAPHS = {
               "edges": [["a", "b"], ["b", "c"], ["c", "d"]]},
     "antichain": {"classes": ["a", "b", "c", "d"], "edges": []},
 }
+# Shaped like the DAG of perfbench's exhaustive-oracle workload.
+DAG6 = {"classes": ["a", "b", "c", "d", "e", "f"],
+        "edges": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"], ["e", "f"]]}
 MODES = ("correctness", "ki", "ski", "key-indep", "all")
 # Expressions over the labels of each shape: x, y, z are its three
 # smallest labels.
@@ -64,6 +68,36 @@ def _gen_commands(shape: str, q: int) -> list[list[str]]:
         out = f"{shape}-q{q}-{kind}{seed}.json"
         commands.append(base + ["--kind", kind] + extra + ["-o", out])
     return commands
+
+
+def _parity_leak() -> str:
+    """The canonical text of a scheme on the antichain {a, b, v} with
+    uniform binary keys, S:a = k_a, S:b = k_b and S:v = (k_v, k_a XOR k_b):
+    KI at a (and at b) fails only for the two-member coalition {b, v}
+    (and {a, v})."""
+    from fractions import Fraction
+
+    from hkas import AccessGraph, JointDistribution, Scheme, serialize_scheme
+
+    rows = [({"K:a": ka, "K:b": kb, "K:v": kv, "S:a": ka, "S:b": kb, "S:v": (kv, ka ^ kb)},
+             Fraction(1, 8))
+            for ka in (0, 1) for kb in (0, 1) for kv in (0, 1)]
+    return serialize_scheme(Scheme(graph=AccessGraph.build(["a", "b", "v"], []),
+                                   dist=JointDistribution.from_rows(rows)))
+
+
+def _exhaustive_commands() -> list[list[str]]:
+    """Every check, exhaustive, as text and JSON, on the parity leak and on
+    the trivial and a leaky scheme of the six-class DAG at q=2."""
+    base = ["gen", "--graph", "dag6.json", "--q", "2"]
+    result = [base + ["--kind", "trivial", "-o", "dag6-q2-trivial.json"],
+              base + ["--kind", "leaky", "--target", "d", "--leaker", "e",
+                      "-o", "dag6-q2-leaky.json"]]
+    for scheme in ("parity-leak.json", "dag6-q2-trivial.json", "dag6-q2-leaky.json"):
+        for extra in ([], ["--json"]):
+            result.append(["check", "--scheme", scheme, "--mode", "all", "--exhaustive"]
+                          + extra)
+    return result
 
 
 def _bad_inputs() -> dict[str, bytes]:
@@ -160,7 +194,7 @@ def commands() -> list[list[str]]:
                 for extra in ([], ["--json"]):
                     result.append(["validate", "--graph", f"{shape}.json", "--q", q,
                                    "--trials", "10", "--seed", seed] + extra)
-    return result + _error_commands()
+    return result + _exhaustive_commands() + _error_commands()
 
 
 def _digest(data: bytes | None) -> str:
@@ -181,8 +215,9 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 def snapshot(workdir: Path) -> list[str]:
     """The manifest lines of a fresh run in workdir, an empty directory."""
-    for shape, doc in GRAPHS.items():
+    for shape, doc in dict(GRAPHS, dag6=DAG6).items():
         (workdir / f"{shape}.json").write_text(json.dumps(doc))
+    (workdir / "parity-leak.json").write_text(_parity_leak())
     (workdir / "bad").mkdir()
     for name, data in _bad_inputs().items():
         (workdir / "bad" / name).write_bytes(data)
