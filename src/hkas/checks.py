@@ -1,11 +1,14 @@
 """Security checks over schemes: correctness, KI, SKI, key independence.
 
 All verdicts are decided with exact rational arithmetic; witness floats
-only report, and are read from the one scan that decided the coalition.
+only report, and are read from the joint that decided the coalition.
 
 KI and SKI share one coalition check. Against class u, an SKI coalition
 holds the secrets of classes in forbidden_set(u) and the keys of classes
-in ancestor_set(u); KI is SKI with no keys held.
+in ancestor_set(u); KI is SKI with no keys held. Each coalition is
+decided on its own joint with K:u, through dist._Coalitions: one scan
+of the support per class builds the joint of the largest coalition, and
+each smaller one is summed from a joint one member larger.
 
 Coalition checks run in one of two modes:
 
@@ -13,9 +16,12 @@ Coalition checks run in one of two modes:
   Conditioning on more can only lower conditional entropy, so a class
   passes against the maximal coalition iff it passes against every
   sub-coalition.
-* exhaustive: enumerate every legal coalition. Kept as an independent
-  oracle for the maximal-mode shortcut; refuses to run when a class has
-  more than MAX_EXHAUSTIVE coalition members.
+* exhaustive: test every legal coalition, each on its own joint, with
+  no appeal to that argument. Kept as an independent oracle for the
+  maximal-mode shortcut. Before any work it refuses, with
+  CoalitionSpaceTooLarge, when some class's 2**n coalitions of its n
+  members times (support size + 1), a bound on the lattice's joint
+  entries and coalitions, exceeds MAX_LATTICE_WORK.
 
 Witnesses: maximal mode reports the maximal coalition; exhaustive mode
 reports the lexicographically smallest failing coalition, ordered by its
@@ -28,35 +34,49 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .dist import _Query
+from .dist import _Coalitions
 from .errors import CoalitionSpaceTooLarge, InvalidArgument
 from .scheme import CheckReport, Scheme, Witness, key_var, secret_var
 
-MAX_EXHAUSTIVE = 20
+MAX_LATTICE_WORK = 2 ** 21
 
 CHECK_KINDS = ("correctness", "ki", "ski", "key-indep")
 
 
-def _sorted_subsets(labels: Iterable[str]) -> list[tuple[str, ...]]:
-    """Every subset of labels as a sorted tuple, all in order, the empty one first."""
-    pool = sorted(labels)
-    subsets: list[tuple[str, ...]] = []
-    for size in range(len(pool) + 1):
-        subsets.extend(itertools.combinations(pool, size))
-    subsets.sort()
-    return subsets
+def _sorted_subsets(pool: range) -> list[tuple[int, ...]]:
+    """Every subset of pool as an increasing tuple, in lexicographic order,
+    the empty one first."""
+    return sorted(itertools.chain.from_iterable(
+        itertools.combinations(pool, size) for size in range(len(pool) + 1)))
 
 
-def _query_against(scheme: Scheme, cls: str,
-                   secrets: tuple[str, ...], keys: tuple[str, ...]) -> _Query:
-    """K:cls given a coalition holding these classes' secrets and keys."""
-    givens = [secret_var(v) for v in secrets] + [key_var(w) for w in keys]
-    return scheme.dist._query([[key_var(cls)]], givens)
-
-
-def _witness_from(query: _Query, cls: str,
-                  secrets: tuple[str, ...], keys: tuple[str, ...]) -> Witness:
-    return Witness(cls, secrets, keys, query.part_entropies[0], query.conditional_entropy)
+def _first_failure(scheme: Scheme, cls: str, secrets: list[str], keys: list[str],
+                   exhaustive: bool) -> Witness | None:
+    """The witness of the first coalition against cls, holding some of these
+    sorted secrets and keys, that K:cls depends on, or None. Maximal mode
+    tests the coalition of them all; exhaustive mode tests every non-empty
+    one, in witness order."""
+    members = secrets + keys
+    coalitions = _Coalitions(scheme.dist, key_var(cls), [secret_var(v) for v in secrets]
+                             + [key_var(w) for w in keys])
+    if exhaustive:
+        key_subsets = _sorted_subsets(range(len(secrets), len(members)))
+        order: Iterable[tuple[int, ...]] = (
+            held + held_keys
+            for held in _sorted_subsets(range(len(secrets)))
+            for held_keys in key_subsets
+            if held or held_keys
+        )
+    else:
+        order = [tuple(range(len(members)))]
+    for chosen in order:
+        query = coalitions.dependence(chosen)
+        if query is not None:
+            labels = [members[i] for i in chosen]
+            cut = sum(i < len(secrets) for i in chosen)
+            return Witness(cls, tuple(labels[:cut]), tuple(labels[cut:]),
+                           query.part_entropies[0], query.conditional_entropy)
+    return None
 
 
 def check_correctness(scheme: Scheme) -> CheckReport:
@@ -69,8 +89,9 @@ def check_correctness(scheme: Scheme) -> CheckReport:
     for v in sorted(scheme.graph.classes):
         for u in sorted(scheme.graph.accessible_set(v)):
             if not scheme.dist.is_functionally_determined([key_var(u)], [secret_var(v)]):
-                query = _query_against(scheme, u, (v,), ())
-                witnesses.append(_witness_from(query, u, (v,), ()))
+                query = scheme.dist._query([[key_var(u)]], [secret_var(v)])
+                witnesses.append(Witness(u, (v,), (), query.part_entropies[0],
+                                         query.conditional_entropy))
     return CheckReport(kind="correctness", passed=not witnesses,
                        witnesses=tuple(witnesses))
 
@@ -83,34 +104,22 @@ def _check_coalitions(scheme: Scheme, kind: str, with_keys: bool,
     with_keys is set, keys of ancestor_set(u).
     """
     graph = scheme.graph
-    witnesses: list[Witness] = []
+    rows = scheme.dist.support_size()
+    classes = []
     for u in sorted(graph.classes):
-        forbidden = graph.forbidden_set(u)
-        ancestors = graph.ancestor_set(u) if with_keys else frozenset()
-        if not forbidden and not ancestors:
-            continue
-        if not exhaustive:
-            coalitions: Iterable[tuple[tuple[str, ...], tuple[str, ...]]] = [
-                (tuple(sorted(forbidden)), tuple(sorted(ancestors)))
-            ]
-        else:
-            if len(forbidden) + len(ancestors) > MAX_EXHAUSTIVE:
-                raise CoalitionSpaceTooLarge(
-                    f"class {u!r} has {len(forbidden) + len(ancestors)} coalition "
-                    f"candidates; exhaustive mode is capped at {MAX_EXHAUSTIVE}"
-                )
-            key_subsets = _sorted_subsets(ancestors)
-            coalitions = (
-                (secrets, keys)
-                for secrets in _sorted_subsets(forbidden)
-                for keys in key_subsets
-                if secrets or keys
+        forbidden = sorted(graph.forbidden_set(u))
+        ancestors = sorted(graph.ancestor_set(u)) if with_keys else []
+        members = len(forbidden) + len(ancestors)
+        if exhaustive and 2 ** members * (rows + 1) > MAX_LATTICE_WORK:
+            raise CoalitionSpaceTooLarge(
+                f"class {u!r} has {members} coalition members over {rows} support "
+                f"rows: 2**{members} * {rows + 1} exceeds the exhaustive mode's "
+                f"budget of {MAX_LATTICE_WORK}"
             )
-        for secrets, keys in coalitions:
-            query = _query_against(scheme, u, secrets, keys)
-            if not query.independent:
-                witnesses.append(_witness_from(query, u, secrets, keys))
-                break
+        if members:
+            classes.append((u, forbidden, ancestors))
+    witnesses = [witness for u, forbidden, ancestors in classes
+                 if (witness := _first_failure(scheme, u, forbidden, ancestors, exhaustive))]
     return CheckReport(kind=kind, passed=not witnesses, witnesses=tuple(witnesses))
 
 
@@ -137,10 +146,8 @@ def check_key_independence(scheme: Scheme) -> CheckReport:
     """
     labels = sorted(scheme.graph.classes)
     for i in range(1, len(labels)):
-        prefix = tuple(labels[:i])
-        query = _query_against(scheme, labels[i], (), prefix)
-        if not query.independent:
-            witness = _witness_from(query, labels[i], (), prefix)
+        witness = _first_failure(scheme, labels[i], [], labels[:i], exhaustive=False)
+        if witness is not None:
             return CheckReport(kind="key-indep", passed=False, witnesses=(witness,))
     return CheckReport(kind="key-indep", passed=True, witnesses=())
 

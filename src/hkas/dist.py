@@ -30,7 +30,10 @@ rounded, as is float(Fraction).
 Entropy and independence queries wrap one private query, _query: one
 pass over the support sums the joint of (givens, parts), and independence,
 H(parts | givens) and each H(part) are read from that joint and from
-marginals summed from it once, only when first needed.
+marginals summed from it once, only when first needed. The coalition
+checks decide one target against many coalitions through _Coalitions:
+one pass over the support sums the joint of the target with every
+member, and each coalition's joint is summed from a larger one.
 
 Entropies use log base 2. Conditional entropy is computed directly from
 its definition, H(T|G) = -sum p(t,g) log2(p(t,g)/p(g)), not as a
@@ -45,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, lt
+from operator import add, itemgetter, lt
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -183,6 +186,73 @@ class _Query:
         total = self.total
         return [_neg_fsum(w / total * math.log2(w / total) for w in marg.values())
                 for marg in self._margs[bool(self.cut):]]
+
+
+class _Coalitions:
+    """The joint of one target variable with each coalition of members.
+
+    A coalition is given by the strictly increasing indices of the
+    members it holds, at least one. Its joint maps the coalition's codes,
+    in member order, to the dense vector of the target's weights, indexed
+    by the target's code; vectors are never mutated, so joints share
+    them. The top joint, of every member, comes from one scan of the
+    support; every other joint is summed from its parent, the memoised
+    joint of the coalition plus the smallest member it lacks.
+
+    The target is independent of a coalition iff each vector of its
+    joint, divided by its gcd, equals the target's marginal divided by
+    its gcd: p(c, t) = p(c) p(t) for every t says the vector at c is
+    proportional to the marginal. Every entry of the marginal is
+    positive, so a vector with a zero cell fails, as it must; a c off
+    the joint has p(c) = 0 and satisfies the product condition.
+    """
+
+    def __init__(self, dist: "JointDistribution", target: str,
+                 members: Sequence[str]) -> None:
+        width = len(dist.decoding[dist._index[target]])
+        top: dict[Codes, list[int]] = {}
+        for key, w in dist._pmf(tuple(members), (target,)).items():
+            head = key[:-1]
+            vector = top.get(head)
+            if vector is None:
+                vector = top[head] = [0] * width
+            vector[key[-1]] = w
+        marginal = [sum(column) for column in zip(*top.values())]
+        common = math.gcd(*marginal)
+        self._reduced = [w // common for w in marginal]
+        self._total = dist.total
+        self._memo = {tuple(range(len(members))): top}
+
+    def _joint(self, chosen: tuple[int, ...]) -> dict[Codes, list[int]]:
+        joint = self._memo.get(chosen)
+        if joint is None:
+            # The smallest member not held; it sits at position drop of the parent.
+            drop = next(i for i, held in enumerate(chosen + (-1,)) if held != i)
+            parent = chosen[:drop] + (drop,) + chosen[drop:]
+            keep = _getter([i for i in range(len(parent)) if i != drop])
+            joint = {}
+            for key, vector in self._joint(parent).items():
+                key = keep(key)
+                summed = joint.get(key)
+                joint[key] = vector if summed is None else list(map(add, summed, vector))
+            if drop:  # only a coalition holding member 0 is ever a parent
+                self._memo[chosen] = joint
+        return joint
+
+    def dependence(self, chosen: tuple[int, ...]) -> _Query | None:
+        """None if the target is independent of the coalition chosen, else
+        the query of the target given the coalition, read from the joint
+        that decided it."""
+        reduced = self._reduced
+        joint = self._joint(chosen)
+        for vector in joint.values():
+            common = math.gcd(*vector)
+            if [w // common for w in vector] != reduced:
+                cut = len(chosen)
+                flat = {key + (code,): w for key, weights in joint.items()
+                        for code, w in enumerate(weights) if w}
+                return _Query(flat, cut, [(0, cut), (cut, cut + 1)], self._total)
+        return None
 
 
 @dataclass(frozen=True)

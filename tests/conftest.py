@@ -1,7 +1,8 @@
-"""Shared fixtures: the standard graph shapes, a random DAG builder, a
-support-scan counter, a counter of scheme files read through json, the
-Fraction reference for entropies, the check of a distribution's
-canonical form, and the reference encoder for canonical JSON."""
+"""Shared fixtures: the standard graph shapes, a parity-leak scheme, a
+random DAG builder, a support-scan counter, a counter of scheme files
+read through json, the Fraction references for entropies, marginals and
+independence, the check of a distribution's canonical form, and the
+reference encoder for canonical JSON."""
 
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ from hkas.graph import graph_to_json
 from hkas.jsonutil import prob_str, round_float, value_sort_key
 
 DATA_DIR = Path(__file__).parent / "data"
+
+Rows = list[tuple[dict, Fraction]]
 
 
 def make_chain4() -> AccessGraph:
@@ -45,6 +48,18 @@ def make_tree7() -> AccessGraph:
 
 def make_antichain4() -> AccessGraph:
     return AccessGraph.build(["a", "b", "c", "d"], [])
+
+
+def make_parity_leak() -> Scheme:
+    """The antichain {a, b, v} with uniform binary keys, S:a = k_a,
+    S:b = k_b and S:v = (k_v, k_a XOR k_b): each single secret is
+    independent of every other class's key, but S:b and S:v together
+    give k_a (and S:a and S:v give k_b)."""
+    rows = [({"K:a": ka, "K:b": kb, "K:v": kv, "S:a": ka, "S:b": kb, "S:v": (kv, ka ^ kb)},
+             Fraction(1, 8))
+            for ka in (0, 1) for kb in (0, 1) for kv in (0, 1)]
+    return Scheme(graph=AccessGraph.build(["a", "b", "v"], []),
+                  dist=JointDistribution.from_rows(rows))
 
 
 def make_random_dag(rng: random.Random, max_nodes: int,
@@ -97,6 +112,25 @@ def fraction_conditional_entropy(rows: list[tuple[dict, Fraction]],
     return -math.fsum(
         float(p) * math.log2(float(p / given[key[:cut]])) for key, p in joint.items()
     ) + 0.0
+
+
+def oracle_marginal(rows: Rows, variables: list[str]) -> dict[tuple, Fraction]:
+    """The Fraction marginal of support rows on variables, in that order."""
+    agg: dict[tuple, Fraction] = {}
+    for assignment, p in rows:
+        key = tuple(assignment[v] for v in variables)
+        agg[key] = agg.get(key, Fraction(0)) + p
+    return agg
+
+
+def oracle_independent(rows: Rows, groups: list[list[str]]) -> bool:
+    """p(x1, ..., xn) == p(x1) * ... * p(xn) on the whole product space."""
+    margs = [oracle_marginal(rows, group) for group in groups]
+    joint = oracle_marginal(rows, [var for group in groups for var in group])
+    return all(
+        joint.get(sum(parts, ()), 0) == math.prod(m[part] for m, part in zip(margs, parts))
+        for parts in itertools.product(*margs)
+    )
 
 
 def assert_canonical_form(dist: JointDistribution) -> None:

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import fraction_conditional_entropy, make_random_dag
+import hkas.checks
+from conftest import (
+    fraction_conditional_entropy,
+    make_parity_leak,
+    make_random_dag,
+    oracle_independent,
+)
 from hkas import (
     AccessGraph,
     CoalitionSpaceTooLarge,
@@ -145,17 +153,24 @@ def test_witness_floats_match_fraction_reference(diamond):
 
 
 def test_each_decided_coalition_scans_the_support_once(diamond, support_scans):
+    trivial = gen_trivial(diamond, 2)
     leaky = gen_leaky(diamond, 2, "a", "b")
     correlated = gen_correlated(diamond, 2, "a", "r")
+    exhaustive_ki = functools.partial(check_ki, exhaustive=True)
+    exhaustive_ski = functools.partial(check_ski, exhaustive=True)
     # Maximal mode decides one coalition per class with a non-empty one:
     # KI three, SKI four; key independence decides each key against the
-    # keys before it and stops at the third, r. The witness of the failure
-    # reads the deciding joint.
-    for check, scheme, scans in ((check_ki, leaky, 3), (check_ski, leaky, 4),
-                                 (check_key_independence, correlated, 3)):
+    # keys before it and stops at the third, r. Exhaustive mode decides
+    # every coalition of those classes (13 for KI, 28 for SKI) from one
+    # scan per class. The witness of a failure reads the deciding joint.
+    for check, scheme, scans, failures in (
+            (check_ki, leaky, 3, 1), (check_ski, leaky, 4, 1),
+            (check_key_independence, correlated, 3, 1),
+            (exhaustive_ki, trivial, 3, 0), (exhaustive_ski, trivial, 4, 0),
+            (exhaustive_ki, leaky, 3, 1), (exhaustive_ski, correlated, 4, 2)):
         support_scans.scans = 0
         report = check(scheme)
-        assert not report.passed and len(report.witnesses) == 1
+        assert len(report.witnesses) == failures, report.kind
         assert support_scans.scans == scans, report.kind
 
 
@@ -215,6 +230,77 @@ def test_exhaustive_cap():
         check_ki(scheme, exhaustive=True)
     with pytest.raises(CoalitionSpaceTooLarge):
         check_ski(scheme, exhaustive=True)
+
+
+def test_exhaustive_budget_bounds_the_lattice(monkeypatch):
+    # Twelve classes with no edges: each class's coalition has only 11
+    # members, but 2**11 coalitions times 4,097 (the 4,096 support rows
+    # plus one) exceeds the budget.
+    antichain = gen_trivial(AccessGraph.build([f"n{i:02d}" for i in range(12)], []), 2)
+    assert check_ki(antichain).passed
+    for check in (check_ki, check_ski):
+        with pytest.raises(CoalitionSpaceTooLarge):
+            check(antichain, exhaustive=True)
+    # The budget admits the 8-class DAG at q=3 (2**7 coalitions over 6,561
+    # rows); with the lattice stubbed out, only the budget runs.
+    labels = "abcdefgh"
+    edges = ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (5, 6), (6, 7), (2, 6))
+    dag8 = gen_trivial(AccessGraph.build(list(labels), [(labels[i], labels[j])
+                                                        for i, j in edges]), 3)
+    monkeypatch.setattr(hkas.checks, "_first_failure", lambda *args: None)
+    for check in (check_ki, check_ski):
+        assert check(dag8, exhaustive=True).passed
+
+
+def _witness_order(forbidden, ancestors):
+    """Every non-empty (secrets, keys) coalition, smallest first."""
+    def subsets(labels):
+        return [combo for size in range(len(labels) + 1)
+                for combo in itertools.combinations(sorted(labels), size)]
+    return sorted((secrets, keys) for secrets in subsets(forbidden)
+                  for keys in subsets(ancestors) if secrets or keys)
+
+
+def test_exhaustive_witness_is_the_first_dependent_coalition(diamond, chain4, antichain4):
+    schemes = [make_parity_leak()]
+    for graph in (diamond, chain4, antichain4):
+        labels = sorted(graph.classes)
+        schemes.append(gen_trivial(graph, 2))
+        schemes += [gen_leaky(graph, 2, target, leaker) for target in labels
+                    for leaker in sorted(graph.forbidden_set(target))]
+        schemes.append(gen_correlated(graph, 2, labels[0], labels[-1]))
+        schemes += [gen_random_correct(graph, 2, seed) for seed in (3, 4)]
+    failures = 0
+    for scheme in schemes:
+        rows = scheme.dist.rows()
+        graph = scheme.graph
+        for check, with_keys in ((check_ki, False), (check_ski, True)):
+            expected = []
+            for u in sorted(graph.classes):
+                target = [f"K:{u}"]
+                ancestors = graph.ancestor_set(u) if with_keys else ()
+                for secrets, keys in _witness_order(graph.forbidden_set(u), ancestors):
+                    givens = [f"S:{v}" for v in secrets] + [f"K:{w}" for w in keys]
+                    if not oracle_independent(rows, [target, givens]):
+                        expected.append(Witness(
+                            u, secrets, keys, fraction_conditional_entropy(rows, target, []),
+                            fraction_conditional_entropy(rows, target, givens)))
+                        break
+            assert list(check(scheme, exhaustive=True).witnesses) == expected
+            failures += len(expected)
+    assert failures > len(schemes)
+
+
+def test_parity_leak_needs_two_members():
+    scheme = make_parity_leak()
+    for secret in ("S:b", "S:v"):
+        assert scheme.dist.is_independent(["K:a"], [secret])
+    assert not scheme.dist.is_independent(["K:a"], ["S:b", "S:v"])
+    for check in (check_ki, check_ski):
+        for exhaustive in (False, True):
+            report = check(scheme, exhaustive=exhaustive)
+            assert [(w.cls, w.secrets, w.keys) for w in report.witnesses] == [
+                ("a", ("b", "v"), ()), ("b", ("a", "v"), ())]
 
 
 def test_run_checks_modes(diamond):

@@ -15,7 +15,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_canonical_form, fraction_conditional_entropy
+from conftest import (
+    Rows,
+    assert_canonical_form,
+    fraction_conditional_entropy,
+    oracle_independent,
+    oracle_marginal,
+)
 from hkas import (
     DistributionError,
     DuplicateOutcome,
@@ -30,16 +36,6 @@ from hkas.dist import _build
 from hkas.jsonutil import value_sort_key
 
 TOL = 1e-9
-
-Rows = list[tuple[dict, Fraction]]
-
-
-def oracle_marginal(rows: Rows, variables: list[str]) -> dict[tuple, Fraction]:
-    agg: dict[tuple, Fraction] = {}
-    for assignment, p in rows:
-        key = tuple(assignment[v] for v in variables)
-        agg[key] = agg.get(key, Fraction(0)) + p
-    return agg
 
 
 def oracle_entropy(pmf: dict[tuple, Fraction]) -> float:
@@ -59,16 +55,6 @@ def oracle_determined(rows: Rows, targets: list[str], givens: list[str]) -> bool
     return all(
         sum(gkey + tkey in joint for tkey in target_values) == 1
         for gkey in oracle_marginal(rows, givens)
-    )
-
-
-def oracle_independent(rows: Rows, groups: list[list[str]]) -> bool:
-    """p(x1, ..., xn) == p(x1) * ... * p(xn) on the whole product space."""
-    margs = [oracle_marginal(rows, group) for group in groups]
-    joint = oracle_marginal(rows, [var for group in groups for var in group])
-    return all(
-        joint.get(sum(parts, ()), 0) == math.prod(m[part] for m, part in zip(margs, parts))
-        for parts in itertools.product(*margs)
     )
 
 
