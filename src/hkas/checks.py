@@ -18,10 +18,11 @@ Coalition checks run in one of two modes:
   sub-coalition.
 * exhaustive: test every legal coalition, each on its own joint, with
   no appeal to that argument. Kept as an independent oracle for the
-  maximal-mode shortcut. Before any work it refuses, with
-  CoalitionSpaceTooLarge, when some class's 2**n coalitions of its n
-  members times (support size + 1), a bound on the lattice's joint
-  entries and coalitions, exceeds MAX_LATTICE_WORK.
+  maximal-mode shortcut. A joint holds at most one cell per support
+  row, so for a class with n members, 2**n * (support size + 1) bounds
+  the cells and coalitions of its lattice. Before any work, exhaustive
+  mode refuses with CoalitionSpaceTooLarge when that bound exceeds
+  MAX_LATTICE_WORK for some class.
 
 Witnesses: maximal mode reports the maximal coalition; exhaustive mode
 reports the lexicographically smallest failing coalition, ordered by its
@@ -70,12 +71,11 @@ def _first_failure(scheme: Scheme, cls: str, secrets: list[str], keys: list[str]
     else:
         order = [tuple(range(len(members)))]
     for chosen in order:
-        query = coalitions.dependence(chosen)
-        if query is not None:
+        entropies = coalitions.dependence(chosen)
+        if entropies is not None:
             labels = [members[i] for i in chosen]
             cut = sum(i < len(secrets) for i in chosen)
-            return Witness(cls, tuple(labels[:cut]), tuple(labels[cut:]),
-                           query.part_entropies[0], query.conditional_entropy)
+            return Witness(cls, tuple(labels[:cut]), tuple(labels[cut:]), *entropies)
     return None
 
 

@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, itemgetter, lt
+from operator import itemgetter, lt
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -188,71 +188,113 @@ class _Query:
                 for marg in self._margs[bool(self.cut):]]
 
 
+# The weights of a coalition's target at one value of the coalition: a
+# tuple indexed by the target's code when every code has a positive
+# weight there, else a dict from the codes that do to their weights.
+Vector = tuple[int, ...] | dict[int, int]
+
+
 class _Coalitions:
     """The joint of one target variable with each coalition of members.
 
     A coalition is given by the strictly increasing indices of the
     members it holds, at least one. Its joint maps the coalition's codes,
-    in member order, to the dense vector of the target's weights, indexed
-    by the target's code; vectors are never mutated, so joints share
-    them. The top joint, of every member, comes from one scan of the
-    support; every other joint is summed from its parent, the memoised
-    joint of the coalition plus the smallest member it lacks.
+    in member order, to the Vector of the target's weights there. A
+    vector holds only the cells on the support, so a joint holds at most
+    one cell per support row, whatever the size of the target's domain.
+    The top joint, of every member, comes from one scan of the support;
+    every other joint is summed from its parent, the memoised joint of
+    the coalition plus the smallest member it lacks. Vectors are never
+    mutated, so a joint shares each one that a single parent key gives.
 
     The target is independent of a coalition iff each vector of its
     joint, divided by its gcd, equals the target's marginal divided by
     its gcd: p(c, t) = p(c) p(t) for every t says the vector at c is
     proportional to the marginal. Every entry of the marginal is
-    positive, so a vector with a zero cell fails, as it must; a c off
-    the joint has p(c) = 0 and satisfies the product condition.
+    positive, so a vector that misses a code, a dict, fails, as it must;
+    a c off the joint has p(c) = 0 and satisfies the product condition.
     """
 
     def __init__(self, dist: "JointDistribution", target: str,
                  members: Sequence[str]) -> None:
-        width = len(dist.decoding[dist._index[target]])
-        top: dict[Codes, list[int]] = {}
+        self._width = width = len(dist.decoding[dist._index[target]])
+        top: dict[Codes, dict[int, int]] = {}
+        marginal = [0] * width
         for key, w in dist._pmf(tuple(members), (target,)).items():
-            head = key[:-1]
-            vector = top.get(head)
-            if vector is None:
-                vector = top[head] = [0] * width
-            vector[key[-1]] = w
-        marginal = [sum(column) for column in zip(*top.values())]
+            head, code = key[:-1], key[-1]
+            cells = top.get(head)
+            if cells is None:
+                top[head] = {code: w}
+            else:
+                cells[code] = w
+            marginal[code] += w
         common = math.gcd(*marginal)
-        self._reduced = [w // common for w in marginal]
+        self._marginal = marginal
+        self._reduced = tuple([w // common for w in marginal])
         self._total = dist.total
-        self._memo = {tuple(range(len(members))): top}
+        self._memo = {tuple(range(len(members))):
+                      {head: self._packed(cells) for head, cells in top.items()}}
 
-    def _joint(self, chosen: tuple[int, ...]) -> dict[Codes, list[int]]:
+    def _packed(self, cells: dict[int, int]) -> Vector:
+        """The vector of these cells, as a tuple if it is full."""
+        if len(cells) == self._width:
+            return tuple(map(cells.__getitem__, range(self._width)))
+        return cells
+
+    def _sum(self, vectors: list[Vector]) -> Vector:
+        """The vector of the summed weights, in one pass over the cells."""
+        if all(type(vector) is tuple for vector in vectors):
+            return tuple(map(sum, zip(*vectors)))
+        summed: dict[int, int] = {}
+        for vector in vectors:
+            for code, w in enumerate(vector) if type(vector) is tuple else vector.items():
+                summed[code] = summed.get(code, 0) + w
+        return self._packed(summed)
+
+    def _joint(self, chosen: tuple[int, ...]) -> dict[Codes, Vector]:
         joint = self._memo.get(chosen)
         if joint is None:
             # The smallest member not held; it sits at position drop of the parent.
             drop = next(i for i, held in enumerate(chosen + (-1,)) if held != i)
             parent = chosen[:drop] + (drop,) + chosen[drop:]
             keep = _getter([i for i in range(len(parent)) if i != drop])
-            joint = {}
+            groups: dict[Codes, list[Vector]] = {}
             for key, vector in self._joint(parent).items():
                 key = keep(key)
-                summed = joint.get(key)
-                joint[key] = vector if summed is None else list(map(add, summed, vector))
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [vector]
+                else:
+                    group.append(vector)
+            joint = {key: group[0] if len(group) == 1 else self._sum(group)
+                     for key, group in groups.items()}
             if drop:  # only a coalition holding member 0 is ever a parent
                 self._memo[chosen] = joint
         return joint
 
-    def dependence(self, chosen: tuple[int, ...]) -> _Query | None:
+    def dependence(self, chosen: tuple[int, ...]) -> tuple[float, float] | None:
         """None if the target is independent of the coalition chosen, else
-        the query of the target given the coalition, read from the joint
-        that decided it."""
+        H(target) and H(target | coalition), in bits, read from the joint
+        that decided it with the terms of _Query's formulas, so the floats
+        are the same bit for bit."""
         reduced = self._reduced
         joint = self._joint(chosen)
         for vector in joint.values():
+            if type(vector) is dict:
+                break
             common = math.gcd(*vector)
-            if [w // common for w in vector] != reduced:
-                cut = len(chosen)
-                flat = {key + (code,): w for key, weights in joint.items()
-                        for code, w in enumerate(weights) if w}
-                return _Query(flat, cut, [(0, cut), (cut, cut + 1)], self._total)
-        return None
+            if tuple([w // common for w in vector]) != reduced:
+                break
+        else:
+            return None
+        total = self._total
+        entropy = _neg_fsum(w / total * math.log2(w / total) for w in self._marginal)
+        terms = []
+        for vector in joint.values():
+            weights = vector.values() if type(vector) is dict else vector
+            given = sum(weights)
+            terms.extend(w / total * math.log2(w / given) for w in weights)
+        return entropy, _neg_fsum(terms)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""Shared fixtures: the standard graph shapes, a parity-leak scheme, a
-random DAG builder, a support-scan counter, a counter of scheme files
-read through json, the Fraction references for entropies, marginals and
-independence, the check of a distribution's canonical form, and the
-reference encoder for canonical JSON."""
+"""Shared fixtures: the standard graph shapes, the CLI snapshot's writer
+script and the parity-leak scheme it builds, a random DAG builder, a
+support-scan counter, a counter of scheme files read through json, the
+Fraction references for entropies, marginals and independence, the check
+of a distribution's canonical form, and the reference encoder for
+canonical JSON."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import json
 import math
@@ -24,6 +26,13 @@ from hkas.jsonutil import prob_str, round_float, value_sort_key
 DATA_DIR = Path(__file__).parent / "data"
 
 Rows = list[tuple[dict, Fraction]]
+
+# The CLI snapshot's writer script, loaded as a module: its commands, and
+# the parity-leak scheme it writes, which the checker tests share.
+_spec = importlib.util.spec_from_file_location("cli_snapshot", DATA_DIR / "cli_snapshot.py")
+cli_snapshot = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_snapshot)
+make_parity_leak = cli_snapshot.parity_leak_scheme
 
 
 def make_chain4() -> AccessGraph:
@@ -48,18 +57,6 @@ def make_tree7() -> AccessGraph:
 
 def make_antichain4() -> AccessGraph:
     return AccessGraph.build(["a", "b", "c", "d"], [])
-
-
-def make_parity_leak() -> Scheme:
-    """The antichain {a, b, v} with uniform binary keys, S:a = k_a,
-    S:b = k_b and S:v = (k_v, k_a XOR k_b): each single secret is
-    independent of every other class's key, but S:b and S:v together
-    give k_a (and S:a and S:v give k_b)."""
-    rows = [({"K:a": ka, "K:b": kb, "K:v": kv, "S:a": ka, "S:b": kb, "S:v": (kv, ka ^ kb)},
-             Fraction(1, 8))
-            for ka in (0, 1) for kb in (0, 1) for kv in (0, 1)]
-    return Scheme(graph=AccessGraph.build(["a", "b", "v"], []),
-                  dist=JointDistribution.from_rows(rows))
 
 
 def make_random_dag(rng: random.Random, max_nodes: int,

@@ -70,20 +70,20 @@ def _gen_commands(shape: str, q: int) -> list[list[str]]:
     return commands
 
 
-def _parity_leak() -> str:
-    """The canonical text of a scheme on the antichain {a, b, v} with
-    uniform binary keys, S:a = k_a, S:b = k_b and S:v = (k_v, k_a XOR k_b):
-    KI at a (and at b) fails only for the two-member coalition {b, v}
-    (and {a, v})."""
+def parity_leak_scheme():
+    """The scheme on the antichain {a, b, v} with uniform binary keys,
+    S:a = k_a, S:b = k_b and S:v = (k_v, k_a XOR k_b): each single secret
+    is independent of every other class's key, and KI at a (and at b)
+    fails only for the two-member coalition {b, v} (and {a, v})."""
     from fractions import Fraction
 
-    from hkas import AccessGraph, JointDistribution, Scheme, serialize_scheme
+    from hkas import AccessGraph, JointDistribution, Scheme
 
     rows = [({"K:a": ka, "K:b": kb, "K:v": kv, "S:a": ka, "S:b": kb, "S:v": (kv, ka ^ kb)},
              Fraction(1, 8))
             for ka in (0, 1) for kb in (0, 1) for kv in (0, 1)]
-    return serialize_scheme(Scheme(graph=AccessGraph.build(["a", "b", "v"], []),
-                                   dist=JointDistribution.from_rows(rows)))
+    return Scheme(graph=AccessGraph.build(["a", "b", "v"], []),
+                  dist=JointDistribution.from_rows(rows))
 
 
 def _exhaustive_commands() -> list[list[str]]:
@@ -215,9 +215,11 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 def snapshot(workdir: Path) -> list[str]:
     """The manifest lines of a fresh run in workdir, an empty directory."""
+    from hkas import serialize_scheme
+
     for shape, doc in dict(GRAPHS, dag6=DAG6).items():
         (workdir / f"{shape}.json").write_text(json.dumps(doc))
-    (workdir / "parity-leak.json").write_text(_parity_leak())
+    (workdir / "parity-leak.json").write_text(serialize_scheme(parity_leak_scheme()))
     (workdir / "bad").mkdir()
     for name, data in _bad_inputs().items():
         (workdir / "bad" / name).write_bytes(data)

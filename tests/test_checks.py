@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -289,6 +290,36 @@ def test_exhaustive_witness_is_the_first_dependent_coalition(diamond, chain4, an
             assert list(check(scheme, exhaustive=True).witnesses) == expected
             failures += len(expected)
     assert failures > len(schemes)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["leaky", "correlated"])
+def test_wide_key_domain_keeps_the_joint_within_the_support(kind):
+    # Each key takes q values. In the leaky scheme (q=100) each of the
+    # 10,000 support rows has its own S:b code; in the correlated one
+    # (q=300) each K:a code meets one K:b code. A joint stored as one
+    # vector of q cells per coalition code would hold q times the support.
+    graph = AccessGraph.build(["a", "b"], [])
+    if kind == "leaky":
+        scheme, target, given = gen_leaky(graph, 100, "a", "b"), "K:a", "S:b"
+        checks = [check_ki, functools.partial(check_ski, exhaustive=True)]
+    else:
+        scheme, target, given = gen_correlated(graph, 300, "a", "b"), "K:b", "K:a"
+        checks = [check_key_independence]
+    # The peak of one flat query of the same joint, which holds one entry
+    # per cell on the support.
+    flat = _traced_peak(lambda: scheme.dist._query([[target]], [given]).independent)
+    for check in checks:
+        assert not check(scheme).passed
+        assert _traced_peak(lambda: check(scheme)) < 5 * flat
 
 
 def test_parity_leak_needs_two_members():

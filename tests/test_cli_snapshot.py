@@ -8,13 +8,7 @@ process and compares; it never rewrites the manifest.
 
 from __future__ import annotations
 
-import importlib.util
-
-from conftest import DATA_DIR
-
-_spec = importlib.util.spec_from_file_location("cli_snapshot", DATA_DIR / "cli_snapshot.py")
-cli_snapshot = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(cli_snapshot)
+from conftest import cli_snapshot
 
 
 def test_cli_matches_snapshot(monkeypatch, tmp_path):
