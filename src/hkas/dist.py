@@ -15,9 +15,10 @@ The constructor checks that form, all but the order of the decoding.
 One private builder, _build, checks that the probabilities sum to 1
 and reduces the weights; from_rows, marginal and the scheme loader's
 row template all build through it. from_rows validates and sort-keys
-each distinct value object once (memoised by identity) and ranks them;
-the row template ranks the values it decoded itself; marginal takes
-its codes and summed weights from its parent.
+each distinct value object once, and each distinct tuple object within
+the values once (both memoised by identity, never by equality), and
+ranks them; the row template ranks the values it decoded itself;
+marginal takes its codes and summed weights from its parent.
 
 Queries never do Fraction arithmetic and never hash or compare values:
 they group rows by flat int tuples and decide verdicts (independence,
@@ -59,13 +60,10 @@ from .errors import (
     ProbabilityError,
     UnknownVariable,
 )
-from .jsonutil import Value, value_sort_key
+from .jsonutil import KeyMemo, Value, value_sort_key
 
 Codes = tuple[int, ...]
 Counts = dict[Codes, int]
-# Per variable: id(value) -> (value, value_sort_key(value)). The entry
-# holds the value, so its id is not reused while the memo lives.
-SortKeyMemo = dict[int, tuple[Value, tuple]]
 # Per variable, its distinct values in sort-key order: a value's code is
 # its index.
 Decoding = tuple[tuple[Value, ...], ...]
@@ -93,15 +91,16 @@ def _aggregate(pairs: Iterable[tuple[Codes, int]], positions: Sequence[int]) -> 
     return agg
 
 
-def _remember(memos: list[SortKeyMemo], outcome: tuple[Value, ...]) -> None:
-    """Validate and sort-key each value of outcome not met before, by identity.
+def _remember(memos: list[KeyMemo], keys: KeyMemo, outcome: tuple[Value, ...]) -> None:
+    """Validate and sort-key each value of outcome not met before, by
+    identity, in the memo of its variable; keys is the memo of value_sort_key.
 
     Raises UnsupportedValue for anything but ints, strs and tuples of
     them; equality is never consulted, since True == 1 and 1.0 == 1.
     """
     for memo, value in zip(memos, outcome):
         if id(value) not in memo:
-            memo[id(value)] = (value, value_sort_key(value))
+            memo[id(value)] = (value, value_sort_key(value, keys))
 
 
 def _rank(memo: Mapping[Hashable, tuple[Value, tuple]]) -> tuple[dict[Hashable, int],
@@ -348,7 +347,8 @@ class JointDistribution:
         if not variables:
             raise EmptyVariableSet("outcomes must assign at least one variable")
         varset = set(variables)
-        memos: list[SortKeyMemo] = [{} for _ in variables]
+        memos: list[KeyMemo] = [{} for _ in variables]
+        keys: KeyMemo = {}
         table: dict[tuple[Value, ...], Fraction] = {}
         for assignment, raw_p in materialized:
             if set(assignment) != varset:
@@ -362,7 +362,7 @@ class JointDistribution:
             if p <= 0:
                 raise ProbabilityError(f"probability must be positive, got {raw_p}")
             outcome = tuple([assignment[var] for var in variables])
-            _remember(memos, outcome)  # before hashing: rejects lists, bools
+            _remember(memos, keys, outcome)  # before hashing: rejects lists, bools
             if outcome in table:
                 raise DuplicateOutcome(f"outcome {outcome!r} appears more than once")
             table[outcome] = p

@@ -96,7 +96,8 @@ def _scheme(graph: AccessGraph, members: dict[str, tuple[str, ...]],
 
     Key tuples are aligned with the sorted class labels; the secret of u
     lists (v, k_v) for every v in members[u]. Rows share one tuple per
-    distinct secret, so from_rows validates each secret once.
+    distinct secret, and secrets one tuple per distinct (v, k_v) pair, so
+    from_rows sort-keys and serialize_scheme encodes each of them once.
     """
     labels = tuple(sorted(graph.classes))
     position = {u: i for i, u in enumerate(labels)}
@@ -107,6 +108,7 @@ def _scheme(graph: AccessGraph, members: dict[str, tuple[str, ...]],
          members[u], {})
         for i, u in enumerate(labels)
     ]
+    pairs: dict[tuple[str, int], tuple[str, int]] = {}  # one tuple per (v, k_v)
     rows = []
     for combo, p in weighted_keys:
         assignment: dict[str, Value] = {}
@@ -115,7 +117,8 @@ def _scheme(graph: AccessGraph, members: dict[str, tuple[str, ...]],
             keys = held(combo)
             value = memo.get(keys)
             if value is None:
-                value = memo[keys] = tuple([(v, combo[position[v]]) for v in names])
+                value = memo[keys] = tuple([pairs.setdefault(pair, pair) for pair in
+                                            [(v, combo[position[v]]) for v in names]])
             assignment[secret] = value
         rows.append((assignment, p))
     return Scheme(graph=graph, dist=JointDistribution.from_rows(rows))

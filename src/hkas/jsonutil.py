@@ -2,14 +2,17 @@
 
 Canonical form: keys sorted, two-space indent, trailing newline.
 There is one encoder, dumps_at, which writes a fragment as it would
-appear nested depth levels deep in an indented document. dumps_canonical
-is dumps_at at depth 0 plus the newline; serialize_scheme assembles a
-scheme's text from fragments, each distinct value encoded once. Either
-way the document is written as given, so whoever builds it puts its
-values in canonical form first: rationals as "num/den" strings
-(prob_str), floats rounded to 12 significant digits (round_float).
-Tuples are written as arrays. Re-serializing the same object yields
-byte-identical text.
+appear nested depth levels deep in an indented document, in the bytes
+of json.dumps(..., sort_keys=True, indent=2), its oracle in the tests.
+dumps_canonical is dumps_at at depth 0 plus the newline;
+serialize_scheme assembles a scheme's text from fragments. Either way
+the document is written as given, so whoever builds it puts its values
+in canonical form first: rationals as "num/den" strings (prob_str),
+floats rounded to 12 significant digits (round_float). Tuples are
+written as arrays. Re-serializing the same object yields byte-identical
+text. A scheme's secrets share their (class, key) pairs, so dumps_at
+and value_sort_key take a memo, shared by a caller across a scheme,
+that writes or keys each tuple object once.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .errors import ParseError, ProbabilityError, UnsupportedValue
@@ -26,6 +30,13 @@ Value = int | str | tuple
 
 # Far below the recursion limit; generated secrets nest two deep.
 MAX_VALUE_DEPTH = 32
+
+# Per call: id(value) -> (value, its sort key); (id(tuple), depth) ->
+# (tuple, its text at that depth). Each entry holds its value, so the id
+# is not reused while the memo lives. Keyed by identity, never by
+# equality, since True == 1 and 1.0 == 1.
+KeyMemo = dict[int, tuple[Value, tuple]]
+EncodeMemo = dict[tuple[int, int], tuple[tuple, str]]
 
 _PROB_TEXT = re.compile(r"[0-9]+(?:/[0-9]+)?")
 
@@ -51,10 +62,18 @@ def prob_str(p: Fraction) -> str:
     return f"{p.numerator}/{p.denominator}"
 
 
-def value_from_json(raw: object, _depth: int = 0) -> Value:
+def value_from_json(raw: object, interned: dict[tuple, tuple] | None = None,
+                    _depth: int = 0) -> Value:
     """Decode an outcome value: int, string, or lists (or tuples) thereof
     nested at most MAX_VALUE_DEPTH deep (_depth counts the lists
-    enclosing raw). A decoded value decodes to itself."""
+    enclosing raw). A decoded value decodes to itself.
+
+    With interned, each tuple built is replaced by the equal tuple
+    already in that table, or added to it, so equal sub-values decoded
+    through one table are one object. Interning goes by equality, which
+    the memos of value_sort_key and dumps_at never use, since True == 1
+    and 1.0 == 1; it is safe here because a tuple is interned only once
+    its items are validated, so it holds no bool and no float."""
     if isinstance(raw, bool):
         raise ParseError(f"unsupported outcome value {raw!r}")
     if isinstance(raw, int) or isinstance(raw, str):
@@ -62,19 +81,38 @@ def value_from_json(raw: object, _depth: int = 0) -> Value:
     if isinstance(raw, (list, tuple)):
         if _depth >= MAX_VALUE_DEPTH:
             raise ParseError(f"outcome value nests lists more than {MAX_VALUE_DEPTH} deep")
-        return tuple([value_from_json(item, _depth + 1) for item in raw])
+        value = tuple([item if type(item) is int or type(item) is str
+                       else value_from_json(item, interned, _depth + 1) for item in raw])
+        return value if interned is None else interned.setdefault(value, value)
     raise ParseError(f"unsupported outcome value {raw!r}")
 
 
-def value_sort_key(value: Value) -> tuple:
+def value_sort_key(value: Value, memo: KeyMemo | None = None) -> tuple:
     """Total order over outcome values (ints, strs, tuples); injective on
-    them. Anything else, bools included, raises UnsupportedValue."""
+    them. Anything else, bools included, raises UnsupportedValue.
+
+    The key is one flat tuple: an int v keys as (0, v), a str s as
+    (1, s), and a tuple as 2, its items' keys, then -1. No key is a
+    prefix of another, and two keys agree up to where their values first
+    differ, so keys compare as values do: ints, strs, then tuples item by
+    item, a proper prefix first. Each tuple is keyed once per memo."""
+    if isinstance(value, tuple):
+        if memo is None:
+            memo = {}
+        hit = memo.get(id(value))
+        if hit is None:
+            key = [2]
+            for item in value:
+                kind = type(item)
+                key += ((0, item) if kind is int else (1, item) if kind is str
+                        else value_sort_key(item, memo))
+            key.append(-1)
+            hit = memo[id(value)] = (value, tuple(key))
+        return hit[1]
     if isinstance(value, int) and not isinstance(value, bool):
         return (0, value)
     if isinstance(value, str):
         return (1, value)
-    if isinstance(value, tuple):
-        return (2, tuple([value_sort_key(item) for item in value]))
     raise UnsupportedValue(f"unsupported outcome value {value!r}")
 
 
@@ -83,12 +121,55 @@ def round_float(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def dumps_at(value: Any, depth: int) -> str:
+def dumps_at(value: Any, depth: int, memo: EncodeMemo | None = None) -> str:
     """value in canonical form, as it reads nested depth levels deep in an
     indented document: its first line unindented, each later line shifted
-    by depth indents. json escapes every control character inside a
-    string, so each newline in its output separates two lines of layout,
-    and shifting them all is safe."""
+    by depth indents: json.dumps(value, sort_keys=True, indent=2), with
+    depth more indents after each newline, raising where json raises.
+    Each non-empty tuple is written once per depth per memo."""
+    try:
+        return _encode(value, depth, {} if memo is None else memo)
+    except RecursionError:  # too deep, or a cycle: json says which
+        return _json_at(value, depth)
+
+
+def _encode(value: Any, depth: int, memo: EncodeMemo) -> str:
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if isinstance(value, tuple) and value:
+        hit = memo.get((id(value), depth))
+        if hit is None:
+            hit = memo[id(value), depth] = (value, _array(value, depth, memo))
+        return hit[1]
+    if isinstance(value, list) and value:
+        return _array(value, depth, memo)
+    if isinstance(value, dict) and value and all(type(key) is str for key in value):
+        return _layout([_quote(key) + ": " + _encode(value[key], depth + 1, memo)
+                        for key in sorted(value)], depth, "{}")
+    # Floats, bools, None, int and str subclasses, empty containers, keys
+    # that json converts, and whatever json refuses.
+    return _json_at(value, depth)
+
+
+def _array(items: list | tuple, depth: int, memo: EncodeMemo) -> str:
+    return _layout([_quote(item) if type(item) is str
+                    else int.__repr__(item) if type(item) is int
+                    else _encode(item, depth + 1, memo) for item in items], depth, "[]")
+
+
+def _layout(texts: list[str], depth: int, brackets: str) -> str:
+    """Items, at least one, a line each, one indent deeper than the brackets."""
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(texts) + inner[:-2] + brackets[1]
+
+
+def _json_at(value: Any, depth: int) -> str:
+    """The reference: json's encoder, re-indented. json escapes every
+    control character inside a string, so each newline in its output
+    separates two lines of layout, and shifting them all is safe."""
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 

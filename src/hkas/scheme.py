@@ -23,10 +23,10 @@ serialize_scheme of the result would give back the text byte for byte,
 so the format has one definition, the writer's. Every other text
 (hand-written, a graph_file reference, other key orders or layouts,
 anything one byte off) is decoded by json and load_scheme, which
-decodes each distinct raw value once and gives its repeats the same
-object, so JointDistribution.from_rows validates each distinct value
-once. Both paths give equal Schemes, and every error comes from the
-second.
+decodes each distinct raw value once and gives its repeats, and equal
+tuples within values, the same object, so JointDistribution.from_rows
+validates each distinct value and sub-value once. Both paths give
+equal Schemes, and every error comes from the second.
 """
 
 from __future__ import annotations
@@ -37,12 +37,15 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable
 
 from .dist import Decoding, JointDistribution, _build, _rank
 from .errors import HkasError, ParseError, SupportTooLarge, VariableMismatch
 from .graph import AccessGraph, graph_from_json, graph_to_json
 from .jsonutil import (
+    EncodeMemo,
+    KeyMemo,
     Value,
     dumps_at,
     parse_prob,
@@ -159,6 +162,7 @@ def _parse_support(doc: object) -> list[tuple[dict[str, Value], Fraction]]:
     # Apart: the value "1/2" is a string, the probability "1/2" a Fraction.
     values: dict[bytes, Value] = {}
     probs: dict[bytes, Fraction] = {}
+    decode = partial(value_from_json, interned={})
     rows: list[tuple[dict[str, Value], Fraction]] = []
     for i, item in enumerate(doc):
         if not isinstance(item, dict) or set(item) != {"assignment", "p"}:
@@ -169,7 +173,7 @@ def _parse_support(doc: object) -> list[tuple[dict[str, Value], Fraction]]:
         if not isinstance(raw_assignment, dict):
             raise ParseError(f"support row {i}: 'assignment' must be an object")
         assignment = {
-            str(var): _decode_once(values, value_from_json, raw)
+            str(var): _decode_once(values, decode, raw)
             for var, raw in raw_assignment.items()
         }
         rows.append((assignment, _decode_once(probs, parse_prob, item["p"])))
@@ -302,12 +306,14 @@ def serialize_scheme(scheme: Scheme) -> str:
 
     The text is dumps_canonical(scheme_to_json(scheme)), built from a row
     template over the distribution's codes: each distinct value of a
-    variable is encoded once, as its whole line of the assignment, and
-    each distinct weight's probability once. A row is a fixed frame
-    around the lines its codes pick and its probability.
+    variable is encoded once, as its whole line of the assignment, each
+    tuple object within the values once, and each distinct weight's
+    probability once. A row is a fixed frame around the lines its codes
+    pick and its probability.
     """
     dist = scheme.dist
-    lines = [tuple([_head(var) + dumps_at(value, 4) for value in values])
+    memo: EncodeMemo = {}
+    lines = [tuple([_head(var) + dumps_at(value, 4, memo) for value in values])
              for var, values in zip(dist.variables, dist.decoding)]
     tails = {w: _ROW_MID + prob_str(Fraction(w, dist.total)) + _ROW_END
              for w in set(dist.weights)}
@@ -399,9 +405,14 @@ def _decode_lines(lines: list[dict[str, str]]) -> tuple[
     position: the position's variable, the rank of each line's value
     among the position's values, and those values in rank order. Each
     distinct value text is decoded, checked and sort-keyed once, in
-    whichever positions it is met. Raises _NotCanonical unless every
-    line is _head(var) + dumps_at(value, 4)."""
+    whichever positions it is met; equal tuples within the values are
+    decoded to one object, which is re-encoded and sort-keyed once.
+    Raises _NotCanonical unless every line is _head(var) +
+    dumps_at(value, 4)."""
     decoded: dict[str, tuple[Value, tuple]] = {}
+    interned: dict[tuple, tuple] = {}
+    encoded: EncodeMemo = {}
+    keys: KeyMemo = {}
     variables, ranks, decoding = [], [], []
     for seen in lines:
         ((var, _),) = json.loads('{"' + next(iter(seen)) + "}").items()
@@ -412,10 +423,10 @@ def _decode_lines(lines: list[dict[str, str]]) -> tuple[
                 raise _NotCanonical
             raw = line[len(head):]
             if raw not in decoded:
-                value = value_from_json(json.loads(raw))
-                if dumps_at(value, 4) != raw:
+                value = value_from_json(json.loads(raw), interned)
+                if dumps_at(value, 4, encoded) != raw:
                     raise _NotCanonical
-                decoded[raw] = (value, value_sort_key(value))
+                decoded[raw] = (value, value_sort_key(value, keys))
             memo[line] = decoded[raw]
         variables.append(var)
         rank, values = _rank(memo)

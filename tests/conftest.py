@@ -2,8 +2,8 @@
 script and the parity-leak scheme it builds, a random DAG builder, a
 support-scan counter, a counter of scheme files read through json, the
 Fraction references for entropies, marginals and independence, the check
-of a distribution's canonical form, and the reference encoder for
-canonical JSON."""
+of a distribution's canonical form, a tuple that counts the walks over
+its items, and the reference encoder for canonical JSON."""
 
 from __future__ import annotations
 
@@ -177,6 +177,41 @@ def fallbacks(monkeypatch) -> SimpleNamespace:
 
     monkeypatch.setattr(hkas.scheme, "load_scheme", counted)
     return counter
+
+
+class Walked(tuple):
+    """A tuple that counts, in Walked.walks, the walks over its items:
+    json's encoder, dumps_at and value_sort_key all iterate a tuple to
+    read it, and hashing or comparing one does not."""
+
+    walks = 0
+
+    def __iter__(self):
+        Walked.walks += 1
+        return super().__iter__()
+
+
+def walked(value, copies: dict):
+    """value with each tuple in it copied to a Walked. copies maps each
+    copied tuple to its copy, by id, holding both, so tuples that share
+    an object share its copy, and only those."""
+    if not isinstance(value, tuple):
+        return value
+    if id(value) not in copies:
+        copies[id(value)] = (value, Walked([walked(item, copies) for item in value]))
+    return copies[id(value)][1]
+
+
+def sub_tuples(values) -> dict[int, tuple]:
+    """Every tuple object in values, the values included, by id."""
+    found: dict[int, tuple] = {}
+    stack = list(values)
+    while stack:
+        value = stack.pop()
+        if isinstance(value, tuple) and id(value) not in found:
+            found[id(value)] = value
+            stack.extend(value)
+    return found
 
 
 def _reference_value(value):

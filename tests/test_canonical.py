@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (
     DATA_DIR,
+    Walked,
     assert_canonical_form,
     make_antichain4,
     make_chain4,
@@ -22,8 +23,9 @@ from conftest import (
     make_random_dag,
     reference_dumps,
     reference_serialize_scheme,
+    sub_tuples,
+    walked,
 )
-import hkas.scheme
 from hkas import (
     AccessGraph,
     JointDistribution,
@@ -217,27 +219,28 @@ def test_near_canonical_files_take_the_json_path(tmp_path, fallbacks):
     assert fallbacks.count == 11
 
 
-def test_serialize_encodes_each_distinct_value_once(monkeypatch):
-    """Encoding work is per distinct (variable, value) pair, not per row:
-    one fragment per pair, plus one for the graph."""
+def test_serialize_encodes_each_distinct_value_once():
+    """Work per distinct sub-value, not per node: the generator shares one
+    tuple per distinct secret and per distinct (class, key) pair, and
+    from_rows sort-keys, and serialize_scheme encodes, each of those
+    tuples once, reading its items once, however many values hold it."""
     labels = ["n0", "n1", "n2", "n3", "n4", "n5"]
     graph = AccessGraph.build(labels, [("n0", "n1"), ("n0", "n2"), ("n1", "n3"),
                                        ("n2", "n3"), ("n4", "n5")])
     scheme = gen_leaky(graph, 3, "n3", "n4")
-    calls = 0
-    encode = hkas.scheme.dumps_at
-
-    def counted(value, depth):
-        nonlocal calls
-        calls += 1
-        return encode(value, depth)
-
-    monkeypatch.setattr(hkas.scheme, "dumps_at", counted)
-    text = serialize_scheme(scheme)
-    pairs = {(var, json.dumps(value)) for assignment, _ in scheme.dist.rows()
-             for var, value in assignment.items()}
-    assert scheme.dist.support_size() == 729
-    assert calls <= len(pairs) + 1
+    rows = scheme.dist.rows()
+    shared = sub_tuples([value for assignment, _ in rows for value in assignment.values()])
+    distinct = set(shared.values())
+    assert scheme.dist.support_size() == 729 and len(distinct) == len(shared) == 150
+    copies: dict = {}
+    rows = [({var: walked(value, copies) for var, value in assignment.items()}, p)
+            for assignment, p in rows]
+    Walked.walks = 0
+    dist = JointDistribution.from_rows(rows)
+    assert Walked.walks <= len(distinct)
+    Walked.walks = 0
+    text = serialize_scheme(Scheme(graph=graph, dist=dist))
+    assert Walked.walks <= len(distinct)
     assert text == reference_serialize_scheme(scheme)
 
 

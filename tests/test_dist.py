@@ -21,6 +21,7 @@ from conftest import (
     fraction_conditional_entropy,
     oracle_independent,
     oracle_marginal,
+    sub_tuples,
 )
 from hkas import (
     DistributionError,
@@ -28,12 +29,13 @@ from hkas import (
     EmptyVariableSet,
     JointDistribution,
     OverlappingVariableSets,
+    ParseError,
     ProbabilityError,
     UnknownVariable,
     UnsupportedValue,
 )
 from hkas.dist import _build
-from hkas.jsonutil import value_sort_key
+from hkas.jsonutil import MAX_VALUE_DEPTH, value_from_json, value_sort_key
 
 TOL = 1e-9
 
@@ -398,6 +400,44 @@ def test_construction_errors():
             JointDistribution.from_rows(
                 [({"X": good, "Y": 0}, Fraction(1, 2)), ({"X": bad, "Y": 1}, Fraction(1, 2))]
             )
+
+
+@pytest.mark.parametrize("good, bad", [((1,), (True,)), (((1, "a"),), ((1.0, "a"),))])
+@pytest.mark.parametrize("bad_first", [False, True])
+def test_sort_key_memo_is_keyed_by_identity(good, bad, bad_first):
+    """from_rows keys each tuple object once, by identity: a value holding
+    a bool or a float is refused whether the equal valid value, held by
+    two rows, comes before or after it."""
+    rows = [({"X": good, "Y": 0}, Fraction(1, 3)), ({"X": good, "Y": 1}, Fraction(1, 3)),
+            ({"X": bad, "Y": 2}, Fraction(1, 3))]
+    if bad_first:
+        rows.reverse()
+    with pytest.raises(UnsupportedValue):
+        JointDistribution.from_rows(rows)
+
+
+def test_reader_interns_equal_tuples_once_validated():
+    """value_from_json gives equal tuples decoded through one table one
+    object, and interns a tuple only once all of it is valid, so no bool
+    or float ever stands in the table for an equal int."""
+    table: dict = {}
+    first = value_from_json([["a", 0], ["b", [1]]], table)
+    second = value_from_json([["b", [1]], ["a", 0]], table)
+    assert first[0] is second[1] and first[1] is second[0] and first[1][1] is second[0][1]
+    assert value_from_json([["a", 0], ["b", [1]]], table) is first
+    for bad in ([[1], [True]], [[1.0, "a"]], [["a", 0], None], [[[1], 1.5]]):
+        with pytest.raises(ParseError):
+            value_from_json(bad, table)
+    found = sub_tuples(table)
+    assert all(type(item) in (int, str, tuple) for value in found.values() for item in value)
+    assert type(value_from_json([[1, "a"]], table)[0][0]) is int
+    table = {}
+    raw = 0
+    for _ in range(MAX_VALUE_DEPTH + 1):
+        raw = [raw]
+    with pytest.raises(ParseError):
+        value_from_json([[0], raw], table)
+    assert table == {(0,): (0,)}
 
 
 def test_query_errors():

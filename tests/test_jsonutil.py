@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,9 +14,24 @@ from pathlib import Path
 import pytest
 
 import hkas.cli
-from hkas import ParseError, ProbabilityError
+from conftest import DATA_DIR, make_diamond, reference_dumps
+from hkas import (
+    ParseError,
+    ProbabilityError,
+    evaluate_entropy_expr,
+    gen_correlated,
+    gen_leaky,
+    gen_random_correct,
+    gen_trivial,
+    load_scheme_file,
+    run_checks,
+    run_validation,
+    scheme_to_json,
+)
+from hkas.graph import graph_to_json
 from hkas.jsonutil import (
     MAX_VALUE_DEPTH,
+    dumps_at,
     dumps_canonical,
     parse_prob,
     prob_str,
@@ -70,10 +86,34 @@ def test_value_depth_bound():
         value_from_json((decoded,))
 
 
+def _nested_key(value) -> tuple:
+    """The reference order: ints, then strs, then tuples by their items' keys."""
+    if isinstance(value, tuple):
+        return (2, tuple([_nested_key(item) for item in value]))
+    return (0, value) if isinstance(value, int) else (1, value)
+
+
 def test_value_sort_key_total_order():
     values = [(("b", 1),), 3, "a", 0, (("a", 0),), "b", ()]
     ordered = sorted(values, key=value_sort_key)
     assert ordered == [0, 3, "a", "b", (), (("a", 0),), (("b", 1),)]
+    # The flat key orders as the nested reference does, prefixes first,
+    # and is injective, with or without one memo across the values.
+    rng = random.Random(5)
+
+    def draw(depth=0):
+        roll = rng.random()
+        if depth > 3 or roll < 0.35:
+            return rng.choice([0, 1, -1, 2, 10 ** 20])
+        if roll < 0.6:
+            return rng.choice(["", "a", "b", "ab", "\x00"])
+        return tuple(draw(depth + 1) for _ in range(rng.randrange(4)))
+
+    values = [draw() for _ in range(2000)]
+    memo: dict = {}
+    for key in (value_sort_key, lambda value: value_sort_key(value, memo)):
+        assert sorted(values, key=key) == sorted(values, key=_nested_key)
+        assert len({key(value) for value in values}) == len(set(values))
 
 
 def test_round_float():
@@ -100,6 +140,97 @@ def test_dumps_canonical():
 def test_dumps_canonical_is_indented_json_dumps():
     doc = {"z": [{"b": [], "a": {}}, ("x", [1, [2, "\n\u2028é"]])], "a": {"c": {"d": [0]}}}
     assert dumps_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _reference_at(value, depth: int) -> str:
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _documents() -> list:
+    """Every kind of document hkas writes, as built: the goldens, as read
+    and as a scheme document; each gen kind's scheme document; and the
+    check --json, entropy --json and validate --json documents."""
+    docs = []
+    for name in ("golden-random-q2-s42.json", "golden-random-q2-s2.json"):
+        path = DATA_DIR / name
+        docs += [json.loads(path.read_text()), scheme_to_json(load_scheme_file(str(path)))]
+    graph = make_diamond()
+    docs.append(graph_to_json(graph))
+    for q in (2, 3):
+        for scheme in (gen_trivial(graph, q), gen_leaky(graph, q, "a", "b"),
+                       gen_correlated(graph, q, "a", "r"), gen_random_correct(graph, q, 0),
+                       gen_random_correct(graph, q, 1)):
+            docs.append(scheme_to_json(scheme))
+            for exhaustive in (False, True):
+                reports = run_checks(scheme, "all", exhaustive)
+                docs.append(reports[1].to_json())
+                docs.append({"passed": all(r.passed for r in reports),
+                             "reports": [r.to_json() for r in reports]})
+            for expr in ("H(K:a)", "I(K:a ; S:b)", "H(K:c | S:a, S:b)"):
+                docs.append({"expr": expr,
+                             "value": round_float(evaluate_entropy_expr(scheme, expr))})
+        summary = run_validation(graph, q, 10, q)
+        summary["max_abs_err"] = round_float(summary["max_abs_err"])
+        docs.append(summary)
+    return docs
+
+
+def test_dumps_at_matches_json_on_every_document():
+    """dumps_at is json.dumps(sort_keys=True, indent=2), re-indented, on
+    every document hkas writes, at every depth, with or without one memo
+    shared across the documents."""
+    docs = _documents()
+    for depth in (0, 1, 4):
+        memo: dict = {}
+        for doc in docs:
+            want = _reference_at(doc, depth)
+            assert dumps_at(doc, depth) == want
+            assert dumps_at(doc, depth, memo) == want
+    assert [dumps_canonical(doc) for doc in docs] == [reference_dumps(doc) for doc in docs]
+
+
+def _hostile_values() -> list:
+    deep = 0
+    for _ in range(MAX_VALUE_DEPTH):
+        deep = (deep,)
+    shared = ("x", (0, -1))
+    return [
+        'q"\\/\n\r\t\b\f\x00\x1f\x7f', "é\u2028\u2029\ud800\U0001f600", "",
+        -1, -(10 ** 40), 10 ** 3999, 0,
+        (), [], {}, ((),), [[], {}, ()], {"": [()], "a": {}},
+        deep, [deep, (deep,)],
+        [shared, (shared,), {"k": [[shared]]}, shared],  # one tuple at four depths
+        {"h_key": 1.5849625007, "passed": True, "witness": None,
+         "floats": [0.1, -0.0, 1e-05, float("inf"), float("nan")], "bools": (False, True)},
+        [(1,), (True,), (1.0,), ((1, "a"),), ((1.0, "a"),)],  # equal, but not the same
+        {10: "a", 2: [], 1: ()}, {2.5: 0}, {None: 0}, {True: 0},  # keys json converts
+    ]
+
+
+def test_dumps_at_matches_json_on_hostile_values():
+    values = _hostile_values()
+    assert len(str(values[5])) == 4000
+    for depth in (0, 3):
+        memo: dict = {}
+        for value in values + values:
+            want = _reference_at(value, depth)
+            assert dumps_at(value, depth) == want
+            assert dumps_at(value, depth, memo) == want
+
+
+def test_dumps_at_raises_where_json_does():
+    cycle: list = []
+    cycle.append(cycle)
+    deep: list = []
+    for _ in range(100_000):
+        deep = [deep]
+    for value in ([Fraction(1, 3)], {1: 0, "a": 1}, {(1,): 0}, (1, {2}), 10 ** 5000,
+                  [("a", object())], cycle, deep):
+        with pytest.raises(Exception) as expected:
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(Exception) as got:
+            dumps_at(value, 2, {})
+        assert got.type is expected.type
 
 
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"

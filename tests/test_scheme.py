@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import hkas
-from conftest import DATA_DIR
+from conftest import DATA_DIR, Walked, sub_tuples, walked
 from hkas import (
     AccessGraph,
     ParseError,
@@ -17,7 +17,6 @@ from hkas import (
     Scheme,
     SupportTooLarge,
     VariableMismatch,
-    gen_leaky,
     gen_trivial,
     load_scheme,
     load_scheme_file,
@@ -71,37 +70,47 @@ def test_loader_decodes_values_without_a_repr():
 
 
 def test_each_distinct_value_is_decoded_and_keyed_once(tmp_path, monkeypatch):
-    """Work per distinct value, not per value instance: on a 729-row scheme
-    with 132 distinct (variable, value) pairs, loading decodes each raw
-    value once and sort-keys each pair once, and so does generating. The
-    file is canonical, so it loads by the row template, which calls
-    value_sort_key from hkas.scheme."""
+    """Work per distinct sub-value, not per node: on a 729-row scheme with
+    132 distinct (variable, value) pairs, loading decodes each distinct
+    raw value once, decodes equal tuples within the values to one
+    object, and re-encodes and sort-keys each such tuple once, reading
+    its items once each time. The file is canonical, so it loads by the
+    row template, which decodes through hkas.scheme.value_from_json; the
+    decoded values are copied to Walked tuples that share what the
+    decoder shared, to count the reads."""
     labels = ["n0", "n1", "n2", "n3", "n4", "n5"]
     graph = AccessGraph.build(labels, [("n0", "n1"), ("n0", "n2"), ("n1", "n3"),
                                        ("n2", "n3"), ("n4", "n5")])
     path = tmp_path / "trivial.json"
     path.write_text(serialize_scheme(gen_trivial(graph, 3)))
-    calls = {"value_from_json": 0, "value_sort_key": 0}
-    for module, name in ((hkas.scheme, "value_from_json"), (hkas.scheme, "value_sort_key"),
-                         (hkas.dist, "value_sort_key")):
-        def counted(value, _fn=getattr(module, name), _name=name):
-            calls[_name] += 1
-            return _fn(value)
-        monkeypatch.setattr(module, name, counted)
+    calls = 0
+    copies: dict = {}
+    decode = hkas.scheme.value_from_json
 
-    def distinct_pairs(scheme):
-        return {(var, json.dumps(value)) for assignment, _ in scheme.dist.rows()
-                for var, value in assignment.items()}
+    def counted(raw, *args):
+        nonlocal calls
+        calls += 1
+        return walked(decode(raw, *args), copies)
 
+    monkeypatch.setattr(hkas.scheme, "value_from_json", counted)
+    Walked.walks = 0
     scheme = load_scheme_file(str(path))
+    walks = Walked.walks
+    rows = scheme.dist.rows()
+    distinct = {(var, json.dumps(value)) for assignment, _ in rows
+                for var, value in assignment.items()}
     raw = {json.dumps(value) for row in json.loads(path.read_text())["support"]
            for value in row["assignment"].values()}
-    assert scheme.dist.support_size() == 729 and len(distinct_pairs(scheme)) == 132
-    assert calls["value_from_json"] <= len(raw)
-    assert calls["value_sort_key"] <= len(distinct_pairs(scheme))
-    calls["value_sort_key"] = 0
-    leaky = gen_leaky(graph, 3, "n3", "n4")
-    assert calls["value_sort_key"] <= len(distinct_pairs(leaky))
+    shared = sub_tuples([value for assignment, _ in rows for value in assignment.values()])
+    tuples = set(shared.values())
+    assert scheme.dist.support_size() == 729 and len(distinct) == 132
+    assert calls <= len(raw)
+    assert len(shared) == len(tuples) == 132
+    assert walks <= 2 * len(tuples)
+    monkeypatch.undo()
+    decoded = load_scheme(json.loads(path.read_text()))  # the json path shares too
+    assert len(sub_tuples([value for assignment, _ in decoded.dist.rows()
+                           for value in assignment.values()])) == 132
 
 
 def test_canonical_load_peaks_below_the_json_path(tmp_path):
