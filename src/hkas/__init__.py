@@ -73,6 +73,7 @@ from .scheme import (
     scheme_to_json,
     secret_var,
     serialize_scheme,
+    write_scheme,
 )
 
 __version__ = "0.1.0"
@@ -139,4 +140,5 @@ __all__ = [
     "verify_equivalence",
     "verify_independence_sum",
     "verify_main_theorem_sequence",
+    "write_scheme",
 ]

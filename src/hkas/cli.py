@@ -30,7 +30,7 @@ from .generate import gen_correlated, gen_leaky, gen_random_correct, gen_trivial
 from .graph import AccessGraph, graph_from_json
 from .harness import run_validation
 from .jsonutil import dumps_canonical, round_float
-from .scheme import CheckReport, load_json_file, load_scheme_file, serialize_scheme
+from .scheme import CheckReport, load_json_file, load_scheme_file, write_scheme
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +191,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         scheme = gen_random_correct(graph, args.q, args.seed)
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(serialize_scheme(scheme))
+        write_scheme(scheme, handle)
     return 0
 
 

@@ -13,12 +13,14 @@ and Fractions are decoded views, computed only when read.
 
 The constructor checks that form, all but the order of the decoding.
 One private builder, _build, checks that the probabilities sum to 1
-and reduces the weights; from_rows, marginal and the scheme loader's
-row template all build through it. from_rows validates and sort-keys
+and reduces the weights; from_rows, marginal, the scheme loader's row
+template and the generator core all build through it. from_rows, the
+json path and the generators' test oracle, validates and sort-keys
 each distinct value object once, and each distinct tuple object within
 the values once (both memoised by identity, never by equality), and
-ranks them; the row template ranks the values it decoded itself;
-marginal takes its codes and summed weights from its parent.
+ranks them; the row template ranks the values it decoded itself, the
+generator core the keys it enumerated; marginal takes its codes and
+summed weights from its parent.
 
 Queries never do Fraction arithmetic and never hash or compare values:
 they group rows by flat int tuples and decide verdicts (independence,

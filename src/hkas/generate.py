@@ -18,6 +18,9 @@ key tuples and in deliberate defects:
   denominator at most 64). Correct by construction; KI may or may not
   hold.
 
+One core, _scheme, knows each value's code and so builds every scheme
+in the distribution's int-coded form (see dist), with no per-row dict.
+
 Determinism: gen_random_correct uses splitmix64 seeded by the given
 integer, so equal inputs produce byte-identical serialized schemes.
 """
@@ -29,10 +32,9 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable
 
-from .dist import JointDistribution
+from .dist import _build, _getter
 from .errors import InvalidArgument, InvalidLeak, SupportTooLarge
 from .graph import AccessGraph
-from .jsonutil import Value
 from .scheme import Scheme, key_var, max_support_size, secret_var
 
 _MASK64 = (1 << 64) - 1
@@ -92,36 +94,34 @@ def _secret_members(graph: AccessGraph) -> dict[str, tuple[str, ...]]:
 
 def _scheme(graph: AccessGraph, members: dict[str, tuple[str, ...]],
             weighted_keys: Iterable[tuple[tuple[int, ...], Fraction]]) -> Scheme:
-    """The generator core: one support row per weighted key tuple.
+    """The generator core: one support row per weighted key tuple, built
+    directly in the distribution's int-coded form.
 
-    Key tuples are aligned with the sorted class labels; the secret of u
-    lists (v, k_v) for every v in members[u]. Rows share one tuple per
-    distinct secret, and secrets one tuple per distinct (v, k_v) pair, so
-    from_rows sort-keys and serialize_scheme encodes each of them once.
+    Key tuples are aligned with the sorted class labels and strictly
+    increase; the secret of u lists (v, k_v) for every v in members[u].
+    A key's code is its rank among its class's keys on the support, and
+    a secret's the rank of its members' key tuple, as its labels are
+    fixed. So the rows are canonical in the order given, which _build
+    and the constructor check. Secrets share one tuple per (v, k_v), so
+    serialize_scheme encodes each pair once.
     """
     labels = tuple(sorted(graph.classes))
     position = {u: i for i, u in enumerate(labels)}
-    # Per class: its key's index in a key tuple, its two variable names,
-    # the getter of its members' keys and its memo of secrets by those keys.
-    classes = [
-        (i, key_var(u), secret_var(u), itemgetter(*[position[v] for v in members[u]]),
-         members[u], {})
-        for i, u in enumerate(labels)
-    ]
+    combos, weights = zip(*weighted_keys)
     pairs: dict[tuple[str, int], tuple[str, int]] = {}  # one tuple per (v, k_v)
-    rows = []
-    for combo, p in weighted_keys:
-        assignment: dict[str, Value] = {}
-        for i, key, secret, held, names, memo in classes:
-            assignment[key] = combo[i]
-            keys = held(combo)
-            value = memo.get(keys)
-            if value is None:
-                value = memo[keys] = tuple([pairs.setdefault(pair, pair) for pair in
-                                            [(v, combo[position[v]]) for v in names]])
-            assignment[secret] = value
-        rows.append((assignment, p))
-    return Scheme(graph=graph, dist=JointDistribution.from_rows(rows))
+    columns, decoding = [], []
+    # Every K:u, then every S:u with its members' labels: the variables' order.
+    for i, names in enumerate([None] * len(labels) + [members[u] for u in labels]):
+        pick = itemgetter(i) if names is None else _getter([position[v] for v in names])
+        column = list(map(pick, combos))
+        values = sorted(set(column))
+        rank = {value: code for code, value in enumerate(values)}
+        columns.append(map(rank.__getitem__, column))
+        decoding.append(tuple(values) if names is None else tuple(
+            [tuple([pairs.setdefault(pair, pair) for pair in zip(names, keys)])
+             for keys in values]))
+    variables = tuple(map(key_var, labels)) + tuple(map(secret_var, labels))
+    return Scheme(graph, _build(variables, tuple(decoding), list(zip(*columns)), weights, 1))
 
 
 def _uniform_scheme(graph: AccessGraph, q: int,
@@ -201,14 +201,10 @@ def gen_random_correct(graph: AccessGraph, q: int, seed: int) -> Scheme:
     for _ in range(64):
         index = rng.next_below(total)
         counts[index] = counts.get(index, 0) + 1
-    weighted = []
-    for index in sorted(counts):
-        # Key tuple number `index` of the product order: base-q digits,
-        # the first label most significant.
-        digits = []
-        rest = index
-        for _ in range(size):
-            digits.append(rest % q)
-            rest //= q
-        weighted.append((tuple(reversed(digits)), Fraction(counts[index], 64)))
-    return _scheme(graph, members, weighted)
+    # Key tuple number `index` of the product order: its base-q digits,
+    # the first label most significant.
+    return _scheme(graph, members, [
+        (tuple([index // q ** (size - 1 - i) % q for i in range(size)]),
+         Fraction(counts[index], 64))
+        for index in sorted(counts)
+    ])

@@ -13,6 +13,7 @@ Secrets spell out keys, so the same values repeat across rows. The
 writer, serialize_scheme, encodes each distinct value of a variable
 once and builds every row from a fixed template over the int codes of
 its values; its text is the canonical JSON of scheme_to_json.
+write_scheme writes the same text to a file in chunks of rows.
 
 load_scheme_file reads such a text by the same template, as its
 inverse: it cuts the rows on the template's frame, interns each line
@@ -38,7 +39,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Any, Callable
+from typing import IO, Any, Callable, Iterator
 
 from .dist import Decoding, JointDistribution, _build, _rank
 from .errors import HkasError, ParseError, SupportTooLarge, VariableMismatch
@@ -295,21 +296,22 @@ _ROW_HEAD = '    {\n      "assignment": {\n        "'
 _LINE_BREAK = ',\n        "'
 _ROW_MID = '\n      },\n      "p": "'
 _ROW_END = '"\n    }'
+_CHUNK_ROWS = 4096  # rows per piece of text that write_scheme writes
 
 
 def _head(var: str) -> str:
     return json.dumps(var)[1:] + ": "
 
 
-def serialize_scheme(scheme: Scheme) -> str:
-    """Canonical JSON text; loading it back reproduces an equal Scheme.
+def _chunks(scheme: Scheme) -> Iterator[str]:
+    """The canonical text, in pieces of at most _CHUNK_ROWS rows each.
 
     The text is dumps_canonical(scheme_to_json(scheme)), built from a row
     template over the distribution's codes: each distinct value of a
     variable is encoded once, as its whole line of the assignment, each
     tuple object within the values once, and each distinct weight's
-    probability once. A row is a fixed frame around the lines its codes
-    pick and its probability.
+    probability once, all before the first piece. A row is a fixed frame
+    around the lines its codes pick and its probability.
     """
     dist = scheme.dist
     memo: EncodeMemo = {}
@@ -317,12 +319,24 @@ def serialize_scheme(scheme: Scheme) -> str:
              for var, values in zip(dist.variables, dist.decoding)]
     tails = {w: _ROW_MID + prob_str(Fraction(w, dist.total)) + _ROW_END
              for w in set(dist.weights)}
-    support = ",\n".join([
-        _ROW_HEAD + _LINE_BREAK.join(map(tuple.__getitem__, lines, row)) + tails[w]
-        for row, w in zip(dist.codes, dist.weights)
-    ])
-    graph = dumps_at(graph_to_json(scheme.graph), 1)
-    return _DOC_HEAD + graph + _DOC_MID + support + _DOC_END
+    yield _DOC_HEAD + dumps_at(graph_to_json(scheme.graph), 1) + _DOC_MID
+    for start in range(0, len(dist.codes), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        yield (",\n" if start else "") + ",\n".join([
+            _ROW_HEAD + _LINE_BREAK.join(map(tuple.__getitem__, lines, row)) + tails[w]
+            for row, w in zip(dist.codes[start:stop], dist.weights[start:stop])
+        ])
+    yield _DOC_END
+
+
+def serialize_scheme(scheme: Scheme) -> str:
+    """Canonical JSON text; loading it back reproduces an equal Scheme."""
+    return "".join(_chunks(scheme))
+
+
+def write_scheme(scheme: Scheme, handle: IO[str]) -> None:
+    """Write serialize_scheme(scheme) to handle, _CHUNK_ROWS rows at a time."""
+    handle.writelines(_chunks(scheme))
 
 
 class _NotCanonical(ValueError):

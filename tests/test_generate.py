@@ -1,14 +1,21 @@
-"""Generators: PRNG vectors, postconditions, determinism, golden bytes."""
+"""Generators: PRNG vectors, postconditions, determinism, golden bytes,
+and the int-coded core against its from_rows oracle."""
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import DATA_DIR
+import hkas.generate
+from conftest import DATA_DIR, make_chain4, make_diamond, make_random_dag
 from hkas import (
+    AccessGraph,
     InvalidLeak,
+    JointDistribution,
+    Scheme,
     SplitMix64,
     SupportTooLarge,
     UnknownClass,
@@ -17,7 +24,9 @@ from hkas import (
     gen_leaky,
     gen_random_correct,
     gen_trivial,
+    key_var,
     run_checks,
+    secret_var,
     serialize_scheme,
 )
 
@@ -153,3 +162,83 @@ def test_support_bound_enforced(monkeypatch, diamond):
     monkeypatch.setenv("HKAS_MAX_SUPPORT", "4")
     with pytest.raises(SupportTooLarge, match=r"q\*\*3 = 8 "):
         gen_correlated(diamond, 2, "a", "r")
+
+
+def reference_scheme(graph, members, weighted_keys) -> Scheme:
+    """The generator core's oracle: the same rows, built as dicts of
+    values and canonicalised by JointDistribution.from_rows."""
+    labels = sorted(graph.classes)
+    rows = []
+    for combo, p in weighted_keys:
+        keys = dict(zip(labels, combo))
+        assignment = {key_var(u): keys[u] for u in labels}
+        for u in labels:
+            assignment[secret_var(u)] = tuple((v, keys[v]) for v in members[u])
+        rows.append((assignment, p))
+    return Scheme(graph=graph, dist=JointDistribution.from_rows(rows))
+
+
+@pytest.fixture
+def core_pairs(monkeypatch) -> list:
+    """Wraps the generator core so that every scheme a generator makes is
+    recorded beside its oracle, built from the same members and keys."""
+    made = []
+    core = hkas.generate._scheme
+
+    def both(graph, members, weighted_keys):
+        weighted = list(weighted_keys)
+        scheme = core(graph, members, weighted)
+        made.append((scheme, reference_scheme(graph, members, weighted)))
+        return scheme
+
+    monkeypatch.setattr(hkas.generate, "_scheme", both)
+    return made
+
+
+def every_kind(graph, q: int, seeds) -> None:
+    """Each generator on graph: trivial, every forbidden leak, every
+    correlated pair and random on each seed."""
+    labels = sorted(graph.classes)
+    gen_trivial(graph, q)
+    for target in labels:
+        for leaker in sorted(graph.forbidden_set(target)):
+            gen_leaky(graph, q, target, leaker)
+    for u, w in itertools.combinations(labels, 2):
+        gen_correlated(graph, q, u, w)
+    for seed in seeds:
+        gen_random_correct(graph, q, seed)
+
+
+def pairs_of(scheme) -> list:
+    """Every (class, key) pair in the secrets' decoding, repeats included."""
+    return [pair for var, values in zip(scheme.dist.variables, scheme.dist.decoding)
+            if var.startswith("S:") for value in values for pair in value]
+
+
+def test_core_matches_from_rows_oracle(core_pairs):
+    rng = random.Random(1600)
+    graphs = [make_diamond(), make_chain4(), AccessGraph.build(["x", "y", "z"], [])]
+    graphs += [make_random_dag(rng, max_nodes=5) for _ in range(20)]
+    for q in (2, 3):
+        for graph in graphs:
+            every_kind(graph, q, range(4))
+    # Few balls over many key tuples: key values go missing from the support.
+    every_kind(AccessGraph.build(["x", "y"], [("x", "y")]), 32, range(6))
+    missing = 0
+    for scheme, reference in core_pairs:
+        assert scheme == reference
+        assert serialize_scheme(scheme) == serialize_scheme(reference)
+        dist = scheme.dist
+        missing += any(values != tuple(range(len(values)))
+                       for var, values in zip(dist.variables, dist.decoding)
+                       if var.startswith("K:"))
+    assert len(core_pairs) > 500
+    assert missing  # some key's code differs from its value
+
+
+def test_secrets_share_one_pair_per_class_and_key(tree7):
+    for scheme in (gen_trivial(tree7, 3), gen_leaky(tree7, 3, "c", "b"),
+                   gen_correlated(tree7, 3, "a", "f"), gen_random_correct(tree7, 3, 2),
+                   gen_random_correct(tree7, 3, 42)):
+        pairs = pairs_of(scheme)
+        assert len({id(pair) for pair in pairs}) == len(set(pairs))
