@@ -33,15 +33,13 @@ tuples.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .dist import _Coalitions
 from .errors import CoalitionSpaceTooLarge, InvalidArgument
 from .scheme import CheckReport, Scheme, Witness, key_var, secret_var
 
 MAX_LATTICE_WORK = 2 ** 21
-
-CHECK_KINDS = ("correctness", "ki", "ski", "key-indep")
 
 
 def _sorted_subsets(pool: range) -> list[tuple[int, ...]]:
@@ -58,7 +56,7 @@ def _first_failure(scheme: Scheme, cls: str, secrets: list[str], keys: list[str]
     tests the coalition of them all; exhaustive mode tests every non-empty
     one, in witness order."""
     members = secrets + keys
-    coalitions = _Coalitions(scheme.dist, key_var(cls), [secret_var(v) for v in secrets]
+    coalitions = _Coalitions(scheme.dist, (key_var(cls),), [secret_var(v) for v in secrets]
                              + [key_var(w) for w in keys])
     if exhaustive:
         key_subsets = _sorted_subsets(range(len(secrets), len(members)))
@@ -71,11 +69,11 @@ def _first_failure(scheme: Scheme, cls: str, secrets: list[str], keys: list[str]
     else:
         order = [tuple(range(len(members)))]
     for chosen in order:
-        entropies = coalitions.dependence(chosen)
-        if entropies is not None:
+        if not coalitions.independent(chosen):
             labels = [members[i] for i in chosen]
             cut = sum(i < len(secrets) for i in chosen)
-            return Witness(cls, tuple(labels[:cut]), tuple(labels[cut:]), *entropies)
+            return Witness(cls, tuple(labels[:cut]), tuple(labels[cut:]),
+                           *coalitions.entropies(chosen))
     return None
 
 
@@ -89,9 +87,8 @@ def check_correctness(scheme: Scheme) -> CheckReport:
     for v in sorted(scheme.graph.classes):
         for u in sorted(scheme.graph.accessible_set(v)):
             if not scheme.dist.is_functionally_determined([key_var(u)], [secret_var(v)]):
-                query = scheme.dist._query([[key_var(u)]], [secret_var(v)])
-                witnesses.append(Witness(u, (v,), (), query.part_entropies[0],
-                                         query.conditional_entropy))
+                coalition = _Coalitions(scheme.dist, (key_var(u),), [secret_var(v)])
+                witnesses.append(Witness(u, (v,), (), *coalition.entropies()))
     return CheckReport(kind="correctness", passed=not witnesses,
                        witnesses=tuple(witnesses))
 
@@ -152,22 +149,19 @@ def check_key_independence(scheme: Scheme) -> CheckReport:
     return CheckReport(kind="key-indep", passed=True, witnesses=())
 
 
+# Each check kind, in the order "all" runs them, and how to run it on a
+# scheme in a coalition mode (exhaustive or not).
+CHECK_KINDS: dict[str, Callable[[Scheme, bool], CheckReport]] = {
+    "correctness": lambda scheme, exhaustive: check_correctness(scheme),
+    "ki": check_ki,
+    "ski": check_ski,
+    "key-indep": lambda scheme, exhaustive: check_key_independence(scheme),
+}
+
+
 def run_checks(scheme: Scheme, mode: str = "all", exhaustive: bool = False) -> list[CheckReport]:
     """Run one named check, or all four in a fixed order."""
-    if mode == "all":
-        kinds: tuple[str, ...] = CHECK_KINDS
-    elif mode in CHECK_KINDS:
-        kinds = (mode,)
-    else:
+    if mode != "all" and mode not in CHECK_KINDS:
         raise InvalidArgument(f"unknown check mode {mode!r}")
-    reports: list[CheckReport] = []
-    for kind in kinds:
-        if kind == "correctness":
-            reports.append(check_correctness(scheme))
-        elif kind == "ki":
-            reports.append(check_ki(scheme, exhaustive=exhaustive))
-        elif kind == "ski":
-            reports.append(check_ski(scheme, exhaustive=exhaustive))
-        else:
-            reports.append(check_key_independence(scheme))
-    return reports
+    return [CHECK_KINDS[kind](scheme, exhaustive)
+            for kind in (CHECK_KINDS if mode == "all" else (mode,))]

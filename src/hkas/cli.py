@@ -23,7 +23,7 @@ import argparse
 import sys
 import warnings
 
-from .checks import run_checks
+from .checks import CHECK_KINDS, run_checks
 from .errors import HkasError, TheoremViolation
 from .expr import evaluate_entropy_expr
 from .generate import gen_correlated, gen_leaky, gen_random_correct, gen_trivial
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--graph", help="graph JSON file (when not embedded)")
     p_check.add_argument(
         "--mode",
-        choices=["correctness", "ki", "ski", "key-indep", "all"],
+        choices=[*CHECK_KINDS, "all"],
         default="all",
     )
     p_check.add_argument("--exhaustive", action="store_true",

@@ -24,19 +24,18 @@ summed weights from its parent.
 
 Queries never do Fraction arithmetic and never hash or compare values:
 they group rows by flat int tuples and decide verdicts (independence,
-functional determination) exactly on the int weights. Entropies are
-floats, converted only at the final step of each term, and equal those
-of the Fraction formulas bit for bit: a term needs p = w / total and
-p(t,g) / p(g) = w_tg / w_g, and int / int true division is correctly
-rounded, as is float(Fraction).
-
-Entropy and independence queries wrap one private query, _query: one
-pass over the support sums the joint of (givens, parts), and independence,
-H(parts | givens) and each H(part) are read from that joint and from
-marginals summed from it once, only when first needed. The coalition
-checks decide one target against many coalitions through _Coalitions:
-one pass over the support sums the joint of the target with every
-member, and each coalition's joint is summed from a larger one.
+functional determination) exactly on the int weights. Every entropy
+and independence verdict comes from one engine, _Coalitions: one scan
+of the support sums, for each value of a coalition, the vector of a
+target group's weights there, and each smaller coalition's joint is
+summed from a joint one member larger. The target is independent of a
+coalition iff every vector is proportional to the target's marginal;
+k groups are mutually independent iff, by the chain rule, each is
+independent of those before it. An entropy term, w / total *
+log2(w / w_given), turns ints into floats only at that final step, and
+math.fsum rounds the terms' exact sum once: int / int true division is
+correctly rounded, as is float(Fraction), so the floats equal those of
+the Fraction formulas bit for bit.
 
 Entropies use log base 2. Conditional entropy is computed directly from
 its definition, H(T|G) = -sum p(t,g) log2(p(t,g)/p(g)), not as a
@@ -83,16 +82,6 @@ def _getter(positions: Sequence[int]) -> Callable[[Codes], Codes]:
     return itemgetter(*positions)
 
 
-def _aggregate(pairs: Iterable[tuple[Codes, int]], positions: Sequence[int]) -> Counts:
-    """Sum (codes, weight) pairs by the codes at positions."""
-    pick = _getter(positions)
-    agg: Counts = {}
-    for codes, w in pairs:
-        key = pick(codes)
-        agg[key] = agg.get(key, 0) + w
-    return agg
-
-
 def _remember(memos: list[KeyMemo], keys: KeyMemo, outcome: tuple[Value, ...]) -> None:
     """Validate and sort-key each value of outcome not met before, by
     identity, in the memo of its variable; keys is the memo of value_sort_key.
@@ -135,60 +124,6 @@ def _build(variables: tuple[str, ...], decoding: Decoding, codes: Sequence[Codes
                              tuple([w // common for w in ints]))
 
 
-@dataclass(frozen=True)
-class _Query:
-    """Weights of (givens, parts) out of total from one scan of the support.
-
-    The givens fill the first cut values of each joint key; spans slices
-    out each group, the givens first when non-empty, then each part.
-    """
-
-    joint: Counts
-    cut: int
-    spans: list[tuple[int, int]]
-    total: int
-
-    @cached_property
-    def _margs(self) -> list[Counts]:
-        return [_aggregate(self.joint.items(), range(start, stop))
-                for start, stop in self.spans]
-
-    @cached_property
-    def independent(self) -> bool:
-        """Whether the groups are mutually independent; fewer than two are.
-
-        For k groups, p(key) == prod p(group) reads w * total**(k-1) == prod w_group.
-        """
-        if len(self.spans) < 2:
-            return True
-        margs = self._margs
-        if len(self.joint) != math.prod(len(marg) for marg in margs):
-            return False
-        scale = self.total ** (len(self.spans) - 1)
-        for key, w in self.joint.items():
-            product = 1
-            for (start, stop), marg in zip(self.spans, margs):
-                product *= marg[key[start:stop]]
-            if w * scale != product:
-                return False
-        return True
-
-    @cached_property
-    def conditional_entropy(self) -> float:
-        """H(parts | givens) = -sum p(t,g) log2(p(t,g) / p(g)), in bits."""
-        cut, total = self.cut, self.total
-        given = self._margs[0] if cut else {(): total}
-        return _neg_fsum(w / total * math.log2(w / given[key[:cut]])
-                         for key, w in self.joint.items())
-
-    @cached_property
-    def part_entropies(self) -> list[float]:
-        """H(part) of each part, in bits."""
-        total = self.total
-        return [_neg_fsum(w / total * math.log2(w / total) for w in marg.values())
-                for marg in self._margs[bool(self.cut):]]
-
-
 # The weights of a coalition's target at one value of the coalition: a
 # tuple indexed by the target's code when every code has a positive
 # weight there, else a dict from the codes that do to their weights.
@@ -196,17 +131,20 @@ Vector = tuple[int, ...] | dict[int, int]
 
 
 class _Coalitions:
-    """The joint of one target variable with each coalition of members.
+    """The joint of one target group with each coalition of members.
 
-    A coalition is given by the strictly increasing indices of the
-    members it holds, at least one. Its joint maps the coalition's codes,
-    in member order, to the Vector of the target's weights there. A
-    vector holds only the cells on the support, so a joint holds at most
-    one cell per support row, whatever the size of the target's domain.
-    The top joint, of every member, comes from one scan of the support;
-    every other joint is summed from its parent, the memoised joint of
-    the coalition plus the smallest member it lacks. Vectors are never
-    mutated, so a joint shares each one that a single parent key gives.
+    A single-variable target is coded by its own codes; a wider one codes
+    each of its value tuples by the order in which the scan first meets
+    it. A coalition is given by the strictly increasing indices of the
+    members it holds, at least one when there are members; None means
+    all of them. Its joint maps the coalition's codes, in member order,
+    to the Vector of the target's weights there. A vector holds only the
+    cells on the support, so a joint holds at most one cell per support
+    row, whatever the size of the target's domain. The top joint, of
+    every member, comes from one scan of the support; every other joint
+    is summed from its parent, the memoised joint of the coalition plus
+    the smallest member it lacks. Vectors are never mutated, so a joint
+    shares each one that a single parent key gives.
 
     The target is independent of a coalition iff each vector of its
     joint, divided by its gcd, equals the target's marginal divided by
@@ -216,12 +154,21 @@ class _Coalitions:
     a c off the joint has p(c) = 0 and satisfies the product condition.
     """
 
-    def __init__(self, dist: "JointDistribution", target: str,
+    def __init__(self, dist: "JointDistribution", targets: tuple[str, ...],
                  members: Sequence[str]) -> None:
-        self._width = width = len(dist.decoding[dist._index[target]])
+        pmf = dist._pmf(tuple(members), targets)
+        if len(targets) == 1:
+            width = len(dist.decoding[dist._index[targets[0]]])
+        else:
+            cut = len(members)
+            index: dict[Codes, int] = {}
+            pmf = {key[:cut] + (index.setdefault(key[cut:], len(index)),): w
+                   for key, w in pmf.items()}
+            width = len(index)
+        self._width = width
         top: dict[Codes, dict[int, int]] = {}
         marginal = [0] * width
-        for key, w in dist._pmf(tuple(members), (target,)).items():
+        for key, w in pmf.items():
             head, code = key[:-1], key[-1]
             cells = top.get(head)
             if cells is None:
@@ -229,11 +176,13 @@ class _Coalitions:
             else:
                 cells[code] = w
             marginal[code] += w
+        del pmf  # free the scan before the vectors are packed
         common = math.gcd(*marginal)
         self._marginal = marginal
         self._reduced = tuple([w // common for w in marginal])
         self._total = dist.total
-        self._memo = {tuple(range(len(members))):
+        self._everyone = tuple(range(len(members)))
+        self._memo = {self._everyone:
                       {head: self._packed(cells) for head, cells in top.items()}}
 
     def _packed(self, cells: dict[int, int]) -> Vector:
@@ -252,7 +201,9 @@ class _Coalitions:
                 summed[code] = summed.get(code, 0) + w
         return self._packed(summed)
 
-    def _joint(self, chosen: tuple[int, ...]) -> dict[Codes, Vector]:
+    def _joint(self, chosen: tuple[int, ...] | None) -> dict[Codes, Vector]:
+        if chosen is None:
+            chosen = self._everyone
         joint = self._memo.get(chosen)
         if joint is None:
             # The smallest member not held; it sits at position drop of the parent.
@@ -273,25 +224,25 @@ class _Coalitions:
                 self._memo[chosen] = joint
         return joint
 
-    def dependence(self, chosen: tuple[int, ...]) -> tuple[float, float] | None:
-        """None if the target is independent of the coalition chosen, else
-        H(target) and H(target | coalition), in bits, read from the joint
-        that decided it with the terms of _Query's formulas, so the floats
-        are the same bit for bit."""
+    def independent(self, chosen: tuple[int, ...] | None = None) -> bool:
+        """Whether the target is independent of the coalition chosen."""
         reduced = self._reduced
-        joint = self._joint(chosen)
-        for vector in joint.values():
+        for vector in self._joint(chosen).values():
             if type(vector) is dict:
-                break
+                return False
             common = math.gcd(*vector)
             if tuple([w // common for w in vector]) != reduced:
-                break
-        else:
-            return None
+                return False
+        return True
+
+    def entropies(self, chosen: tuple[int, ...] | None = None) -> tuple[float, float]:
+        """H(target) and H(target | coalition chosen), in bits: each term is
+        w / total * log2(w / w_given), w_given the sum of w's vector, or
+        total for H(target)."""
         total = self._total
         entropy = _neg_fsum(w / total * math.log2(w / total) for w in self._marginal)
         terms = []
-        for vector in joint.values():
+        for vector in self._joint(chosen).values():
             weights = vector.values() if type(vector) is dict else vector
             given = sum(weights)
             terms.extend(w / total * math.log2(w / given) for w in weights)
@@ -422,7 +373,12 @@ class JointDistribution:
 
     def _pmf(self, *groups: tuple[str, ...]) -> Counts:
         """Joint weights of the concatenated groups; they sum to total."""
-        return _aggregate(zip(self.codes, self.weights), self._positions(*groups))
+        pick = _getter(self._positions(*groups))
+        pmf: Counts = {}
+        for codes, w in zip(self.codes, self.weights):
+            key = pick(codes)
+            pmf[key] = pmf.get(key, 0) + w
+        return pmf
 
     def marginal(self, variables: Iterable[str]) -> "JointDistribution":
         """Marginal distribution over a non-empty variable subset."""
@@ -431,28 +387,24 @@ class JointDistribution:
         codes, weights = zip(*sorted(self._pmf(ordered).items(), key=itemgetter(0)))
         return _build(ordered, decoding, codes, weights, self.total)
 
-    def _query(self, parts: Sequence[Iterable[str]], givens: Iterable[str]) -> _Query:
-        """Parts (non-empty groups) given givens (maybe empty), all disjoint."""
-        groups = [self._resolve(part) for part in parts]
-        given_vars = self._resolve(givens, allow_empty=True)
-        if given_vars:
-            groups.insert(0, given_vars)
-        bounds = itertools.accumulate((len(group) for group in groups), initial=0)
-        return _Query(self._pmf(*groups), len(given_vars),
-                      list(itertools.pairwise(bounds)), self.total)
+    def _coalitions(self, targets: Iterable[str], givens: Iterable[str],
+                    allow_empty: bool = True) -> _Coalitions:
+        """The engine of targets (a non-empty group) against each given."""
+        target_vars = self._resolve(targets)
+        return _Coalitions(self, target_vars, self._resolve(givens, allow_empty))
 
     def entropy(self, variables: Iterable[str]) -> float:
         """Shannon entropy H of the given variables, in bits."""
-        return self._query([variables], ()).conditional_entropy
+        return self._coalitions(variables, ()).entropies()[1]
 
     def conditional_entropy(self, targets: Iterable[str], givens: Iterable[str]) -> float:
         """H(targets | givens); an empty given set means plain entropy."""
-        return self._query([targets], givens).conditional_entropy
+        return self._coalitions(targets, givens).entropies()[1]
 
     def mutual_information(self, left: Iterable[str], right: Iterable[str]) -> float:
         """I(left; right) = H(left) - H(left | right)."""
-        query = self._query([left], right)
-        return query.part_entropies[0] - query.conditional_entropy
+        h_left, h_given = self._coalitions(left, right).entropies()
+        return h_left - h_given
 
     def conditional_mutual_information(
         self, left: Iterable[str], right: Iterable[str], givens: Iterable[str]
@@ -479,10 +431,18 @@ class JointDistribution:
     def is_independent(self, left: Iterable[str], right: Iterable[str]) -> bool:
         """Exact independence of two disjoint variable sets: the product
         condition on every combination, zero-probability ones included."""
-        return self._query([left, right], ()).independent
+        return self._coalitions(left, right, allow_empty=False).independent()
 
     def is_mutually_independent(self, groups: Sequence[Iterable[str]]) -> bool:
-        """Exact mutual independence of two or more disjoint variable groups."""
+        """Exact mutual independence of two or more disjoint variable groups.
+
+        By the chain rule they are iff each group is independent of the
+        groups before it; the groups are decided in turn, one scan each,
+        up to the first that is not.
+        """
         if len(groups) < 2:
             raise EmptyVariableSet("mutual independence needs at least two groups")
-        return self._query(groups, ()).independent
+        resolved = [self._resolve(group) for group in groups]
+        self._positions(*resolved)  # raises unless the groups are disjoint
+        return all(_Coalitions(self, resolved[i], sum(resolved[:i], ())).independent()
+                   for i in range(1, len(resolved)))

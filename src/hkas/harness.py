@@ -12,11 +12,12 @@ rely on, on well-ordered sequences of a KI-secure scheme:
 
 Verdicts are exact. Each entropy identity reads H(T_1..T_m | G) ==
 H(T_1) + ... + H(T_m) and holds exactly when T_1, ..., T_m and G are
-mutually independent, so _identity decides it with that predicate;
-determination uses is_functionally_determined. The float sides only
-report (abs_err, max_abs_err); both come with the verdict from one
-scan of the support. Violations raise TheoremViolation carrying the
-serialized scheme, so the error alone reproduces them.
+mutually independent, so _identity decides it with that predicate,
+is_mutually_independent; determination uses is_functionally_determined.
+The float sides only report (abs_err, max_abs_err): they are the
+distribution's own conditional_entropy and entropy. Violations raise
+TheoremViolation carrying the serialized scheme, so the error alone
+reproduces them.
 """
 
 from __future__ import annotations
@@ -51,12 +52,15 @@ def _identity(scheme: Scheme, parts: Sequence[str], givens: Sequence[str],
     """Decide H(parts | givens) == sum of H(part); return both float sides.
 
     It holds exactly when each part, and the givens as one more group,
-    are mutually independent (trivially for fewer than two groups). The
-    floats only report; they come with the verdict from one scan.
+    are mutually independent (trivially for fewer than two groups), which
+    is_mutually_independent decides by the chain rule. The floats only
+    report: conditional_entropy and the sum of each part's entropy.
     """
-    query = scheme.dist._query([[part] for part in parts], givens)
-    lhs, rhs = query.conditional_entropy, math.fsum(query.part_entropies)
-    if not query.independent:
+    dist = scheme.dist
+    lhs = dist.conditional_entropy(parts, givens)
+    rhs = math.fsum(dist.entropy([part]) for part in parts)
+    groups = [[part] for part in parts] + ([givens] if givens else [])
+    if len(groups) > 1 and not dist.is_mutually_independent(groups):
         raise _violation(scheme, f"{claim} does not hold: {lhs!r} vs {rhs!r}")
     return lhs, rhs
 

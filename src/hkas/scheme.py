@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import marshal
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,12 +183,16 @@ def _parse_support(doc: object) -> list[tuple[dict[str, Value], Fraction]]:
 
 
 def _check_supplied(graph: AccessGraph, graph_doc: object) -> None:
-    """Warn when a supplied graph differs from the embedded one, which wins."""
+    """Warn when a supplied graph differs from the embedded one, which wins,
+    from the first caller outside this module, whichever loader led here."""
     if graph_from_json(graph_doc) != graph:
+        level, frame = 2, sys._getframe(1)
+        while frame.f_globals is globals():
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             "scheme embeds a graph that differs from the supplied one; "
             "using the embedded graph",
-            stacklevel=3,
+            stacklevel=level,
         )
 
 

@@ -253,10 +253,8 @@ def test_mixed_values_match_oracles():
             expected = fraction_conditional_entropy(rows, targets, givens)
             assert dist.conditional_entropy(targets, givens) == expected
             groups = [[var] for var in targets]
-            query = dist._query(groups, givens)
-            assert query.conditional_entropy == expected
-            assert query.part_entropies == [
-                fraction_conditional_entropy(rows, group, []) for group in groups]
+            for group in groups:
+                assert dist.entropy(group) == fraction_conditional_entropy(rows, group, [])
             if givens:
                 groups.insert(0, givens)
                 determined = dist.is_functionally_determined(targets, givens)
@@ -265,8 +263,9 @@ def test_mixed_values_match_oracles():
                 assert independent == oracle_independent(rows, [targets, givens])
                 verdicts |= {("determined", determined), ("independent", independent)}
             if len(groups) > 1:
-                assert query.independent == oracle_independent(rows, groups)
-                verdicts.add(("query", query.independent))
+                mutual = dist.is_mutually_independent(groups)
+                assert mutual == oracle_independent(rows, groups)
+                verdicts.add(("mutual", mutual))
     assert len(verdicts) == 6
 
 
@@ -359,6 +358,27 @@ def test_mutual_independence_of_product():
     assert dist.is_mutually_independent([["X"], ["Y"], ["Z"]])
     assert dist.is_mutually_independent([["X", "Y"], ["Z"]])
     assert dist.entropy(["X", "Y", "Z"]) == pytest.approx(3.0, abs=TOL)
+
+
+def test_each_query_scans_the_support_once_per_decision(support_scans):
+    # X, Y and Z are independent fair bits; W copies X.
+    dist = JointDistribution.from_rows(
+        [({"W": x, "X": x, "Y": y, "Z": z}, Fraction(1, 8))
+         for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    # Mutual independence of k groups decides each group against the ones
+    # before it, k - 1 scans, and stops at the first dependent one.
+    for query, args, value, scans in (
+            (dist.entropy, (["X", "Y"],), 2.0, 1),
+            (dist.conditional_entropy, (["X", "W"], ["Y", "Z"]), 1.0, 1),
+            (dist.mutual_information, (["X"], ["W"]), 1.0, 1),
+            (dist.is_independent, (["X"], ["Y", "W"]), False, 1),
+            (dist.conditional_mutual_information, (["X"], ["Y"], ["Z"]), 0.0, 2),
+            (dist.is_mutually_independent, ([["X"], ["Y"], ["Z"], ["W"]],), False, 3),
+            (dist.is_mutually_independent, ([["X"], ["Y"], ["Z"]],), True, 2),
+            (dist.is_mutually_independent, ([["X"], ["W"], ["Y"], ["Z"]],), False, 1)):
+        support_scans.scans = 0
+        assert query(*args) == value, query.__name__
+        assert support_scans.scans == scans, query.__name__
 
 
 def test_construction_errors():

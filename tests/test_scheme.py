@@ -228,6 +228,25 @@ def test_embedded_graph_wins_with_warning():
         load_scheme(doc, {"classes": ["x"], "edges": []})
 
 
+def test_embedded_graph_warning_points_at_the_caller(tmp_path):
+    # The row template reads the canonical text; the hand-written layout
+    # of the same document goes through json and load_scheme.
+    doc = minimal_doc()
+    canonical = tmp_path / "canonical.json"
+    canonical.write_text(serialize_scheme(load_scheme(doc)))
+    hand = tmp_path / "hand.json"
+    hand.write_text(json.dumps(doc))
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"classes": ["x", "y"], "edges": []}))
+    for path in (canonical, hand):
+        with pytest.warns(UserWarning) as record:
+            load_scheme_file(str(path), str(other))
+        assert [w.filename for w in record] == [__file__], path.name
+    with pytest.warns(UserWarning) as record:
+        load_scheme(doc, {"classes": ["x", "y"], "edges": []})
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_graph_supplied_separately():
     doc = minimal_doc()
     graph_doc = doc.pop("graph")
