@@ -73,7 +73,7 @@ def _first_failure(scheme: Scheme, cls: str, secrets: list[str], keys: list[str]
             labels = [members[i] for i in chosen]
             cut = sum(i < len(secrets) for i in chosen)
             return Witness(cls, tuple(labels[:cut]), tuple(labels[cut:]),
-                           *coalitions.entropies(chosen))
+                           coalitions.entropy(), coalitions.conditional_entropy(chosen))
     return None
 
 
@@ -88,7 +88,8 @@ def check_correctness(scheme: Scheme) -> CheckReport:
         for u in sorted(scheme.graph.accessible_set(v)):
             if not scheme.dist.is_functionally_determined([key_var(u)], [secret_var(v)]):
                 coalition = _Coalitions(scheme.dist, (key_var(u),), [secret_var(v)])
-                witnesses.append(Witness(u, (v,), (), *coalition.entropies()))
+                witnesses.append(Witness(u, (v,), (), coalition.entropy(),
+                                         coalition.conditional_entropy()))
     return CheckReport(kind="correctness", passed=not witnesses,
                        witnesses=tuple(witnesses))
 

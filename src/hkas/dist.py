@@ -235,18 +235,21 @@ class _Coalitions:
                 return False
         return True
 
-    def entropies(self, chosen: tuple[int, ...] | None = None) -> tuple[float, float]:
-        """H(target) and H(target | coalition chosen), in bits: each term is
-        w / total * log2(w / w_given), w_given the sum of w's vector, or
-        total for H(target)."""
+    def entropy(self) -> float:
+        """H(target), in bits: each term is w / total * log2(w / total)."""
         total = self._total
-        entropy = _neg_fsum(w / total * math.log2(w / total) for w in self._marginal)
+        return _neg_fsum(w / total * math.log2(w / total) for w in self._marginal)
+
+    def conditional_entropy(self, chosen: tuple[int, ...] | None = None) -> float:
+        """H(target | coalition chosen), in bits: each term is
+        w / total * log2(w / w_given), w_given the sum of w's vector."""
+        total = self._total
         terms = []
         for vector in self._joint(chosen).values():
             weights = vector.values() if type(vector) is dict else vector
             given = sum(weights)
             terms.extend(w / total * math.log2(w / given) for w in weights)
-        return entropy, _neg_fsum(terms)
+        return _neg_fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -395,16 +398,16 @@ class JointDistribution:
 
     def entropy(self, variables: Iterable[str]) -> float:
         """Shannon entropy H of the given variables, in bits."""
-        return self._coalitions(variables, ()).entropies()[1]
+        return self._coalitions(variables, ()).entropy()
 
     def conditional_entropy(self, targets: Iterable[str], givens: Iterable[str]) -> float:
         """H(targets | givens); an empty given set means plain entropy."""
-        return self._coalitions(targets, givens).entropies()[1]
+        return self._coalitions(targets, givens).conditional_entropy()
 
     def mutual_information(self, left: Iterable[str], right: Iterable[str]) -> float:
         """I(left; right) = H(left) - H(left | right)."""
-        h_left, h_given = self._coalitions(left, right).entropies()
-        return h_left - h_given
+        coalitions = self._coalitions(left, right)
+        return coalitions.entropy() - coalitions.conditional_entropy()
 
     def conditional_mutual_information(
         self, left: Iterable[str], right: Iterable[str], givens: Iterable[str]

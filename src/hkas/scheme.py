@@ -15,23 +15,25 @@ once and builds every row from a fixed template over the int codes of
 its values; its text is the canonical JSON of scheme_to_json.
 write_scheme writes the same text to a file in chunks of rows.
 
-load_scheme_file reads such a text by the same template, as its
-inverse: it cuts the rows on the template's frame, interns each line
-and probability as a string, row by row, and decodes only the distinct
-ones; the int codes and weights come straight from their ranks. The
-cut is accepted only when the writer certifies it, that is when
-serialize_scheme of the result would give back the text byte for byte,
-so the format has one definition, the writer's. Every other text
-(hand-written, a graph_file reference, other key orders or layouts,
-anything one byte off) is decoded by json and load_scheme, which
-decodes each distinct raw value once and gives its repeats, and equal
-tuples within values, the same object, so JointDistribution.from_rows
-validates each distinct value and sub-value once. Both paths give
-equal Schemes, and every error comes from the second.
+load_scheme_file reads such a text by the same template, as its inverse,
+in fixed-size reads, never the whole text: it cuts the whole rows out of
+each read and carries only the incomplete last one, interns each line
+and probability as a string, and decodes only the distinct ones; the int
+codes and weights come from their ranks. The cut is accepted only when
+the writer certifies it: when serialize_scheme of the result would give
+back the text byte for byte, so the format has one definition, the
+writer's. Every other file (hand-written, a graph_file reference, other
+layouts, anything one byte off, or not UTF-8) is read again and decoded
+by json and load_scheme, which decodes each distinct raw value once and
+gives its repeats, and equal tuples within values, the same object, so
+JointDistribution.from_rows validates each distinct value and sub-value
+once. Both paths give equal Schemes, and every error comes from the
+second.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import marshal
 import os
@@ -234,17 +236,16 @@ def load_scheme_file(path: str, graph_path: str | None = None) -> Scheme:
     """Load a scheme from disk, resolving graph_file relative to the scheme.
 
     A text that serialize_scheme writes is read by its row template
-    (_read_canonical); any other is decoded as JSON and goes through
+    (_load_canonical); any other is read again as JSON and goes through
     load_scheme. Both give the same Scheme, errors and warnings.
     """
-    text = _read_text(path)
-    scheme = _read_canonical(text)
+    with open(path, "r", encoding="utf-8") as handle:
+        scheme = _load_canonical(handle)
     if scheme is not None:
         if graph_path is not None:
             _check_supplied(scheme.graph, load_json_file(graph_path))
         return scheme
-    scheme_doc = _decode_json(path, text)
-    del text  # as json.load would, free the text before building the scheme
+    scheme_doc = load_json_file(path)
     graph_doc = None
     if graph_path is None and isinstance(scheme_doc, dict):
         ref = scheme_doc.get("graph_file")
@@ -257,25 +258,14 @@ def load_scheme_file(path: str, graph_path: str | None = None) -> Scheme:
     return load_scheme(scheme_doc, graph_doc)
 
 
-def _read_text(path: str) -> str:
+def load_json_file(path: str) -> object:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return handle.read()
-        except ValueError as exc:  # UnicodeDecodeError
+            return json.loads(handle.read())
+        except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, digit limit
             raise ParseError(f"{path}: {exc}") from None
-
-
-def _decode_json(path: str, text: str) -> object:
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, digit limit
-        raise ParseError(f"{path}: {exc}") from None
-    except RecursionError:
-        raise ParseError(f"{path}: JSON nests too deeply to decode") from None
-
-
-def load_json_file(path: str) -> object:
-    return _decode_json(path, _read_text(path))
+        except RecursionError:
+            raise ParseError(f"{path}: JSON nests too deeply to decode") from None
 
 
 def scheme_to_json(scheme: Scheme) -> dict:
@@ -301,7 +291,9 @@ _ROW_HEAD = '    {\n      "assignment": {\n        "'
 _LINE_BREAK = ',\n        "'
 _ROW_MID = '\n      },\n      "p": "'
 _ROW_END = '"\n    }'
+_ROW_SEP = _ROW_END + ",\n" + _ROW_HEAD
 _CHUNK_ROWS = 4096  # rows per piece of text that write_scheme writes
+_READ_CHARS = 1 << 16  # characters per read of a scheme file
 
 
 def _head(var: str) -> str:
@@ -349,28 +341,36 @@ class _NotCanonical(ValueError):
 
 
 def _read_canonical(text: str) -> Scheme | None:
-    """The scheme s with serialize_scheme(s) == text, or None if there is none.
+    return _load_canonical(io.StringIO(text))
 
-    The text is cut on the frame (_cut_rows), and only the distinct
-    lines and probabilities are decoded. The cut is accepted only if
-    serialize_scheme would write the text back exactly: the graph is
-    its dumps_at, each distinct line is _head of its variable plus
-    dumps_at of its value, each probability is its prob_str, and the
-    distribution's builder accepts the result: the variables and the
-    rows' codes strictly increase and the probabilities sum to 1. Since
-    load_scheme(json.loads(serialize_scheme(s))) == s, the json path
-    would give the same Scheme; every other text is left to that path,
-    which raises every error.
+
+def _load_canonical(handle: IO[str]) -> Scheme | None:
+    """The scheme s with serialize_scheme(s) == the text of handle, or None.
+
+    The graph is read whole, then the rows one read at a time (_pieces,
+    _cut_rows); only the distinct lines and probabilities are decoded.
+    The cut is accepted only if serialize_scheme would write the text
+    back exactly: the graph is its dumps_at, each distinct line is _head
+    of its variable plus dumps_at of its value, each probability is its
+    prob_str, and _build accepts the rows. Since load_scheme(json.loads(
+    serialize_scheme(s))) == s, the json path would give the same Scheme;
+    every other text, one not UTF-8 too, is left to that path.
     """
-    cut = text.find(_DOC_MID)
-    if not text.startswith(_DOC_HEAD) or not text.endswith(_DOC_END) or cut < 0:
-        return None
+    text, cut = "", -1
     try:
+        while cut < 0:
+            start = max(len(text) - len(_DOC_MID) + 1, 0)
+            chunk = handle.read(_READ_CHARS)
+            text += chunk
+            if not chunk or not text.startswith(_DOC_HEAD[:len(text)]):
+                return None
+            cut = text.find(_DOC_MID, start)
         graph_text = text[len(_DOC_HEAD):cut]
         graph = graph_from_json(json.loads(graph_text))
         if dumps_at(graph_to_json(graph), 1) != graph_text:
             raise _NotCanonical
-        lines, tails, rows = _cut_rows(text, cut + len(_DOC_MID), len(text) - len(_DOC_END))
+        text = _ROW_END + ",\n" + text[cut + len(_DOC_MID):]  # so each row follows a _ROW_SEP
+        lines, tails, rows = _cut_rows(_pieces(handle, text))
         variables, ranks, decoding = _decode_lines(lines)
         probs = {p: parse_prob(p) for p in tails}
         if any(prob_str(prob) != p for p, prob in probs.items()):
@@ -378,44 +378,55 @@ def _read_canonical(text: str) -> Scheme | None:
         codes = [tuple(map(dict.__getitem__, ranks, row)) for row, _ in rows]
         dist = _build(variables, decoding, codes, [probs[p] for _, p in rows], 1)
         return Scheme(graph=graph, dist=dist)
-    except (HkasError, ValueError, RecursionError):  # _NotCanonical is a ValueError
+    except (HkasError, ValueError, RecursionError):  # and UnicodeDecodeError, _NotCanonical
         return None
 
 
-def _cut_rows(text: str, pos: int, stop: int) -> tuple[
+def _pieces(handle: IO[str], text: str) -> Iterator[str]:
+    """text, then the rest of handle read _READ_CHARS characters at a time,
+    cut on _ROW_SEP: only the last, incomplete piece is carried to the
+    next read. The text must end with _ROW_END and _DOC_END, which are
+    cut off the last piece."""
+    start = scan = 0  # the last piece starts at start; no separator starts before scan
+    while True:
+        end = text.find(_ROW_SEP, scan)
+        if end >= 0:
+            yield text[start:end]
+            start = scan = end + len(_ROW_SEP)
+        elif chunk := handle.read(_READ_CHARS):
+            text = text[start:]
+            start, scan = 0, max(len(text) - len(_ROW_SEP) + 1, 0)
+            text += chunk
+        elif text.endswith(_ROW_END + _DOC_END, start):
+            yield text[start:-len(_ROW_END + _DOC_END)]
+            return
+        else:
+            raise _NotCanonical
+
+
+def _cut_rows(pieces: Iterator[str]) -> tuple[
         list[dict[str, str]], dict[str, str], list[tuple[tuple[str, ...], str]]]:
-    """Cut the rows of text[pos:stop] on the row frame, row by row, into
-    (lines, tails, rows): lines[j] and tails map each distinct text of a
-    row's j-th line and of its probability to itself, and each row is
-    the tuple of its lines and its probability, so rows share one string
-    per distinct text. Raises _NotCanonical if the frame does not fit or
+    """Cut the rows, the pieces but the first, empty one, into (lines,
+    tails, rows): lines[j] and tails map each distinct text of a row's
+    j-th line and of its probability to itself, and each row is the
+    tuple of its lines and its probability, so rows share one string per
+    distinct text. Raises _NotCanonical if the frame does not fit or
     there are more rows than max_support_size()."""
     bound = max_support_size()
     lines: list[dict[str, str]] = []
     tails: dict[str, str] = {}
     rows: list[tuple[tuple[str, ...], str]] = []
-    while len(rows) < bound:
-        if not text.startswith(_ROW_HEAD, pos):
-            raise _NotCanonical
-        start = pos + len(_ROW_HEAD)
-        mid = text.find(_ROW_MID, start, stop)
-        end = text.find(_ROW_END, mid, stop) if mid >= 0 else -1
-        if end < 0:
-            raise _NotCanonical
-        parts = text[start:mid].split(_LINE_BREAK)
+    if next(pieces):  # the rows do not start with _ROW_HEAD
+        raise _NotCanonical
+    for piece in pieces:
+        assignment, mid, p = piece.partition(_ROW_MID)
+        parts = assignment.split(_LINE_BREAK)
         if not lines:
             lines = [{} for _ in parts]
-        if len(parts) != len(lines):
+        if not mid or len(parts) != len(lines) or len(rows) == bound:
             raise _NotCanonical
-        p = text[mid + len(_ROW_MID):end]
         rows.append((tuple(map(dict.setdefault, lines, parts, parts)), tails.setdefault(p, p)))
-        pos = end + len(_ROW_END)
-        if pos == stop:
-            return lines, tails, rows
-        if not text.startswith(",\n", pos):
-            raise _NotCanonical
-        pos += 2
-    raise _NotCanonical
+    return lines, tails, rows
 
 
 def _decode_lines(lines: list[dict[str, str]]) -> tuple[

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import hkas.scheme
 from conftest import (
     DATA_DIR,
     Walked,
@@ -29,6 +30,7 @@ from conftest import (
 from hkas import (
     AccessGraph,
     JointDistribution,
+    ParseError,
     Scheme,
     evaluate_entropy_expr,
     gen_correlated,
@@ -113,6 +115,22 @@ def test_canonical_files_take_the_row_template(tmp_path, fallbacks):
     assert len(paths) == 32 and fallbacks.count == 0
 
 
+@pytest.mark.parametrize("chars", [1, 7, 64])
+def test_canonical_files_take_the_row_template_in_any_reads(tmp_path, fallbacks, monkeypatch,
+                                                            chars):
+    """The row template cuts the same rows however few characters each
+    read gives, so that the graph, a row and the separator between rows
+    fall across reads: the 32 files above load by it, and so does a CRLF
+    copy, even when each read gives one character."""
+    monkeypatch.setattr("hkas.scheme._READ_CHARS", chars)
+    test_canonical_files_take_the_row_template(tmp_path, fallbacks)
+    scheme = gen_leaky(make_diamond(), 3, "a", "b")
+    path = tmp_path / "crlf.json"
+    path.write_bytes(serialize_scheme(scheme).replace("\n", "\r\n").encode())
+    _assert_same_scheme(load_scheme_file(str(path)), scheme)
+    assert fallbacks.count == 0
+
+
 def test_random_dag_schemes_match_reference():
     rng = random.Random(8)
     for seed in range(30):
@@ -155,8 +173,9 @@ def _nested(depth: int, level: int) -> str:
 
 
 def _near_canonical(text: str) -> dict[str, str]:
-    """Texts one edit away from the canonical text of the scheme built in
-    test_near_canonical_files_take_the_json_path."""
+    """Texts one edit away from a canonical text over the class x with one
+    row of K:x 0, S:x (("x", 0), ()) and p 1/2, such as that of the
+    scheme built in test_near_canonical_files_take_the_json_path."""
     rows = text.split(",\n    {")  # the first holds the graph, the last the end
     swapped = ",\n    {".join([rows[0], rows[2], rows[1]] + rows[3:])
     duplicated = ",\n    {".join(rows[:2] + rows[1:])
@@ -217,6 +236,49 @@ def test_near_canonical_files_take_the_json_path(tmp_path, fallbacks):
     path.write_bytes(text.replace("\n", "\r\n").encode())
     _assert_same_scheme(load_scheme_file(str(path)), scheme)
     assert fallbacks.count == 11
+
+
+def test_late_failures_take_the_json_path(tmp_path, fallbacks, monkeypatch):
+    """A text that leaves canonical form only in its last row, or holds a
+    byte that is not UTF-8 past its first read, both after more than two
+    reads, still goes through json, so it loads to the same Scheme, or
+    fails with the same exception and message, as that path."""
+    n = 1500  # rows with K:x from -n to -1, then K:x 0, the last row
+    scheme = Scheme(graph=AccessGraph.build(["x"], []), dist=JointDistribution.from_rows([
+        ({"K:x": k, "S:x": (("x", k), ())}, Fraction(1, 2) if k == 0 else Fraction(1, 2 * n))
+        for k in range(-n, 1)]))
+    text = serialize_scheme(scheme)
+    chars = hkas.scheme._READ_CHARS
+    assert len(text) > 3 * chars
+    last = text.rindex(",\n    {")  # where the last row starts
+    late = {name: changed for name, changed in _near_canonical(text).items()
+            if changed[:last] == text[:last]}
+    end = "\n  ]\n}\n"
+    rows = text[:-len(end)].split(",\n    {")
+    late["last two rows swapped"] = ",\n    {".join(rows[:-2] + rows[:-3:-1]) + end
+    late["last row duplicated"] = ",\n    {".join(rows + rows[-1:]) + end
+    assert len(late) == 11
+    reads = []
+    read = hkas.scheme.load_json_file
+    monkeypatch.setattr("hkas.scheme.load_json_file", lambda p: reads.append(p) or read(p))
+    path = tmp_path / "scheme.json"
+    for name, changed in late.items():
+        assert _read_canonical(changed) is None, name
+        path.write_text(changed)
+        got = _outcome(lambda: load_scheme_file(str(path)))
+        want = _outcome(lambda: load_scheme(load_json_file(str(path))))
+        if isinstance(want, tuple):
+            assert got == want, name
+        else:
+            _assert_same_scheme(got, want)
+    assert fallbacks.count == 10  # all but the int over the digit limit, which json rejects
+    position = 2 * chars + 5
+    data = text.encode()
+    path.write_bytes(data[:position] + b"\xff" + data[position:])
+    got = _outcome(lambda: load_scheme_file(str(path)))
+    assert got == _outcome(lambda: load_scheme(load_json_file(str(path))))
+    assert got[0] is ParseError and f"in position {position}:" in got[1]
+    assert reads == [str(path)] * 12 and fallbacks.count == 10
 
 
 def test_serialize_encodes_each_distinct_value_once():
