@@ -82,18 +82,6 @@ def _getter(positions: Sequence[int]) -> Callable[[Codes], Codes]:
     return itemgetter(*positions)
 
 
-def _remember(memos: list[KeyMemo], keys: KeyMemo, outcome: tuple[Value, ...]) -> None:
-    """Validate and sort-key each value of outcome not met before, by
-    identity, in the memo of its variable; keys is the memo of value_sort_key.
-
-    Raises UnsupportedValue for anything but ints, strs and tuples of
-    them; equality is never consulted, since True == 1 and 1.0 == 1.
-    """
-    for memo, value in zip(memos, outcome):
-        if id(value) not in memo:
-            memo[id(value)] = (value, value_sort_key(value, keys))
-
-
 def _rank(memo: Mapping[Hashable, tuple[Value, tuple]]) -> tuple[dict[Hashable, int],
                                                                   tuple[Value, ...]]:
     """Ranks of one variable's values, from a memo that maps a handle of
@@ -303,7 +291,7 @@ class JointDistribution:
         if not variables:
             raise EmptyVariableSet("outcomes must assign at least one variable")
         varset = set(variables)
-        memos: list[KeyMemo] = [{} for _ in variables]
+        memos: list[dict[int, tuple[Value, tuple]]] = [{} for _ in variables]
         keys: KeyMemo = {}
         table: dict[tuple[Value, ...], Fraction] = {}
         for assignment, raw_p in materialized:
@@ -318,7 +306,11 @@ class JointDistribution:
             if p <= 0:
                 raise ProbabilityError(f"probability must be positive, got {raw_p}")
             outcome = tuple([assignment[var] for var in variables])
-            _remember(memos, keys, outcome)  # before hashing: rejects lists, bools
+            # Validate and sort-key each value object once, by identity
+            # (True == 1 and 1.0 == 1), before hashing: rejects lists, bools.
+            for memo, value in zip(memos, outcome):
+                if id(value) not in memo:
+                    memo[id(value)] = (value, value_sort_key(value, keys))
             if outcome in table:
                 raise DuplicateOutcome(f"outcome {outcome!r} appears more than once")
             table[outcome] = p

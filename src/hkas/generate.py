@@ -35,7 +35,7 @@ from typing import Iterable
 from .dist import _build, _getter
 from .errors import InvalidArgument, InvalidLeak, SupportTooLarge
 from .graph import AccessGraph
-from .scheme import Scheme, key_var, max_support_size, secret_var
+from .scheme import Scheme, _variables, max_support_size
 
 _MASK64 = (1 << 64) - 1
 
@@ -120,8 +120,8 @@ def _scheme(graph: AccessGraph, members: dict[str, tuple[str, ...]],
         decoding.append(tuple(values) if names is None else tuple(
             [tuple([pairs.setdefault(pair, pair) for pair in zip(names, keys)])
              for keys in values]))
-    variables = tuple(map(key_var, labels)) + tuple(map(secret_var, labels))
-    return Scheme(graph, _build(variables, tuple(decoding), list(zip(*columns)), weights, 1))
+    return Scheme(graph, _build(_variables(graph), tuple(decoding), list(zip(*columns)),
+                                weights, 1))
 
 
 def _uniform_scheme(graph: AccessGraph, q: int,

@@ -31,11 +31,11 @@ Value = int | str | tuple
 # Far below the recursion limit; generated secrets nest two deep.
 MAX_VALUE_DEPTH = 32
 
-# Per call: id(value) -> (value, its sort key); (id(tuple), depth) ->
-# (tuple, its text at that depth). Each entry holds its value, so the id
-# is not reused while the memo lives. Keyed by identity, never by
-# equality, since True == 1 and 1.0 == 1.
-KeyMemo = dict[int, tuple[Value, tuple]]
+# Per call: id(tuple) -> (tuple, its sort key, how deep it nests);
+# (id(tuple), depth) -> (tuple, its text at that depth). Each entry holds
+# its value, so the id is not reused while the memo lives. Keyed by
+# identity, never by equality, since True == 1 and 1.0 == 1.
+KeyMemo = dict[int, tuple[tuple, tuple, int]]
 EncodeMemo = dict[tuple[int, int], tuple[tuple, str]]
 
 _PROB_TEXT = re.compile(r"[0-9]+(?:/[0-9]+)?")
@@ -87,27 +87,33 @@ def value_from_json(raw: object, interned: dict[tuple, tuple] | None = None,
     raise ParseError(f"unsupported outcome value {raw!r}")
 
 
-def value_sort_key(value: Value, memo: KeyMemo | None = None) -> tuple:
-    """Total order over outcome values (ints, strs, tuples); injective on
-    them. Anything else, bools included, raises UnsupportedValue.
+def value_sort_key(value: Value, memo: KeyMemo | None = None, _depth: int = 0) -> tuple:
+    """Total order over outcome values (ints, strs, tuples nested at most
+    MAX_VALUE_DEPTH deep, counting the _depth tuples enclosing value);
+    injective on them. Anything else, bools included, raises UnsupportedValue.
 
     The key is one flat tuple: an int v keys as (0, v), a str s as
     (1, s), and a tuple as 2, its items' keys, then -1. No key is a
     prefix of another, and two keys agree up to where their values first
     differ, so keys compare as values do: ints, strs, then tuples item by
-    item, a proper prefix first. Each tuple is keyed once per memo."""
+    item, a proper prefix first. Each tuple is keyed once per memo, and
+    its depth checked wherever it is met."""
     if isinstance(value, tuple):
         if memo is None:
             memo = {}
         hit = memo.get(id(value))
+        if _depth + (1 if hit is None else hit[2]) > MAX_VALUE_DEPTH:
+            raise UnsupportedValue(f"outcome value nests tuples more than {MAX_VALUE_DEPTH} deep")
         if hit is None:
-            key = [2]
+            key, nests = [2], 1
             for item in value:
                 kind = type(item)
                 key += ((0, item) if kind is int else (1, item) if kind is str
-                        else value_sort_key(item, memo))
+                        else value_sort_key(item, memo, _depth + 1))
+                if isinstance(item, tuple) and memo[id(item)][2] >= nests:
+                    nests = memo[id(item)][2] + 1
             key.append(-1)
-            hit = memo[id(value)] = (value, tuple(key))
+            hit = memo[id(value)] = (value, tuple(key), nests)
         return hit[1]
     if isinstance(value, int) and not isinstance(value, bool):
         return (0, value)

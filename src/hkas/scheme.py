@@ -16,24 +16,24 @@ its values; its text is the canonical JSON of scheme_to_json.
 write_scheme writes the same text to a file in chunks of rows.
 
 load_scheme_file reads such a text by the same template, as its inverse,
-in fixed-size reads, never the whole text: it cuts the whole rows out of
-each read and carries only the incomplete last one, interns each line
-and probability as a string, and decodes only the distinct ones; the int
-codes and weights come from their ranks. The cut is accepted only when
-the writer certifies it: when serialize_scheme of the result would give
-back the text byte for byte, so the format has one definition, the
-writer's. Every other file (hand-written, a graph_file reference, other
-layouts, anything one byte off, or not UTF-8) is read again and decoded
-by json and load_scheme, which decodes each distinct raw value once and
-gives its repeats, and equal tuples within values, the same object, so
-JointDistribution.from_rows validates each distinct value and sub-value
-once. Both paths give equal Schemes, and every error comes from the
-second.
+in fixed-size reads: it reads the head, then cuts on the separator
+between rows, carrying at most one row to the next read, and gives up
+rather than carry a row end that no separator follows. The certified
+graph fixes the variables. Only the distinct lines and probabilities
+are decoded; the int codes and weights come from their ranks. The cut
+is accepted only when the writer certifies it: when serialize_scheme of
+the result would give back the text byte for byte, so the format has
+one definition, the writer's. Every other file (hand-written, a
+graph_file reference, other layouts, anything one byte off, or not
+UTF-8) is read again and decoded by json and load_scheme, which decodes
+each distinct raw value once and gives its repeats, and equal tuples
+within values, the same object, so from_rows validates each distinct
+value and sub-value once. Both paths give equal Schemes; every error
+but SupportTooLarge in the writer's frame comes from the second.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import marshal
 import os
@@ -42,7 +42,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import IO, Any, Callable, Iterator
+from itertools import chain, islice
+from typing import IO, Any, Callable, Iterable, Iterator
 
 from .dist import Decoding, JointDistribution, _build, _rank
 from .errors import HkasError, ParseError, SupportTooLarge, VariableMismatch
@@ -85,6 +86,13 @@ def secret_var(label: str) -> str:
     return "S:" + label
 
 
+def _variables(graph: AccessGraph) -> tuple[str, ...]:
+    """The variables of a scheme over graph, in sorted order: every K:u,
+    then every S:u, labels sorted."""
+    labels = sorted(graph.classes)
+    return tuple(map(key_var, labels)) + tuple(map(secret_var, labels))
+
+
 @dataclass(frozen=True)
 class Scheme:
     """A validated access graph plus the joint key/secret distribution."""
@@ -93,12 +101,10 @@ class Scheme:
     dist: JointDistribution
 
     def __post_init__(self) -> None:
-        expected = {key_var(u) for u in self.graph.classes}
-        expected |= {secret_var(u) for u in self.graph.classes}
-        actual = set(self.dist.variables)
-        if actual != expected:
-            extra = sorted(actual - expected)
-            missing = sorted(expected - actual)
+        expected = _variables(self.graph)
+        if self.dist.variables != expected:
+            extra = sorted(set(self.dist.variables) - set(expected))
+            missing = sorted(set(expected) - set(self.dist.variables))
             raise VariableMismatch(
                 f"distribution variables do not match graph classes: "
                 f"extra {extra}, missing {missing}"
@@ -240,10 +246,8 @@ def load_scheme_file(path: str, graph_path: str | None = None) -> Scheme:
     load_scheme. Both give the same Scheme, errors and warnings.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        scheme = _load_canonical(handle)
+        scheme = _load_canonical(handle, graph_path)
     if scheme is not None:
-        if graph_path is not None:
-            _check_supplied(scheme.graph, load_json_file(graph_path))
         return scheme
     scheme_doc = load_json_file(path)
     graph_doc = None
@@ -340,112 +344,109 @@ class _NotCanonical(ValueError):
     """A text that serialize_scheme would not write."""
 
 
-def _read_canonical(text: str) -> Scheme | None:
-    return _load_canonical(io.StringIO(text))
-
-
-def _load_canonical(handle: IO[str]) -> Scheme | None:
+def _load_canonical(handle: IO[str], graph_path: str | None = None) -> Scheme | None:
     """The scheme s with serialize_scheme(s) == the text of handle, or None.
 
-    The graph is read whole, then the rows one read at a time (_pieces,
-    _cut_rows); only the distinct lines and probabilities are decoded.
-    The cut is accepted only if serialize_scheme would write the text
-    back exactly: the graph is its dumps_at, each distinct line is _head
-    of its variable plus dumps_at of its value, each probability is its
-    prob_str, and _build accepts the rows. Since load_scheme(json.loads(
-    serialize_scheme(s))) == s, the json path would give the same Scheme;
-    every other text, one not UTF-8 too, is left to that path.
+    After _DOC_HEAD, _pieces cuts the text; its first piece, the graph,
+    _DOC_MID + _ROW_HEAD and row 0, is certified before any further read,
+    and the graph fixes the variables. The cut is accepted only if
+    serialize_scheme would write the text back exactly: the graph is its
+    dumps_at, each distinct line is _head of its variable plus dumps_at
+    of its value, each probability is its prob_str, and _build accepts
+    the rows. Since load_scheme(json.loads(serialize_scheme(s))) == s,
+    the json path would give the same Scheme, and every other text is
+    left to it, but for SupportTooLarge when the rows past the bound,
+    only counted, keep the frame: raised after graph_path's warning.
     """
-    text, cut = "", -1
     try:
-        while cut < 0:
-            start = max(len(text) - len(_DOC_MID) + 1, 0)
-            chunk = handle.read(_READ_CHARS)
-            text += chunk
-            if not chunk or not text.startswith(_DOC_HEAD[:len(text)]):
-                return None
-            cut = text.find(_DOC_MID, start)
-        graph_text = text[len(_DOC_HEAD):cut]
+        if handle.read(len(_DOC_HEAD)) != _DOC_HEAD:
+            return None
+        pieces = _pieces(handle)
+        graph_text, mid, first = next(pieces).partition(_DOC_MID + _ROW_HEAD)
         graph = graph_from_json(json.loads(graph_text))
-        if dumps_at(graph_to_json(graph), 1) != graph_text:
-            raise _NotCanonical
-        text = _ROW_END + ",\n" + text[cut + len(_DOC_MID):]  # so each row follows a _ROW_SEP
-        lines, tails, rows = _cut_rows(_pieces(handle, text))
-        variables, ranks, decoding = _decode_lines(lines)
+        if not mid or dumps_at(graph_to_json(graph), 1) != graph_text:
+            return None
+        variables = _variables(graph)
+        bound = max_support_size()
+        lines, tails, rows = _cut_rows(islice(chain([first], pieces), bound), len(variables))
+        ranks, decoding = _decode_lines(variables, lines)
         probs = {p: parse_prob(p) for p in tails}
         if any(prob_str(prob) != p for p, prob in probs.items()):
-            raise _NotCanonical
-        codes = [tuple(map(dict.__getitem__, ranks, row)) for row, _ in rows]
-        dist = _build(variables, decoding, codes, [probs[p] for _, p in rows], 1)
-        return Scheme(graph=graph, dist=dist)
+            return None
+        over = sum(1 for _ in pieces)
+        if not over:
+            codes = [tuple(map(dict.__getitem__, ranks, row)) for row, _ in rows]
+            weights = [probs[p] for _, p in rows]
+            scheme = Scheme(graph, _build(variables, decoding, codes, weights, 1))
     except (HkasError, ValueError, RecursionError):  # and UnicodeDecodeError, _NotCanonical
         return None
+    if graph_path is not None:
+        _check_supplied(graph, load_json_file(graph_path))
+    if over:
+        raise SupportTooLarge(f"support has {bound + over} rows, bound is {bound}")
+    return scheme
 
 
-def _pieces(handle: IO[str], text: str) -> Iterator[str]:
-    """text, then the rest of handle read _READ_CHARS characters at a time,
-    cut on _ROW_SEP: only the last, incomplete piece is carried to the
-    next read. The text must end with _ROW_END and _DOC_END, which are
-    cut off the last piece."""
-    start = scan = 0  # the last piece starts at start; no separator starts before scan
+def _pieces(handle: IO[str]) -> Iterator[str]:
+    """The rest of handle, read _READ_CHARS characters at a time and cut
+    on _ROW_SEP, the last piece ending in _ROW_END + _DOC_END. Before a
+    read it gives up if the carry, the text from the last cut, holds a
+    _ROW_END with room for a _ROW_SEP after it, so it carries at most a
+    row and less than a _ROW_SEP. (The long _ROW_SEP is found faster.)"""
+    text, start, scan = "", 0, 0  # the carry starts at start; no cut starts before scan
     while True:
         end = text.find(_ROW_SEP, scan)
         if end >= 0:
             yield text[start:end]
             start = scan = end + len(_ROW_SEP)
-        elif chunk := handle.read(_READ_CHARS):
-            text = text[start:]
-            start, scan = 0, max(len(text) - len(_ROW_SEP) + 1, 0)
-            text += chunk
-        elif text.endswith(_ROW_END + _DOC_END, start):
-            yield text[start:-len(_ROW_END + _DOC_END)]
+            continue
+        end = text.find(_ROW_END, scan)
+        if end >= 0 and end + len(_ROW_SEP) <= len(text):
+            raise _NotCanonical
+        if chunk := handle.read(_READ_CHARS):
+            text = text[start:] + chunk
+            start, scan = 0, max(len(text) - len(chunk) - len(_ROW_SEP) + 1, 0)
+        elif end >= 0 and text[end:] == _ROW_END + _DOC_END:
+            yield text[start:end]
             return
         else:
             raise _NotCanonical
 
 
-def _cut_rows(pieces: Iterator[str]) -> tuple[
+def _cut_rows(pieces: Iterable[str], width: int) -> tuple[
         list[dict[str, str]], dict[str, str], list[tuple[tuple[str, ...], str]]]:
-    """Cut the rows, the pieces but the first, empty one, into (lines,
-    tails, rows): lines[j] and tails map each distinct text of a row's
-    j-th line and of its probability to itself, and each row is the
-    tuple of its lines and its probability, so rows share one string per
-    distinct text. Raises _NotCanonical if the frame does not fit or
-    there are more rows than max_support_size()."""
-    bound = max_support_size()
-    lines: list[dict[str, str]] = []
+    """Cut the rows, one a piece, into (lines, tails, rows): lines[j] and
+    tails map each distinct text of a row's j-th line and of its
+    probability to itself, and a row is the tuple of its lines and its
+    probability, so rows share one string per distinct text. Raises
+    _NotCanonical unless a row is width lines, _ROW_MID and the rest."""
+    lines: list[dict[str, str]] = [{} for _ in range(width)]
     tails: dict[str, str] = {}
     rows: list[tuple[tuple[str, ...], str]] = []
-    if next(pieces):  # the rows do not start with _ROW_HEAD
-        raise _NotCanonical
     for piece in pieces:
         assignment, mid, p = piece.partition(_ROW_MID)
         parts = assignment.split(_LINE_BREAK)
-        if not lines:
-            lines = [{} for _ in parts]
-        if not mid or len(parts) != len(lines) or len(rows) == bound:
+        if not mid or len(parts) != width:
             raise _NotCanonical
         rows.append((tuple(map(dict.setdefault, lines, parts, parts)), tails.setdefault(p, p)))
     return lines, tails, rows
 
 
-def _decode_lines(lines: list[dict[str, str]]) -> tuple[
-        tuple[str, ...], list[dict[str, int]], Decoding]:
-    """(variables, ranks, decoding) of the distinct lines of each row
-    position: the position's variable, the rank of each line's value
-    among the position's values, and those values in rank order. Each
-    distinct value text is decoded, checked and sort-keyed once, in
-    whichever positions it is met; equal tuples within the values are
-    decoded to one object, which is re-encoded and sort-keyed once.
-    Raises _NotCanonical unless every line is _head(var) +
-    dumps_at(value, 4)."""
+def _decode_lines(variables: tuple[str, ...], lines: list[dict[str, str]]) -> tuple[
+        list[dict[str, int]], Decoding]:
+    """(ranks, decoding) of the distinct lines of each row position, whose
+    variable is variables[j]: the rank of each line's value among the
+    position's values, and those values in rank order. Each distinct
+    value text is decoded, checked and sort-keyed once, in whichever
+    positions it is met; equal tuples within the values are decoded to
+    one object, which is re-encoded and sort-keyed once. Raises
+    _NotCanonical unless every line is _head(var) + dumps_at(value, 4)."""
     decoded: dict[str, tuple[Value, tuple]] = {}
     interned: dict[tuple, tuple] = {}
     encoded: EncodeMemo = {}
     keys: KeyMemo = {}
-    variables, ranks, decoding = [], [], []
-    for seen in lines:
-        ((var, _),) = json.loads('{"' + next(iter(seen)) + "}").items()
+    ranks, decoding = [], []
+    for var, seen in zip(variables, lines):
         head = _head(var)
         memo = {}
         for line in seen:
@@ -458,8 +459,7 @@ def _decode_lines(lines: list[dict[str, str]]) -> tuple[
                     raise _NotCanonical
                 decoded[raw] = (value, value_sort_key(value, keys))
             memo[line] = decoded[raw]
-        variables.append(var)
         rank, values = _rank(memo)
         ranks.append(rank)
         decoding.append(values)
-    return tuple(variables), ranks, tuple(decoding)
+    return ranks, tuple(decoding)

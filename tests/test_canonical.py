@@ -6,9 +6,11 @@ other text to that path."""
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import re
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,7 @@ from hkas import (
     JointDistribution,
     ParseError,
     Scheme,
+    SupportTooLarge,
     evaluate_entropy_expr,
     gen_correlated,
     gen_leaky,
@@ -46,7 +49,14 @@ from hkas import (
 )
 from hkas.cli import main
 from hkas.graph import graph_to_json
-from hkas.scheme import _read_canonical, key_var, load_json_file, secret_var
+from hkas.scheme import (
+    _DOC_HEAD,
+    _ROW_SEP,
+    _load_canonical,
+    key_var,
+    load_json_file,
+    secret_var,
+)
 
 SHAPES = {"diamond": make_diamond, "chain4": make_chain4, "antichain4": make_antichain4}
 
@@ -70,7 +80,7 @@ def _assert_canonical(scheme) -> None:
     decoded = load_scheme(json.loads(text))
     assert decoded == scheme
     assert load_scheme(scheme_to_json(scheme)) == scheme
-    _assert_same_scheme(_read_canonical(text), decoded)
+    _assert_same_scheme(_load_canonical(io.StringIO(text)), decoded)
 
 
 def _every_gen_kind(graph, q: int) -> list[Scheme]:
@@ -138,7 +148,7 @@ def test_random_dag_schemes_match_reference():
         _assert_canonical(gen_random_correct(graph, rng.choice([2, 3]), seed))
 
 
-HOSTILE_LABELS = ["é", "ab\u2028", "ÿy"]
+HOSTILE_LABELS = ["é", "ab\u2028", "ÿy", 'q"\\']
 HOSTILE_VALUES = [0, -1, 10 ** 40, "", "é", 'q"\n\t', (), ((),), (("a", ()), -7),
                   ((((0,),),),)]
 
@@ -224,7 +234,7 @@ def test_near_canonical_files_take_the_json_path(tmp_path, fallbacks):
     text = serialize_scheme(scheme)
     path = tmp_path / "scheme.json"
     for name, changed in _near_canonical(text).items():
-        assert _read_canonical(changed) is None, name
+        assert _load_canonical(io.StringIO(changed)) is None, name
         path.write_text(changed)
         got = _outcome(lambda: load_scheme_file(str(path)))
         want = _outcome(lambda: load_scheme(load_json_file(str(path))))
@@ -263,7 +273,7 @@ def test_late_failures_take_the_json_path(tmp_path, fallbacks, monkeypatch):
     monkeypatch.setattr("hkas.scheme.load_json_file", lambda p: reads.append(p) or read(p))
     path = tmp_path / "scheme.json"
     for name, changed in late.items():
-        assert _read_canonical(changed) is None, name
+        assert _load_canonical(io.StringIO(changed)) is None, name
         path.write_text(changed)
         got = _outcome(lambda: load_scheme_file(str(path)))
         want = _outcome(lambda: load_scheme(load_json_file(str(path))))
@@ -279,6 +289,82 @@ def test_late_failures_take_the_json_path(tmp_path, fallbacks, monkeypatch):
     assert got == _outcome(lambda: load_scheme(load_json_file(str(path))))
     assert got[0] is ParseError and f"in position {position}:" in got[1]
     assert reads == [str(path)] * 12 and fallbacks.count == 10
+
+
+class _Counted(io.StringIO):
+    """A text handle that counts, in handed, the characters it hands out."""
+
+    handed = 0
+
+    def read(self, size=-1):
+        text = super().read(size)
+        self.handed += len(text)
+        return text
+
+
+@pytest.mark.parametrize("chars", [1, 64, 4096])
+def test_the_cut_reads_no_further_than_the_first_break(tmp_path, fallbacks, monkeypatch,
+                                                       chars):
+    """The row template gives up on a text as soon as it leaves the
+    writer's frame, whatever the size of a read: after the head's length
+    when it does not start with the head; within one read of the first
+    row end not followed by the separator between rows, so a file whose
+    rows never hold that separator is not carried whole; and after the
+    first piece, the graph and row 0, when the graph is not the
+    writer's. Each of these files still loads through json."""
+    monkeypatch.setattr("hkas.scheme._READ_CHARS", chars)
+    scheme = gen_leaky(make_diamond(), 3, "a", "b")
+    text = serialize_scheme(scheme)
+    graph = graph_to_json(scheme.graph)
+    spaced = text.replace('"\n    },\n    {', '"\n    } ,\n    {')
+    one_line = text.replace(json.dumps(graph, indent=2).replace("\n", "\n  "), json.dumps(graph))
+    assert spaced != text and one_line != text
+    for changed in (" " + text, _DOC_HEAD.rstrip() + text[len(_DOC_HEAD):]):
+        handle = _Counted(changed)
+        assert _load_canonical(handle) is None and handle.handed == len(_DOC_HEAD)
+    for changed, first in ((spaced, spaced.index('"\n    } ,')),
+                           (one_line, one_line.index(_ROW_SEP))):
+        handle = _Counted(changed)
+        assert _load_canonical(handle) is None
+        assert first + len(_ROW_SEP) <= handle.handed < first + len(_ROW_SEP) + chars
+        assert handle.handed < len(changed) // 10
+        path = tmp_path / "scheme.json"
+        path.write_text(changed)
+        _assert_same_scheme(load_scheme_file(str(path)), scheme)
+    assert fallbacks.count == 2
+
+
+def test_over_the_bound_fails_in_the_template(tmp_path, fallbacks, monkeypatch):
+    """A file in the writer's frame with more rows than HKAS_MAX_SUPPORT
+    fails with the json path's SupportTooLarge, and a supplied graph that
+    differs warns first, as there; the rows past the bound are only
+    counted, so they fail with the bound even where json would first
+    reject their text. A file whose frame breaks past the bound goes
+    through json."""
+    scheme = gen_leaky(make_diamond(), 3, "a", "b")
+    text = serialize_scheme(scheme)
+    monkeypatch.setenv("HKAS_MAX_SUPPORT", "10")
+    want = (SupportTooLarge, "support has 81 rows, bound is 10")
+    path, hand, other = tmp_path / "scheme.json", tmp_path / "hand.json", tmp_path / "other.json"
+    path.write_text(text)
+    hand.write_text(json.dumps(json.loads(text)))
+    other.write_text(json.dumps({"classes": ["x"], "edges": []}))
+    for graph_path in (None, str(other)):
+        for file in (path, hand):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                got = _outcome(lambda: load_scheme_file(str(file), graph_path))
+            assert got == want, file.name
+            assert len(record) == (graph_path is not None), file.name
+    assert fallbacks.count == 2  # hand.json, twice
+    before, key, after = text.rpartition('"K:a": ')
+    path.write_text(before + key + "0x" + after[1:])  # the last row is not JSON
+    assert _outcome(lambda: load_scheme_file(str(path))) == want
+    assert _outcome(lambda: load_scheme(load_json_file(str(path))))[0] is ParseError
+    before, end, after = text.rpartition(_ROW_SEP)
+    path.write_text(before + end.replace(",", " ,") + after)  # the frame breaks in the last row
+    assert _outcome(lambda: load_scheme_file(str(path))) == want
+    assert fallbacks.count == 3
 
 
 def test_serialize_encodes_each_distinct_value_once():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from conftest import (
     sub_tuples,
 )
 from hkas import (
+    AccessGraph,
     DistributionError,
     DuplicateOutcome,
     EmptyVariableSet,
@@ -31,8 +33,12 @@ from hkas import (
     OverlappingVariableSets,
     ParseError,
     ProbabilityError,
+    Scheme,
     UnknownVariable,
     UnsupportedValue,
+    load_scheme,
+    load_scheme_file,
+    serialize_scheme,
 )
 from hkas.dist import _build
 from hkas.jsonutil import MAX_VALUE_DEPTH, value_from_json, value_sort_key
@@ -434,6 +440,37 @@ def test_sort_key_memo_is_keyed_by_identity(good, bad, bad_first):
         rows.reverse()
     with pytest.raises(UnsupportedValue):
         JointDistribution.from_rows(rows)
+
+
+def _nested(depth: int) -> tuple:
+    value = 0
+    for _ in range(depth):
+        value = (value,)
+    return value
+
+
+def test_from_rows_bounds_value_depth(tmp_path):
+    """from_rows takes values nested MAX_VALUE_DEPTH deep, as the readers
+    do, so such a scheme round-trips through its file, and refuses any
+    deeper with UnsupportedValue, however deep, and also where a tuple
+    already keyed is met again deeper, in the same variable or another."""
+    deep = _nested(MAX_VALUE_DEPTH)
+    scheme = Scheme(graph=AccessGraph.build(["x"], []), dist=JointDistribution.from_rows(
+        [({"K:x": 0, "S:x": deep}, Fraction(1, 2)), ({"K:x": 1, "S:x": ()}, Fraction(1, 2))]))
+    path = tmp_path / "deep.json"
+    path.write_text(serialize_scheme(scheme))
+    assert load_scheme_file(str(path)) == scheme
+    assert load_scheme(json.loads(path.read_text())) == scheme
+    for depth in (MAX_VALUE_DEPTH + 1, 5000):
+        with pytest.raises(UnsupportedValue, match="nests tuples more than 32 deep"):
+            JointDistribution.from_rows([({"X": _nested(depth)}, Fraction(1))])
+    half = Fraction(1, 2)
+    shallow = deep[0]  # MAX_VALUE_DEPTH - 1 deep, shared by every value below
+    for rows in ([({"X": deep}, half), ({"X": (deep,)}, half)],
+                 [({"X": deep, "Y": (deep,)}, Fraction(1))],
+                 [({"X": (shallow,)}, half), ({"X": ((shallow,),)}, half)]):
+        with pytest.raises(UnsupportedValue, match="nests tuples more than 32 deep"):
+            JointDistribution.from_rows(rows)
 
 
 def test_reader_interns_equal_tuples_once_validated():
