@@ -24,7 +24,7 @@ import sys
 import warnings
 
 from .checks import CHECK_KINDS, run_checks
-from .errors import HkasError, TheoremViolation
+from .errors import HkasError, InvalidArgument, TheoremViolation
 from .expr import evaluate_entropy_expr
 from .generate import gen_correlated, gen_leaky, gen_random_correct, gen_trivial
 from .graph import AccessGraph, graph_from_json
@@ -171,21 +171,17 @@ def cmd_graph_analyze(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.q < 2:
-        print("error: --q must be at least 2", file=sys.stderr)
-        return 2
+        raise InvalidArgument("--q must be at least 2")
     graph = graph_from_json(load_json_file(args.graph))
     if args.kind == "trivial":
         scheme = gen_trivial(graph, args.q)
     elif args.kind == "leaky":
         if not args.target or not args.leaker:
-            print("error: --kind leaky needs --target and --leaker",
-                  file=sys.stderr)
-            return 2
+            raise InvalidArgument("--kind leaky needs --target and --leaker")
         scheme = gen_leaky(graph, args.q, args.target, args.leaker)
     elif args.kind == "correlated":
         if not args.pair or args.pair.count(",") != 1:
-            print("error: --kind correlated needs --pair u,w", file=sys.stderr)
-            return 2
+            raise InvalidArgument("--kind correlated needs --pair u,w")
         u, w = (part.strip() for part in args.pair.split(","))
         scheme = gen_correlated(graph, args.q, u, w)
     else:

@@ -116,10 +116,12 @@ def _scheme(graph: AccessGraph, members: dict[str, tuple[str, ...]],
         column = list(map(pick, combos))
         values = sorted(set(column))
         rank = {value: code for code, value in enumerate(values)}
-        columns.append(map(rank.__getitem__, column))
+        columns.append(list(map(rank.__getitem__, column)))
         decoding.append(tuple(values) if names is None else tuple(
             [tuple([pairs.setdefault(pair, pair) for pair in zip(names, keys)])
              for keys in values]))
+        del column  # free the per-row values before the next column is built
+    del combos  # and the key tuples before the rows are zipped
     return Scheme(graph, _build(_variables(graph), tuple(decoding), list(zip(*columns)),
                                 weights, 1))
 

@@ -13,7 +13,7 @@ Secrets spell out keys, so the same values repeat across rows. The
 writer, serialize_scheme, encodes each distinct value of a variable
 once and builds every row from a fixed template over the int codes of
 its values; its text is the canonical JSON of scheme_to_json.
-write_scheme writes the same text to a file in chunks of rows.
+write_scheme writes the same text to a file one row at a time.
 
 load_scheme_file reads such a text by the same template, as its inverse,
 in fixed-size reads: it reads the head, then cuts on the separator
@@ -42,7 +42,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import IO, Any, Callable, Iterable, Iterator
 
 from .dist import Decoding, JointDistribution, _build, _rank
@@ -296,7 +296,6 @@ _LINE_BREAK = ',\n        "'
 _ROW_MID = '\n      },\n      "p": "'
 _ROW_END = '"\n    }'
 _ROW_SEP = _ROW_END + ",\n" + _ROW_HEAD
-_CHUNK_ROWS = 4096  # rows per piece of text that write_scheme writes
 _READ_CHARS = 1 << 16  # characters per read of a scheme file
 
 
@@ -304,8 +303,10 @@ def _head(var: str) -> str:
     return json.dumps(var)[1:] + ": "
 
 
-def _chunks(scheme: Scheme) -> Iterator[str]:
-    """The canonical text, in pieces of at most _CHUNK_ROWS rows each.
+def _text(scheme: Scheme) -> Iterator[str]:
+    """The canonical text, one row at a time: the head through _ROW_HEAD,
+    then each row's lines, _ROW_MID and probability, every row after the
+    first led by _ROW_SEP, on which _pieces cuts, then _ROW_END + _DOC_END.
 
     The text is dumps_canonical(scheme_to_json(scheme)), built from a row
     template over the distribution's codes: each distinct value of a
@@ -318,26 +319,21 @@ def _chunks(scheme: Scheme) -> Iterator[str]:
     memo: EncodeMemo = {}
     lines = [tuple([_head(var) + dumps_at(value, 4, memo) for value in values])
              for var, values in zip(dist.variables, dist.decoding)]
-    tails = {w: _ROW_MID + prob_str(Fraction(w, dist.total)) + _ROW_END
-             for w in set(dist.weights)}
-    yield _DOC_HEAD + dumps_at(graph_to_json(scheme.graph), 1) + _DOC_MID
-    for start in range(0, len(dist.codes), _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        yield (",\n" if start else "") + ",\n".join([
-            _ROW_HEAD + _LINE_BREAK.join(map(tuple.__getitem__, lines, row)) + tails[w]
-            for row, w in zip(dist.codes[start:stop], dist.weights[start:stop])
-        ])
-    yield _DOC_END
+    tails = {w: _ROW_MID + prob_str(Fraction(w, dist.total)) for w in set(dist.weights)}
+    yield _DOC_HEAD + dumps_at(graph_to_json(scheme.graph), 1) + _DOC_MID + _ROW_HEAD
+    for sep, row, w in zip(chain([""], repeat(_ROW_SEP)), dist.codes, dist.weights):
+        yield sep + _LINE_BREAK.join(map(tuple.__getitem__, lines, row)) + tails[w]
+    yield _ROW_END + _DOC_END
 
 
 def serialize_scheme(scheme: Scheme) -> str:
     """Canonical JSON text; loading it back reproduces an equal Scheme."""
-    return "".join(_chunks(scheme))
+    return "".join(_text(scheme))
 
 
 def write_scheme(scheme: Scheme, handle: IO[str]) -> None:
-    """Write serialize_scheme(scheme) to handle, _CHUNK_ROWS rows at a time."""
-    handle.writelines(_chunks(scheme))
+    """Write serialize_scheme(scheme) to handle one row at a time."""
+    handle.writelines(_text(scheme))
 
 
 class _NotCanonical(ValueError):

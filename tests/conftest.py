@@ -59,6 +59,16 @@ def make_antichain4() -> AccessGraph:
     return AccessGraph.build(["a", "b", "c", "d"], [])
 
 
+def make_dag8() -> AccessGraph:
+    """The benchmark's eight-class DAG; n5 may not reach n3, so gen_leaky
+    with target n3 and leaker n5 leaks."""
+    return AccessGraph.build(
+        [f"n{i}" for i in range(8)],
+        [("n0", "n1"), ("n0", "n2"), ("n1", "n3"), ("n2", "n3"), ("n3", "n4"),
+         ("n5", "n6"), ("n6", "n7"), ("n2", "n6")],
+    )
+
+
 def make_random_dag(rng: random.Random, max_nodes: int,
                     min_nodes: int = 1, edge_prob: float = 0.4) -> AccessGraph:
     """Random DAG: edges only go forward along a shuffled node order."""

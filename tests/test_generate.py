@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import hkas.generate
-from conftest import DATA_DIR, make_chain4, make_diamond, make_random_dag
+from conftest import DATA_DIR, make_chain4, make_dag8, make_diamond, make_random_dag
 from hkas import (
     AccessGraph,
     InvalidLeak,
@@ -242,3 +243,21 @@ def test_secrets_share_one_pair_per_class_and_key(tree7):
                    gen_random_correct(tree7, 3, 42)):
         pairs = pairs_of(scheme)
         assert len({id(pair) for pair in pairs}) == len(set(pairs))
+
+
+def test_gen_leaky_peaks_near_the_scheme():
+    """The core codes each value column as soon as it is built, so no
+    column of per-row values outlives its codes: on the 6,561-row leaky
+    q=3 scheme over the eight-class DAG, gen_leaky's traced peak stays
+    within twice the size of the scheme it returns. Holding every
+    column's values until the rows are zipped took about 2.6 times."""
+    graph = make_dag8()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scheme = gen_leaky(graph, 3, "n3", "n5")
+        retained, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(scheme.dist.codes) == 3 ** 8
+    assert peak <= 2 * retained, (peak, retained)
