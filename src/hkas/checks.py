@@ -2,6 +2,7 @@
 
 All verdicts are decided with exact rational arithmetic; witness floats
 only report, and are read from the joint that decided the coalition.
+Correctness is decided once per secret, in one scan over the keys it must fix.
 
 KI and SKI share one coalition check. Against class u, an SKI coalition
 holds the secrets of classes in forbidden_set(u) and the keys of classes
@@ -85,11 +86,11 @@ def check_correctness(scheme: Scheme) -> CheckReport:
     """
     witnesses: list[Witness] = []
     for v in sorted(scheme.graph.classes):
-        for u in sorted(scheme.graph.accessible_set(v)):
-            if not scheme.dist.is_functionally_determined([key_var(u)], [secret_var(v)]):
-                coalition = _Coalitions(scheme.dist, (key_var(u),), [secret_var(v)])
-                witnesses.append(Witness(u, (v,), (), coalition.entropy(),
-                                         coalition.conditional_entropy()))
+        label = {key_var(u): u for u in sorted(scheme.graph.accessible_set(v))}
+        for var in scheme.dist._undetermined(tuple(label), (secret_var(v),)):
+            coalition = _Coalitions(scheme.dist, (var,), [secret_var(v)])
+            witnesses.append(Witness(label[var], (v,), (), coalition.entropy(),
+                                     coalition.conditional_entropy()))
     return CheckReport(kind="correctness", passed=not witnesses,
                        witnesses=tuple(witnesses))
 

@@ -23,19 +23,19 @@ generator core the keys it enumerated; marginal takes its codes and
 summed weights from its parent.
 
 Queries never do Fraction arithmetic and never hash or compare values:
-they group rows by flat int tuples and decide verdicts (independence,
-functional determination) exactly on the int weights. Every entropy
-and independence verdict comes from one engine, _Coalitions: one scan
-of the support sums, for each value of a coalition, the vector of a
-target group's weights there, and each smaller coalition's joint is
-summed from a joint one member larger. The target is independent of a
-coalition iff every vector is proportional to the target's marginal;
-k groups are mutually independent iff, by the chain rule, each is
-independent of those before it. An entropy term, w / total *
-log2(w / w_given), turns ints into floats only at that final step, and
-math.fsum rounds the terms' exact sum once: int / int true division is
-correctly rounded, as is float(Fraction), so the floats equal those of
-the Fraction formulas bit for bit.
+each decision reads the support once, exactly, on the codes and int
+weights. _undetermined finds the targets that the givens do not
+determine. _scan sums each row's weight into the vector of a target
+group's weights at its coalition value: the top joint of _Coalitions,
+the one engine of every entropy and independence verdict, which sums
+each smaller coalition's joint from a joint one member larger. The
+target is independent of a coalition iff every vector is proportional to
+the target's marginal; k groups are mutually independent iff, by the
+chain rule, each is independent of those before it. An entropy term,
+w / total * log2(w / w_given), turns ints into floats only at that final
+step, and math.fsum rounds the terms' exact sum once: int / int true
+division is correctly rounded, as is float(Fraction), so the floats
+equal those of the Fraction formulas bit for bit.
 
 Entropies use log base 2. Conditional entropy is computed directly from
 its definition, H(T|G) = -sum p(t,g) log2(p(t,g)/p(g)), not as a
@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, lt
+from operator import itemgetter, lt, ne
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -64,7 +64,6 @@ from .errors import (
 from .jsonutil import KeyMemo, Value, value_sort_key
 
 Codes = tuple[int, ...]
-Counts = dict[Codes, int]
 # Per variable, its distinct values in sort-key order: a value's code is
 # its index.
 Decoding = tuple[tuple[Value, ...], ...]
@@ -76,10 +75,10 @@ def _neg_fsum(terms: Iterable[float]) -> float:
 
 
 def _getter(positions: Sequence[int]) -> Callable[[Codes], Codes]:
-    """The function that picks the codes at positions (at least one) as a tuple."""
+    """The function that picks the codes at positions as a tuple."""
     if len(positions) == 1:
         return itemgetter(slice(positions[0], positions[0] + 1))
-    return itemgetter(*positions)
+    return itemgetter(*positions) if positions else lambda codes: ()
 
 
 def _rank(memo: Mapping[Hashable, tuple[Value, tuple]]) -> tuple[dict[Hashable, int],
@@ -121,9 +120,7 @@ Vector = tuple[int, ...] | dict[int, int]
 class _Coalitions:
     """The joint of one target group with each coalition of members.
 
-    A single-variable target is coded by its own codes; a wider one codes
-    each of its value tuples by the order in which the scan first meets
-    it. A coalition is given by the strictly increasing indices of the
+    A coalition is given by the strictly increasing indices of the
     members it holds, at least one when there are members; None means
     all of them. Its joint maps the coalition's codes, in member order,
     to the Vector of the target's weights there. A vector holds only the
@@ -144,34 +141,15 @@ class _Coalitions:
 
     def __init__(self, dist: "JointDistribution", targets: tuple[str, ...],
                  members: Sequence[str]) -> None:
-        pmf = dist._pmf(tuple(members), targets)
-        if len(targets) == 1:
-            width = len(dist.decoding[dist._index[targets[0]]])
-        else:
-            cut = len(members)
-            index: dict[Codes, int] = {}
-            pmf = {key[:cut] + (index.setdefault(key[cut:], len(index)),): w
-                   for key, w in pmf.items()}
-            width = len(index)
-        self._width = width
-        top: dict[Codes, dict[int, int]] = {}
-        marginal = [0] * width
-        for key, w in pmf.items():
-            head, code = key[:-1], key[-1]
-            cells = top.get(head)
-            if cells is None:
-                top[head] = {code: w}
-            else:
-                cells[code] = w
-            marginal[code] += w
-        del pmf  # free the scan before the vectors are packed
+        joint, self._width = dist._scan(tuple(members), targets)
+        for head, cells in joint.items():
+            joint[head] = self._packed(cells)
+        self._marginal = marginal = self._sum(list(joint.values()))
         common = math.gcd(*marginal)
-        self._marginal = marginal
         self._reduced = tuple([w // common for w in marginal])
         self._total = dist.total
         self._everyone = tuple(range(len(members)))
-        self._memo = {self._everyone:
-                      {head: self._packed(cells) for head, cells in top.items()}}
+        self._memo = {self._everyone: joint}
 
     def _packed(self, cells: dict[int, int]) -> Vector:
         """The vector of these cells, as a tuple if it is full."""
@@ -366,21 +344,47 @@ class JointDistribution:
             raise OverlappingVariableSets(f"variable sets share {shared}")
         return [self._index[var] for var in names]
 
-    def _pmf(self, *groups: tuple[str, ...]) -> Counts:
-        """Joint weights of the concatenated groups; they sum to total."""
-        pick = _getter(self._positions(*groups))
-        pmf: Counts = {}
-        for codes, w in zip(self.codes, self.weights):
-            key = pick(codes)
-            pmf[key] = pmf.get(key, 0) + w
-        return pmf
+    def _scan(self, members: tuple[str, ...],
+              targets: tuple[str, ...]) -> tuple[dict[Codes, dict[int, int]], int]:
+        """The members' codes mapped to the summed weights of each target code
+        met there, and the number of target codes: one target keeps its own
+        codes, a group (or none) codes its value tuples in the scan's order."""
+        positions = self._positions(members, targets)
+        cut = len(members)
+        if len(targets) == 1:
+            width = len(self.decoding[positions[cut]])
+            codes: Iterable[int] = map(itemgetter(positions[cut]), self.codes)
+        else:
+            index: dict[Codes, int] = {}
+            codes = [index.setdefault(key, len(index))
+                     for key in map(_getter(positions[cut:]), self.codes)]
+            width = len(index)
+        joint: dict[Codes, dict[int, int]] = {}
+        for key, code, w in zip(map(_getter(positions[:cut]), self.codes), codes, self.weights):
+            cells = joint.get(key)
+            if cells is None:
+                cells = joint[key] = {}
+            cells[code] = cells.get(code, 0) + w
+        return joint, width
+
+    def _undetermined(self, targets: tuple[str, ...], givens: tuple[str, ...]) -> list[str]:
+        """The targets, in the order given, that the givens do not determine:
+        each distinct value is compared with the first that shares its givens."""
+        cut = len(givens)
+        first: dict[Codes, Codes] = {}
+        differ: set[int] = set()
+        for key in set(map(_getter(self._positions(givens, targets)), self.codes)):
+            seen = first.setdefault(key[:cut], key)
+            if seen is not key:
+                differ.update(itertools.compress(range(len(key)), map(ne, key, seen)))
+        return [targets[i - cut] for i in sorted(differ)]
 
     def marginal(self, variables: Iterable[str]) -> "JointDistribution":
         """Marginal distribution over a non-empty variable subset."""
         ordered = self._resolve(variables)
         decoding = tuple([self.decoding[i] for i in self._positions(ordered)])
-        codes, weights = zip(*sorted(self._pmf(ordered).items(), key=itemgetter(0)))
-        return _build(ordered, decoding, codes, weights, self.total)
+        codes, cells = zip(*sorted(self._scan(ordered, ())[0].items()))
+        return _build(ordered, decoding, codes, [cell[0] for cell in cells], self.total)
 
     def _coalitions(self, targets: Iterable[str], givens: Iterable[str],
                     allow_empty: bool = True) -> _Coalitions:
@@ -416,12 +420,7 @@ class JointDistribution:
         Exact predicate: no given-value has two target-values.
         Equivalent to H(targets | givens) == 0. Reads only the codes.
         """
-        target_vars = self._resolve(targets)
-        given_vars = self._resolve(givens)
-        positions = self._positions(given_vars, target_vars)
-        joint = set(map(_getter(positions), self.codes))
-        cut = len(given_vars)
-        return len({key[:cut] for key in joint}) == len(joint)
+        return not self._undetermined(self._resolve(targets), self._resolve(givens))
 
     def is_independent(self, left: Iterable[str], right: Iterable[str]) -> bool:
         """Exact independence of two disjoint variable sets: the product

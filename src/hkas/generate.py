@@ -116,7 +116,10 @@ def _scheme(graph: AccessGraph, members: dict[str, tuple[str, ...]],
         column = list(map(pick, combos))
         values = sorted(set(column))
         rank = {value: code for code, value in enumerate(values)}
-        columns.append(list(map(rank.__getitem__, column)))
+        codes = map(rank.__getitem__, column)
+        # Codes below 256 pack into bytes, which zip reads back as the
+        # interpreter's shared small ints: the rows hold the same objects.
+        columns.append(bytes(codes) if len(values) <= 256 else list(codes))
         decoding.append(tuple(values) if names is None else tuple(
             [tuple([pairs.setdefault(pair, pair) for pair in zip(names, keys)])
              for keys in values]))

@@ -12,7 +12,7 @@ floats rounded to 12 significant digits (round_float). Tuples are
 written as arrays. Re-serializing the same object yields byte-identical
 text. A scheme's secrets share their (class, key) pairs, so dumps_at
 and value_sort_key take a memo, shared by a caller across a scheme,
-that writes or keys each tuple object once.
+that writes each nested tuple object, or keys each tuple object, once.
 """
 
 from __future__ import annotations
@@ -132,11 +132,15 @@ def dumps_at(value: Any, depth: int, memo: EncodeMemo | None = None) -> str:
     indented document: its first line unindented, each later line shifted
     by depth indents: json.dumps(value, sort_keys=True, indent=2), with
     depth more indents after each newline, raising where json raises.
-    Each non-empty tuple is written once per depth per memo."""
+    Each non-empty tuple nested in value is written once per depth per
+    memo; value itself leaves no entry, since only nested tuples repeat."""
+    memo = {} if memo is None else memo
     try:
-        return _encode(value, depth, {} if memo is None else memo)
+        text = _encode(value, depth, memo)
     except RecursionError:  # too deep, or a cycle: json says which
         return _json_at(value, depth)
+    memo.pop((id(value), depth), None)
+    return text
 
 
 def _encode(value: Any, depth: int, memo: EncodeMemo) -> str:

@@ -159,17 +159,17 @@ def assert_canonical_form(dist: JointDistribution) -> None:
 @pytest.fixture
 def support_scans(monkeypatch) -> SimpleNamespace:
     """Counts the passes over a distribution's support made through
-    JointDistribution._pmf, the one primitive its queries scan with, and
-    the rows those passes read. Reset the fields to count a stretch."""
+    JointDistribution._scan and _undetermined, the two primitives its
+    queries scan with, and the rows those passes read. Reset the fields
+    to count a stretch."""
     counter = SimpleNamespace(scans=0, rows=0)
-    scan = JointDistribution._pmf
+    for name in ("_scan", "_undetermined"):
+        def counted(self, *groups, scan=getattr(JointDistribution, name)):
+            counter.scans += 1
+            counter.rows += self.support_size()
+            return scan(self, *groups)
 
-    def counted(self, *groups):
-        counter.scans += 1
-        counter.rows += self.support_size()
-        return scan(self, *groups)
-
-    monkeypatch.setattr(JointDistribution, "_pmf", counted)
+        monkeypatch.setattr(JointDistribution, name, counted)
     return counter
 
 

@@ -175,6 +175,24 @@ def test_each_decided_coalition_scans_the_support_once(diamond, support_scans):
         assert support_scans.scans == scans, report.kind
 
 
+def test_run_checks_scans_once_per_class_and_engine(diamond, support_scans):
+    # Correctness decides all the keys a class can access in one scan per
+    # class, and reads each failing pair's witness from one more; the other
+    # checks scan once per engine, as above. The incorrect scheme fails all
+    # nine accessible pairs, SKI at every class and key independence at b.
+    for scheme, scans in (
+            (gen_trivial(diamond, 2), {"correctness": 4, "ki": 3, "ski": 4, "key-indep": 3}),
+            (incorrect_scheme(diamond),
+             {"correctness": 4 + 9, "ki": 3, "ski": 4, "key-indep": 1})):
+        for kind, want in scans.items():
+            support_scans.scans = 0
+            run_checks(scheme, kind)
+            assert support_scans.scans == want, kind
+        support_scans.scans = 0
+        run_checks(scheme, "all")
+        assert support_scans.scans == sum(scans.values())
+
+
 def test_vacuous_passes():
     solo = AccessGraph.build(["only"], [])
     scheme = gen_trivial(solo, 3)
@@ -253,6 +271,22 @@ def test_exhaustive_budget_bounds_the_lattice(monkeypatch):
         assert check(dag8, exhaustive=True).passed
 
 
+def test_exhaustive_budget_boundary(monkeypatch):
+    # On b→a at q=2 (4 rows), KI at b holds S:a and SKI at a holds K:b:
+    # one member each, so 2**1 * (4 + 1) = 10 bounds each lattice.
+    scheme = gen_trivial(AccessGraph.build(["a", "b"], [("b", "a")]), 2)
+    monkeypatch.setattr(hkas.checks, "MAX_LATTICE_WORK", 10)
+    for check in (check_ki, check_ski):
+        assert check(scheme, exhaustive=True).passed
+    monkeypatch.setattr(hkas.checks, "MAX_LATTICE_WORK", 9)
+    for check, cls in ((check_ki, "b"), (check_ski, "a")):
+        with pytest.raises(CoalitionSpaceTooLarge) as refused:
+            check(scheme, exhaustive=True)
+        assert str(refused.value) == (
+            f"class {cls!r} has 1 coalition members over 4 support rows: "
+            "2**1 * 5 exceeds the exhaustive mode's budget of 9")
+
+
 def _witness_order(forbidden, ancestors):
     """Every non-empty (secrets, keys) coalition, smallest first."""
     def subsets(labels):
@@ -314,9 +348,17 @@ def test_wide_key_domain_keeps_the_joint_within_the_support(kind):
     else:
         scheme, target, given = gen_correlated(graph, 300, "a", "b"), "K:b", "K:a"
         checks = [check_key_independence]
-    # The peak of one scan of the same joint, which holds one entry per
-    # cell on the support.
-    flat = _traced_peak(lambda: scheme.dist._pmf((given,), (target,)))
+    # The peak of one flat count of the same joint, which holds one entry
+    # per cell on the support.
+    dist = scheme.dist
+    g, t = dist.variables.index(given), dist.variables.index(target)
+
+    def count() -> None:
+        cells: dict[tuple[int, int], int] = {}
+        for codes, w in zip(dist.codes, dist.weights):
+            cells[codes[g], codes[t]] = cells.get((codes[g], codes[t]), 0) + w
+
+    flat = _traced_peak(count)
     for check in checks:
         assert not check(scheme).passed
         assert _traced_peak(lambda: check(scheme)) < 10 * flat

@@ -225,9 +225,12 @@ def test_every_builder_keeps_the_canonical_form():
     with pytest.raises(ProbabilityError, match="^probabilities sum to 3/4, expected 1$"):
         JointDistribution.from_rows([({"X": 0}, half), ({"X": 1}, Fraction(1, 4))])
     # the constructor rejects what would compare unequal to the same
-    # distribution in canonical form: unreduced weights, rows out of order
-    with pytest.raises(ProbabilityError, match="no common factor"):
-        JointDistribution(("X",), ((0, 1),), ((0,), (1,)), (2, 2))
+    # distribution in canonical form: unreduced weights, a zero weight,
+    # rows out of order
+    for weights in ((2, 2), (0, 1)):
+        with pytest.raises(ProbabilityError,
+                           match="^weights must be positive ints with no common factor$"):
+            JointDistribution(("X",), ((0, 1),), ((0,), (1,)), weights)
     with pytest.raises(DistributionError, match="canonical order"):
         JointDistribution(("X",), ((0, 1),), ((1,), (0,)), (1, 1))
     assert JointDistribution(("X",), ((0, 1),), ((0,), (1,)), (1, 1)) == marg
@@ -400,7 +403,7 @@ def test_construction_errors():
         JointDistribution.from_rows(
             [({"X": 0}, Fraction(1, 2)), ({"X": 0}, Fraction(1, 2))]
         )
-    with pytest.raises(ProbabilityError):
+    with pytest.raises(ProbabilityError, match="^probability must be positive, got 0$"):
         JointDistribution.from_rows([({"X": 0}, Fraction(0))])
     with pytest.raises(ProbabilityError):
         JointDistribution.from_rows(
@@ -509,7 +512,7 @@ def test_query_errors():
         dist.marginal([])
     with pytest.raises(OverlappingVariableSets):
         dist.conditional_entropy(["X"], ["X"])
-    with pytest.raises(OverlappingVariableSets):
+    with pytest.raises(OverlappingVariableSets, match=r"^variable sets share \['X'\]$"):
         dist.is_independent(["X"], ["X", "Y"])
     with pytest.raises(OverlappingVariableSets):
         dist.is_mutually_independent([["X"], ["X"]])

@@ -218,6 +218,16 @@ def test_dumps_at_matches_json_on_hostile_values():
             assert dumps_at(value, depth, memo) == want
 
 
+def test_dumps_at_memoises_only_the_nested_tuples():
+    pair = ("a", 1)
+    secret = (pair, ("b", (2, 3)))
+    memo: dict = {}
+    assert dumps_at(secret, 4, memo) == _reference_at(secret, 4)
+    assert (id(secret), 4) not in memo
+    assert memo[id(pair), 5] == (pair, _reference_at(pair, 5))
+    assert {key[1] for key in memo} == {5, 6} and len(memo) == 3
+
+
 def test_dumps_at_raises_where_json_does():
     cycle: list = []
     cycle.append(cycle)
