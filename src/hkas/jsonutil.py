@@ -12,7 +12,7 @@ floats rounded to 12 significant digits (round_float). Tuples are
 written as arrays. Re-serializing the same object yields byte-identical
 text. A scheme's secrets share their (class, key) pairs, so dumps_at
 and value_sort_key take a memo, shared by a caller across a scheme,
-that writes each nested tuple object, or keys each tuple object, once.
+that writes, or keys, each nested tuple object once per depth.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ Value = int | str | tuple
 # Far below the recursion limit; generated secrets nest two deep.
 MAX_VALUE_DEPTH = 32
 
-# Per call: id(tuple) -> (tuple, its sort key, how deep it nests);
-# (id(tuple), depth) -> (tuple, its text at that depth). Each entry holds
-# its value, so the id is not reused while the memo lives. Keyed by
-# identity, never by equality, since True == 1 and 1.0 == 1.
-KeyMemo = dict[int, tuple[tuple, tuple, int]]
+# Both memos: (id(tuple), depth) -> (tuple, its sort key or its text at
+# that depth), for the tuples nested in a caller's value, never the value
+# itself. Each entry holds its value, so the id is not reused while the
+# memo lives. Keyed by identity, never by equality: True == 1 == 1.0.
+KeyMemo = dict[tuple[int, int], tuple[tuple, tuple]]
 EncodeMemo = dict[tuple[int, int], tuple[tuple, str]]
 
 _PROB_TEXT = re.compile(r"[0-9]+(?:/[0-9]+)?")
@@ -96,24 +96,24 @@ def value_sort_key(value: Value, memo: KeyMemo | None = None, _depth: int = 0) -
     (1, s), and a tuple as 2, its items' keys, then -1. No key is a
     prefix of another, and two keys agree up to where their values first
     differ, so keys compare as values do: ints, strs, then tuples item by
-    item, a proper prefix first. Each tuple is keyed once per memo, and
-    its depth checked wherever it is met."""
+    item, a proper prefix first. Each tuple nested in value is keyed once
+    per depth per memo; value itself leaves no entry, since callers key
+    each value once, and only nested tuples repeat."""
     if isinstance(value, tuple):
-        if memo is None:
-            memo = {}
-        hit = memo.get(id(value))
-        if _depth + (1 if hit is None else hit[2]) > MAX_VALUE_DEPTH:
+        if _depth >= MAX_VALUE_DEPTH:
             raise UnsupportedValue(f"outcome value nests tuples more than {MAX_VALUE_DEPTH} deep")
+        memo = {} if memo is None else memo
+        hit = memo.get((id(value), _depth))
         if hit is None:
-            key, nests = [2], 1
+            key = [2]
             for item in value:
                 kind = type(item)
                 key += ((0, item) if kind is int else (1, item) if kind is str
                         else value_sort_key(item, memo, _depth + 1))
-                if isinstance(item, tuple) and memo[id(item)][2] >= nests:
-                    nests = memo[id(item)][2] + 1
             key.append(-1)
-            hit = memo[id(value)] = (value, tuple(key), nests)
+            hit = (value, tuple(key))
+            if _depth:
+                memo[id(value), _depth] = hit
         return hit[1]
     if isinstance(value, int) and not isinstance(value, bool):
         return (0, value)
@@ -133,7 +133,7 @@ def dumps_at(value: Any, depth: int, memo: EncodeMemo | None = None) -> str:
     by depth indents: json.dumps(value, sort_keys=True, indent=2), with
     depth more indents after each newline, raising where json raises.
     Each non-empty tuple nested in value is written once per depth per
-    memo; value itself leaves no entry, since only nested tuples repeat."""
+    memo, and value itself leaves no entry, as in value_sort_key."""
     memo = {} if memo is None else memo
     try:
         text = _encode(value, depth, memo)

@@ -385,28 +385,21 @@ def _load_canonical(handle: IO[str], graph_path: str | None = None) -> Scheme | 
 
 def _pieces(handle: IO[str]) -> Iterator[str]:
     """The rest of handle, read _READ_CHARS characters at a time and cut
-    on _ROW_SEP, the last piece ending in _ROW_END + _DOC_END. Before a
-    read it gives up if the carry, the text from the last cut, holds a
-    _ROW_END with room for a _ROW_SEP after it, so it carries at most a
-    row and less than a _ROW_SEP. (The long _ROW_SEP is found faster.)"""
-    text, start, scan = "", 0, 0  # the carry starts at start; no cut starts before scan
-    while True:
-        end = text.find(_ROW_SEP, scan)
-        if end >= 0:
-            yield text[start:end]
-            start = scan = end + len(_ROW_SEP)
-            continue
-        end = text.find(_ROW_END, scan)
-        if end >= 0 and end + len(_ROW_SEP) <= len(text):
+    on _ROW_SEP, one split per read, the last piece ending in _ROW_END +
+    _DOC_END. After each read it gives up if the carry, the text after
+    the last cut, holds a _ROW_END with room for a _ROW_SEP after it, so
+    it carries at most a row and less than a _ROW_SEP. (The long _ROW_SEP
+    is found faster.)"""
+    carry = ""
+    while chunk := handle.read(_READ_CHARS):
+        *rows, carry = (carry + chunk).split(_ROW_SEP)
+        yield from rows
+        if 0 <= carry.find(_ROW_END) <= len(carry) - len(_ROW_SEP):
             raise _NotCanonical
-        if chunk := handle.read(_READ_CHARS):
-            text = text[start:] + chunk
-            start, scan = 0, max(len(text) - len(chunk) - len(_ROW_SEP) + 1, 0)
-        elif end >= 0 and text[end:] == _ROW_END + _DOC_END:
-            yield text[start:end]
-            return
-        else:
-            raise _NotCanonical
+    row, _, end = carry.partition(_ROW_END)
+    if end != _DOC_END:
+        raise _NotCanonical
+    yield row
 
 
 def _cut_rows(pieces: Iterable[str], width: int) -> tuple[

@@ -51,6 +51,7 @@ from hkas.cli import main
 from hkas.graph import graph_to_json
 from hkas.scheme import (
     _DOC_HEAD,
+    _ROW_END,
     _ROW_SEP,
     _load_canonical,
     key_var,
@@ -332,6 +333,16 @@ def test_the_cut_reads_no_further_than_the_first_break(tmp_path, fallbacks, monk
         path.write_text(changed)
         _assert_same_scheme(load_scheme_file(str(path)), scheme)
     assert fallbacks.count == 2
+
+
+@pytest.mark.parametrize("chars", [1, 64])
+def test_the_cut_gives_up_on_a_row_end_that_starts_the_carry(monkeypatch, chars):
+    """A row end at the very start of the carried text counts as any
+    other: once a separator would fit after it, the cut gives up."""
+    monkeypatch.setattr("hkas.scheme._READ_CHARS", chars)
+    handle = _Counted(_DOC_HEAD + _ROW_END + " " * 10_000)
+    assert _load_canonical(handle) is None
+    assert len(_DOC_HEAD + _ROW_SEP) <= handle.handed < len(_DOC_HEAD + _ROW_SEP) + chars
 
 
 def test_over_the_bound_fails_in_the_template(tmp_path, fallbacks, monkeypatch):

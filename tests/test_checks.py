@@ -231,7 +231,7 @@ def test_ski_fails_whenever_ki_fails(diamond):
             assert not ski.passed
 
 
-def test_exhaustive_cap():
+def test_exhaustive_cap(monkeypatch):
     labels = [f"n{i:02d}" for i in range(22)]
     graph = AccessGraph.build(labels, [])
     assignment = {}
@@ -245,6 +245,13 @@ def test_exhaustive_cap():
     # maximal mode handles 21-member coalitions fine
     assert check_ki(scheme).passed
     assert check_ski(scheme).passed
+
+    # The budget refuses before any lattice is built, so a loosened budget
+    # fails here at once, instead of walking 2**21 coalitions.
+    def unbuilt(*_args):
+        raise AssertionError("a lattice was built past the exhaustive budget")
+
+    monkeypatch.setattr(hkas.checks, "_Coalitions", unbuilt)
     with pytest.raises(CoalitionSpaceTooLarge):
         check_ki(scheme, exhaustive=True)
     with pytest.raises(CoalitionSpaceTooLarge):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA_DIR
-from hkas import HkasError, load_scheme_file
+from hkas import HkasError, TheoremViolation, load_scheme_file
 from hkas.cli import main
 
 DIAMOND = str(DATA_DIR / "diamond.json")
@@ -323,6 +323,15 @@ def test_usage_errors_from_argparse(capsys):
               "--q", "2", "-o", "x.json"])
     assert exc_info.value.code == 2
     capsys.readouterr()
+
+
+def test_theorem_violation_exits_1_with_one_line(capsys, monkeypatch):
+    def violated(*_args):
+        raise TheoremViolation("x")
+
+    monkeypatch.setattr("hkas.cli.run_validation", violated)
+    argv = ["validate", "--graph", DIAMOND, "--trials", "1", "--q", "2"]
+    assert run_cli(capsys, argv) == (1, "", "theorem violation: x\n")
 
 
 def test_unexpected_exception_exits_2_with_one_line(capsys, monkeypatch):

@@ -233,6 +233,8 @@ def test_every_builder_keeps_the_canonical_form():
             JointDistribution(("X",), ((0, 1),), ((0,), (1,)), weights)
     with pytest.raises(DistributionError, match="canonical order"):
         JointDistribution(("X",), ((0, 1),), ((1,), (0,)), (1, 1))
+    with pytest.raises(DistributionError, match="^1 weights for 2 rows$"):
+        JointDistribution(("X",), ((0, 1),), ((0,), (1,)), (1,))
     assert JointDistribution(("X",), ((0, 1),), ((0,), (1,)), (1, 1)) == marg
 
 

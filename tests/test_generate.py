@@ -3,6 +3,7 @@ and the int-coded core against its from_rows oracle."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import tracemalloc
@@ -254,8 +255,10 @@ def test_gen_leaky_peaks_near_the_scheme():
     graph = make_dag8()
     tracemalloc.start()
     try:
+        gc.collect()  # from a collected start, so earlier tests' garbage does not count
         base = tracemalloc.get_traced_memory()[0]
         scheme = gen_leaky(graph, 3, "n3", "n5")
+        gc.collect()
         retained, peak = (size - base for size in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()

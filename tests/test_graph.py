@@ -164,8 +164,10 @@ def test_validate_graph_errors():
         validate_graph(AccessGraph(("x:y",), frozenset()))
     with pytest.raises(SelfLoop):
         validate_graph(AccessGraph(("a",), frozenset({("a", "a")})))
-    with pytest.raises(DanglingEdge):
+    with pytest.raises(DanglingEdge, match="^edge target 'b' is not a declared class$"):
         validate_graph(AccessGraph(("a",), frozenset({("a", "b")})))
+    with pytest.raises(DanglingEdge, match="^edge source 'b' is not a declared class$"):
+        validate_graph(AccessGraph(("a",), frozenset({("b", "a")})))
     with pytest.raises(DuplicateEdge):
         AccessGraph.build(["a", "b"], [("a", "b"), ("a", "b")])
 
@@ -202,6 +204,8 @@ def test_graph_from_json_errors():
         graph_from_json({"classes": ["a"], "edges": [["a", 3]]})
     with pytest.raises(ParseError):
         graph_from_json({"classes": ["a"], "nodes": []})
+    with pytest.raises(ParseError, match=r"^graph 'edges' must be a list of \[src, dst\] pairs$"):
+        graph_from_json({"classes": ["a"], "edges": {}})
     with pytest.raises(DuplicateEdge):
         graph_from_json({"classes": ["a", "b"],
                          "edges": [["a", "b"], ["a", "b"]]})

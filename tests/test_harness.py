@@ -114,6 +114,20 @@ def test_violation_carries_scheme(monkeypatch, diamond):
     assert load_scheme(json.loads(payload)) == correlated
 
 
+def test_undetermined_prefix_keys_are_a_violation():
+    """KI holds when the secrets are constant, but then the secrets of a
+    prefix cannot determine its keys: the identity fails, exactly."""
+    graph = AccessGraph.build(["a", "b"], [])
+    scheme = Scheme(graph=graph, dist=JointDistribution.from_rows([
+        ({"K:a": ka, "K:b": kb, "S:a": 0, "S:b": 0}, Fraction(1, 4))
+        for ka in (0, 1) for kb in (0, 1)]))
+    assert check_ki(scheme).passed
+    with pytest.raises(TheoremViolation) as exc_info:
+        verify_conditional_identities(scheme, ("a", "b"), 2, 0)
+    assert str(exc_info.value) == "secrets of prefix ('a',) do not determine its keys"
+    assert load_scheme(json.loads(exc_info.value.scheme_json)) == scheme
+
+
 def test_verify_equivalence_summary(diamond):
     corpus = [
         gen_trivial(diamond, 2),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
@@ -164,9 +165,11 @@ def _write_peak(make: Callable[[], Scheme]) -> tuple[int, int]:
     written is serialize_scheme's and over four times that size."""
     tracemalloc.start()
     try:
+        gc.collect()  # from a collected start, so earlier tests' garbage does not count
         before = tracemalloc.get_traced_memory()[0]
         scheme = make()
         scheme.dist.total  # a cached property the writer reads
+        gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
         sink = Sink()
         tracemalloc.reset_peak()
@@ -215,8 +218,10 @@ def test_load_scheme_file_peaks_near_the_distribution(tmp_path):
         write_scheme(scheme, handle)
     tracemalloc.start()
     try:
+        gc.collect()
         base = tracemalloc.get_traced_memory()[0]
         loaded = load_scheme_file(str(path))
+        gc.collect()
         retained, peak = (size - base for size in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
@@ -324,6 +329,10 @@ def test_parse_errors():
     doc = minimal_doc()
     doc["support"][0] = {"assignment": {}}
     with pytest.raises(ParseError):
+        load_scheme(doc)
+    doc = minimal_doc()
+    doc["support"][0]["assignment"] = []
+    with pytest.raises(ParseError, match="^support row 0: 'assignment' must be an object$"):
         load_scheme(doc)
     doc = minimal_doc()
     doc["support"][0]["assignment"]["K:x"] = 0.5
