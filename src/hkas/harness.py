@@ -170,41 +170,28 @@ def verify_main_theorem_sequence(scheme: Scheme, u: str) -> dict:
 def verify_equivalence(schemes: Iterable[Scheme], strict: bool = True) -> dict:
     """KI and SKI verdicts must agree on every scheme.
 
-    Each distinct scheme is decided once; the counts and the verdicts
-    list still cover every scheme passed in. Returns a summary with
-    per-scheme verdicts; with strict=True (the default) a disagreement
-    raises TheoremViolation carrying the first offending scheme.
+    Each distinct scheme is decided once, and the summary's counts and
+    verdicts are read from one (scheme, ki, ski) record per scheme passed
+    in. With strict=True (the default) a disagreement raises
+    TheoremViolation carrying the first offending scheme.
     """
-    ki_pass = 0
-    ki_fail = 0
-    discrepancies = 0
-    verdicts: list[dict] = []
-    first_bad: Scheme | None = None
     decided: dict[Scheme, tuple[bool, bool]] = {}
+    records = []
     for scheme in schemes:
         if scheme not in decided:
             decided[scheme] = (check_ki(scheme).passed, check_ski(scheme).passed)
-        ki, ski = decided[scheme]
-        if ki:
-            ki_pass += 1
-        else:
-            ki_fail += 1
-        if ki != ski:
-            discrepancies += 1
-            if first_bad is None:
-                first_bad = scheme
-        verdicts.append({"ki": ki, "ski": ski})
-    if strict and first_bad is not None:
+        records.append((scheme, *decided[scheme]))
+    disagree = [scheme for scheme, ki, ski in records if ki != ski]
+    if strict and disagree:
         raise _violation(
-            first_bad,
-            f"KI and SKI verdicts disagree on {discrepancies} scheme(s)",
-        )
+            disagree[0], f"KI and SKI verdicts disagree on {len(disagree)} scheme(s)")
+    ki_pass = sum(ki for _, ki, _ in records)
     return {
-        "schemes": len(verdicts),
+        "schemes": len(records),
         "ki_pass": ki_pass,
-        "ki_fail": ki_fail,
-        "discrepancies": discrepancies,
-        "verdicts": verdicts,
+        "ki_fail": len(records) - ki_pass,
+        "discrepancies": len(disagree),
+        "verdicts": [{"ki": ki, "ski": ski} for _, ki, ski in records],
     }
 
 
@@ -240,19 +227,19 @@ def run_validation(graph: AccessGraph, q: int, trials: int, seed: int) -> dict:
     verifiers on every KI-passing scheme: verify_independence_sum on the
     graph's full well-ordered sequence, verify_conditional_identities on
     every split of it, and verify_main_theorem_sequence for every class.
-    Each distinct scheme is decided once; identity_checks and max_abs_err
-    count every corpus scheme. A violation is re-raised prefixed "corpus
-    scheme <index>: ", the index of the scheme's first occurrence in
-    build_corpus(graph, q, trials, seed). Summary fields: schemes,
-    ki_pass, ki_fail, discrepancies, identity_checks, max_abs_err.
+    Each distinct scheme is decided once, and both totals are read from
+    one (identity_checks, max_abs_err) record per KI-passing corpus
+    scheme. A violation is re-raised prefixed "corpus scheme <index>: ",
+    the index of the scheme's first occurrence in build_corpus(graph, q,
+    trials, seed). Summary fields: verify_equivalence's schemes, ki_pass,
+    ki_fail and discrepancies, then identity_checks and max_abs_err.
     """
     corpus = build_corpus(graph, q, trials, seed)
-    equivalence = verify_equivalence(corpus, strict=False)
+    summary = verify_equivalence(corpus, strict=False)
     seq = graph.well_ordered_all()
     decided: dict[Scheme, tuple[int, float]] = {}
-    identity_checks = 0
-    max_abs_err = 0.0
-    for index, (scheme, verdict) in enumerate(zip(corpus, equivalence["verdicts"])):
+    records = []
+    for index, (scheme, verdict) in enumerate(zip(corpus, summary.pop("verdicts"))):
         if not verdict["ki"]:
             continue
         if scheme not in decided:
@@ -269,14 +256,7 @@ def run_validation(graph: AccessGraph, q: int, trials: int, seed: int) -> dict:
                 summed["identity_checks"] + sum(r["identity_checks"] for r in reports),
                 max([summed["abs_err"]] + [r["max_abs_err"] for r in reports]),
             )
-        checks, err = decided[scheme]
-        identity_checks += checks
-        max_abs_err = max(max_abs_err, err)
-    return {
-        "schemes": equivalence["schemes"],
-        "ki_pass": equivalence["ki_pass"],
-        "ki_fail": equivalence["ki_fail"],
-        "discrepancies": equivalence["discrepancies"],
-        "identity_checks": identity_checks,
-        "max_abs_err": max_abs_err,
-    }
+        records.append(decided[scheme])
+    summary["identity_checks"] = sum(checks for checks, _ in records)
+    summary["max_abs_err"] = max((err for _, err in records), default=0.0)
+    return summary

@@ -86,6 +86,19 @@ def test_main_theorem_sequence(diamond):
     assert solo["n"] == 4 and solo["m"] == 0
 
 
+def test_two_class_sequences_count_the_cross_check():
+    # From two classes on, the key sum is also counted as the independence
+    # it rests on, and a theorem sequence as the coalition statement.
+    graph = AccessGraph.build(["r", "a"], [("r", "a")])
+    scheme = gen_trivial(graph, 2)
+    assert verify_independence_sum(scheme, ("a", "r"))["identity_checks"] == 2
+    below = verify_main_theorem_sequence(scheme, "a")
+    assert below["sequence"] == ["a", "r"] and (below["n"], below["m"]) == (1, 1)
+    assert below["identity_checks"] == 3 + 1
+    top = verify_main_theorem_sequence(scheme, "r")
+    assert (top["n"], top["m"]) == (2, 0) and top["identity_checks"] == 1 + 1 + 1
+
+
 def test_preconditions(diamond):
     trivial = gen_trivial(diamond, 2)
     leaky = gen_leaky(diamond, 2, "a", "b")
@@ -173,6 +186,38 @@ def test_verify_equivalence_strictness(monkeypatch, diamond):
     assert relaxed["discrepancies"] == 1
     with pytest.raises(TheoremViolation):
         verify_equivalence(corpus)
+
+
+def test_verify_equivalence_reads_a_one_shot_iterator(monkeypatch, diamond):
+    trivial = gen_trivial(diamond, 2)
+    leaky = gen_leaky(diamond, 2, "a", "b")
+    corpus = [trivial, leaky, gen_correlated(diamond, 2, "a", "r"), trivial, leaky]
+    expected = verify_equivalence(corpus)
+    assert expected["schemes"] == 5 and expected["ki_pass"] == 2
+    calls = []
+    monkeypatch.setattr(harness, "check_ski",
+                        lambda scheme: calls.append(scheme) or check_ski(scheme))
+    assert verify_equivalence(scheme for scheme in corpus) == expected
+    assert calls == corpus[:3]
+
+
+def test_run_validation_totals_are_empty_without_ki_passing_schemes(monkeypatch, diamond):
+    monkeypatch.setattr(
+        harness, "check_ki", lambda scheme: CheckReport("ki", False, ())
+    )
+    monkeypatch.setattr(
+        harness, "check_ski", lambda scheme: CheckReport("ski", False, ())
+    )
+
+    def refuse(*args):
+        raise AssertionError("no scheme passes KI, so no identity is verified")
+    for name in ("verify_independence_sum", "verify_conditional_identities",
+                 "verify_main_theorem_sequence"):
+        monkeypatch.setattr(harness, name, refuse)
+    summary = run_validation(diamond, 2, 3, 5)
+    assert summary == {"schemes": 17, "ki_pass": 0, "ki_fail": 17, "discrepancies": 0,
+                       "identity_checks": 0, "max_abs_err": 0.0}
+    assert type(summary["max_abs_err"]) is float
 
 
 def test_build_corpus_contents(diamond):

@@ -243,6 +243,24 @@ def test_dumps_at_raises_where_json_does():
         assert got.type is expected.type
 
 
+def test_dumps_at_falls_back_to_json_past_the_recursion_limit():
+    # The encoder recurses once per level; a cycle or a list nested far
+    # past the recursion limit makes it give up, and json's own encoder
+    # then raises its exception, with its message.
+    cycle: list = []
+    cycle.append(cycle)
+    deep: list = []
+    for _ in range(5_000):
+        deep = [deep]
+    for value, kind in ((cycle, ValueError), (deep, RecursionError)):
+        with pytest.raises(kind) as expected:
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(kind) as got:
+            dumps_at(value, 0)
+        assert got.type is expected.type and str(got.value) == str(expected.value)
+        assert any(entry.name == "_json_at" for entry in got.traceback)
+
+
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 
