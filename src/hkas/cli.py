@@ -15,6 +15,10 @@ warning, such as an embedded graph overriding --graph, is one "warning:"
 line on stderr and changes neither stdout nor the exit code.
 JSON output (--json) is canonical: sorted keys, rationals as "num/den",
 floats at 12 significant digits, so reruns are byte identical.
+
+A command imports the modules that only it uses (the generators, the
+expression parser, the harness) when it runs, so no command's start-up
+pays for another's.
 """
 
 from __future__ import annotations
@@ -25,10 +29,7 @@ import warnings
 
 from .checks import CHECK_KINDS, run_checks
 from .errors import HkasError, InvalidArgument, TheoremViolation
-from .expr import evaluate_entropy_expr
-from .generate import gen_correlated, gen_leaky, gen_random_correct, gen_trivial
 from .graph import AccessGraph, graph_from_json
-from .harness import run_validation
 from .jsonutil import dumps_canonical, round_float
 from .scheme import CheckReport, load_json_file, load_scheme_file, write_scheme
 
@@ -170,6 +171,8 @@ def cmd_graph_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .generate import gen_correlated, gen_leaky, gen_random_correct, gen_trivial
+
     if args.q < 2:
         raise InvalidArgument("--q must be at least 2")
     graph = graph_from_json(load_json_file(args.graph))
@@ -192,6 +195,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
+    from .expr import evaluate_entropy_expr
+
     scheme = load_scheme_file(args.scheme)
     value = evaluate_entropy_expr(scheme, args.expr)
     if args.json:
@@ -202,6 +207,8 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .harness import run_validation
+
     graph = graph_from_json(load_json_file(args.graph))
     summary = run_validation(graph, args.q, args.trials, args.seed)
     if args.json:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, lt, ne
@@ -62,6 +61,7 @@ from .errors import (
     UnknownVariable,
 )
 from .jsonutil import KeyMemo, Value, value_sort_key
+from .record import Record
 
 Codes = tuple[int, ...]
 # Per variable, its distinct values in sort-key order: a value's code is
@@ -218,8 +218,7 @@ class _Coalitions:
         return _neg_fsum(terms)
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(Record):
     """Canonical finite joint distribution, in int-coded form.
 
     variables are sorted, and decoding[j] holds the values of

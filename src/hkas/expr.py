@@ -20,16 +20,14 @@ position of the offending token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ExprSyntaxError, UnknownClass
+from .record import Record
 from .scheme import Scheme
 
 _LABEL_STOP = set(",;|() \t")
 
 
-@dataclass(frozen=True)
-class EntropyExpr:
+class EntropyExpr(Record):
     """Parsed query: kind 'H' with 1-2 groups or kind 'I' with 2-3 groups."""
 
     kind: str

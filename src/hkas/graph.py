@@ -16,7 +16,6 @@ Together with {u} these partition the class set.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -31,13 +30,13 @@ from .errors import (
     SelfLoop,
     UnknownClass,
 )
+from .record import Record
 
 # Characters that would collide with variable names or expression syntax.
 _RESERVED_CHARS = set(":(),;| \t\r\n")
 
 
-@dataclass(frozen=True)
-class AccessGraph:
+class AccessGraph(Record):
     """Immutable access graph; construct via from_json or build."""
 
     classes: tuple[str, ...]
@@ -67,7 +66,7 @@ class AccessGraph:
     def _closure(self) -> dict[str, frozenset[str]]:
         """accessible_set of every class, built once bottom-up in topological order.
 
-        Not a dataclass field, so equality and hashing ignore it.
+        Not a record field, so equality and hashing ignore it.
         """
         closure: dict[str, frozenset[str]] = {}
         for node in reversed(self._toposort_restricted(set(self.classes))):

@@ -41,10 +41,15 @@ def _violation(scheme: Scheme, message: str) -> TheoremViolation:
     return TheoremViolation(message, scheme_json=serialize_scheme(scheme))
 
 
-def _require_preconditions(scheme: Scheme, labels: tuple[str, ...]) -> None:
+def _require_preconditions(scheme: Scheme, labels: tuple[str, ...],
+                           ki_passed: bool | None) -> None:
+    """The verifiers' preconditions; ki_passed, when not None, is the
+    scheme's KI verdict as its caller decided it, and is not decided again."""
     _require(scheme.graph.is_well_ordered(labels),
              f"sequence {labels!r} is not well ordered")
-    _require(check_ki(scheme).passed, "scheme is not KI-secure")
+    if ki_passed is None:
+        ki_passed = check_ki(scheme).passed
+    _require(ki_passed, "scheme is not KI-secure")
 
 
 def _identity(scheme: Scheme, parts: Sequence[str], givens: Sequence[str],
@@ -65,16 +70,19 @@ def _identity(scheme: Scheme, parts: Sequence[str], givens: Sequence[str],
     return lhs, rhs
 
 
-def verify_independence_sum(scheme: Scheme, seq: Sequence[str]) -> dict:
+def verify_independence_sum(scheme: Scheme, seq: Sequence[str],
+                            ki_passed: bool | None = None) -> dict:
     """Joint key entropy equals the sum over a well-ordered sequence.
 
     Preconditions: the scheme passes the KI check and seq is well
-    ordered. Decided as exact mutual independence of the keys;
-    joint_entropy, entropy_sum and abs_err only report. identity_checks
+    ordered. ki_passed, here and in the other verifiers, is the KI
+    verdict when the caller has decided it already; None decides it.
+    Decided as exact mutual independence of the keys; joint_entropy,
+    entropy_sum and abs_err only report. identity_checks
     counts the sum and, over two or more classes, the independence.
     """
     labels = tuple(seq)
-    _require_preconditions(scheme, labels)
+    _require_preconditions(scheme, labels, ki_passed)
     joint, total = _identity(
         scheme, [key_var(u) for u in labels], [],
         f"H(keys) == sum of key entropies on sequence {labels!r}",
@@ -89,7 +97,7 @@ def verify_independence_sum(scheme: Scheme, seq: Sequence[str]) -> dict:
 
 
 def verify_conditional_identities(
-    scheme: Scheme, seq: Sequence[str], n: int, m: int
+    scheme: Scheme, seq: Sequence[str], n: int, m: int, ki_passed: bool | None = None
 ) -> dict:
     """Conditional-entropy identities on a well-ordered sequence split (n, m).
 
@@ -114,7 +122,7 @@ def verify_conditional_identities(
     _require(n >= 1 and m >= 0, f"invalid split n={n}, m={m}")
     _require(len(labels) == n + m,
              f"sequence length {len(labels)} does not match n+m={n + m}")
-    _require_preconditions(scheme, labels)
+    _require_preconditions(scheme, labels, ki_passed)
     prefix_secrets = [secret_var(v) for v in labels[: n - 1]]
     pivot_key = key_var(labels[n - 1])
     suffix_keys = [key_var(u) for u in labels[n:]]
@@ -149,7 +157,8 @@ def verify_conditional_identities(
     }
 
 
-def verify_main_theorem_sequence(scheme: Scheme, u: str) -> dict:
+def verify_main_theorem_sequence(scheme: Scheme, u: str,
+                                 ki_passed: bool | None = None) -> dict:
     """Run the conditional identities on theorem_sequence(u).
 
     The split is n = |forbidden_set(u)| + 1 (prefix ends at u itself) and
@@ -161,7 +170,7 @@ def verify_main_theorem_sequence(scheme: Scheme, u: str) -> dict:
     graph = scheme.graph
     seq = graph.theorem_sequence(u)
     report = verify_conditional_identities(
-        scheme, seq, len(graph.forbidden_set(u)) + 1, len(graph.ancestor_set(u)))
+        scheme, seq, len(graph.forbidden_set(u)) + 1, len(graph.ancestor_set(u)), ki_passed)
     report["identity_checks"] += int(len(seq) >= 2)
     report["target"] = u
     return report
@@ -226,8 +235,9 @@ def run_validation(graph: AccessGraph, q: int, trials: int, seed: int) -> dict:
     Checks KI/SKI agreement on every scheme, then runs the public
     verifiers on every KI-passing scheme: verify_independence_sum on the
     graph's full well-ordered sequence, verify_conditional_identities on
-    every split of it, and verify_main_theorem_sequence for every class.
-    Each distinct scheme is decided once, and both totals are read from
+    every split of it, and verify_main_theorem_sequence for every class,
+    each given the KI verdict that verify_equivalence decided. Each
+    distinct scheme is decided once, and both totals are read from
     one (identity_checks, max_abs_err) record per KI-passing corpus
     scheme. A violation is re-raised prefixed "corpus scheme <index>: ",
     the index of the scheme's first occurrence in build_corpus(graph, q,
@@ -244,10 +254,11 @@ def run_validation(graph: AccessGraph, q: int, trials: int, seed: int) -> dict:
             continue
         if scheme not in decided:
             try:
-                summed = verify_independence_sum(scheme, seq)
-                reports = [verify_conditional_identities(scheme, seq, n, len(seq) - n)
+                ki = verdict["ki"]
+                summed = verify_independence_sum(scheme, seq, ki)
+                reports = [verify_conditional_identities(scheme, seq, n, len(seq) - n, ki)
                            for n in range(1, len(seq) + 1)]
-                reports += [verify_main_theorem_sequence(scheme, u)
+                reports += [verify_main_theorem_sequence(scheme, u, ki)
                             for u in sorted(graph.classes)]
             except TheoremViolation as exc:
                 raise TheoremViolation(f"corpus scheme {index}: {exc}",

@@ -39,7 +39,6 @@ import marshal
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, islice, repeat
@@ -59,6 +58,7 @@ from .jsonutil import (
     value_from_json,
     value_sort_key,
 )
+from .record import Record
 
 MAX_SUPPORT_ENV = "HKAS_MAX_SUPPORT"
 DEFAULT_MAX_SUPPORT = 1_000_000
@@ -93,8 +93,7 @@ def _variables(graph: AccessGraph) -> tuple[str, ...]:
     return tuple(map(key_var, labels)) + tuple(map(secret_var, labels))
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(Record):
     """A validated access graph plus the joint key/secret distribution."""
 
     graph: AccessGraph
@@ -111,8 +110,7 @@ class Scheme:
             )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """One counterexample to a check: the class and the coalition that broke it."""
 
     cls: str
@@ -131,8 +129,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Outcome of one check over a whole scheme."""
 
     kind: str
@@ -385,18 +382,29 @@ def _load_canonical(handle: IO[str], graph_path: str | None = None) -> Scheme | 
 
 def _pieces(handle: IO[str]) -> Iterator[str]:
     """The rest of handle, read _READ_CHARS characters at a time and cut
-    on _ROW_SEP, one split per read, the last piece ending in _ROW_END +
-    _DOC_END. After each read it gives up if the carry, the text after
-    the last cut, holds a _ROW_END with room for a _ROW_SEP after it, so
-    it carries at most a row and less than a _ROW_SEP. (The long _ROW_SEP
-    is found faster.)"""
-    carry = ""
+    on _ROW_SEP, the last piece ending in _ROW_END + _DOC_END. After each
+    read it gives up if the carry, the text after the last cut, holds a
+    _ROW_END with room for a _ROW_SEP after it, so it carries at most a
+    row and less than a _ROW_SEP. (The long _ROW_SEP is found faster.)
+
+    The carry holds no _ROW_SEP, and no _ROW_END that a _ROW_SEP would
+    fit after, so both searches of a read cover only its text and the
+    carry's last len(_ROW_SEP) - 1 characters, the tail: a row longer
+    than a read costs time linear in its length."""
+    keep = len(_ROW_SEP) - 1
+    body: list[str] = []  # the carry but its tail, in the reads' slices
+    tail = ""
     while chunk := handle.read(_READ_CHARS):
-        *rows, carry = (carry + chunk).split(_ROW_SEP)
-        yield from rows
-        if 0 <= carry.find(_ROW_END) <= len(carry) - len(_ROW_SEP):
+        *rows, last = (tail + chunk).split(_ROW_SEP)
+        if rows:
+            rows[0] = "".join(body) + rows[0]
+            body = []
+            yield from rows
+        if 0 <= last.find(_ROW_END) <= len(last) - len(_ROW_SEP):
             raise _NotCanonical
-    row, _, end = carry.partition(_ROW_END)
+        body.append(last[:-keep])
+        tail = last[-keep:]
+    row, _, end = "".join(body + [tail]).partition(_ROW_END)
     if end != _DOC_END:
         raise _NotCanonical
     yield row

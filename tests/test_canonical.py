@@ -142,6 +142,29 @@ def test_canonical_files_take_the_row_template_in_any_reads(tmp_path, fallbacks,
     assert fallbacks.count == 0
 
 
+@pytest.mark.parametrize("chars", [7, 64])
+def test_a_row_longer_than_many_reads_takes_the_row_template(tmp_path, fallbacks, monkeypatch,
+                                                             chars):
+    """A secret thousands of reads long, holding quotes, braces and
+    escaped line breaks that resemble the frame, is carried across the
+    reads and loads by the row template to the Scheme the json path
+    gives, in the first row, the last, or both."""
+    monkeypatch.setattr("hkas.scheme._READ_CHARS", chars)
+    secret = '"\n    },\n    {é' * 5_000
+    graph = AccessGraph.build(["x"], [])
+    for first, last in ((secret, 1), (0, (secret, ())), (secret, secret + "!")):
+        scheme = Scheme(graph, JointDistribution.from_rows([
+            ({"K:x": 0, "S:x": first}, Fraction(1, 3)),
+            ({"K:x": 1, "S:x": last}, Fraction(2, 3))]))
+        path = tmp_path / "long.json"
+        path.write_text(serialize_scheme(scheme))
+        assert path.stat().st_size > 1_000 * chars
+        read = load_scheme_file(str(path))
+        _assert_same_scheme(read, load_scheme(load_json_file(str(path))))
+        assert read == scheme
+    assert fallbacks.count == 0
+
+
 def test_random_dag_schemes_match_reference():
     rng = random.Random(8)
     for seed in range(30):

@@ -329,7 +329,7 @@ def test_theorem_violation_exits_1_with_one_line(capsys, monkeypatch):
     def violated(*_args):
         raise TheoremViolation("x")
 
-    monkeypatch.setattr("hkas.cli.run_validation", violated)
+    monkeypatch.setattr("hkas.harness.run_validation", violated)
     argv = ["validate", "--graph", DIAMOND, "--trials", "1", "--q", "2"]
     assert run_cli(capsys, argv) == (1, "", "theorem violation: x\n")
 

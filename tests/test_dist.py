@@ -7,7 +7,6 @@ agreement is a real check rather than a restatement.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -614,6 +613,4 @@ def test_cached_views_stay_out_of_equality_and_hash():
     rebuilt = JointDistribution.from_rows(marg.rows())
     marg.entropy(["v2"])
     assert marg == rebuilt and hash(marg) == hash(rebuilt)
-    assert [field.name for field in dataclasses.fields(dist)] == [
-        "variables", "decoding", "codes", "weights"
-    ]
+    assert dist._fields == ("variables", "decoding", "codes", "weights")

@@ -323,3 +323,33 @@ def test_run_validation_decides_each_distinct_scheme_once(monkeypatch, diamond):
     assert calls == {"check_ski": 121, "verify_independence_sum": 1}
     assert summary == {"schemes": 214, "ki_pass": 94, "ki_fail": 120,
                        "discrepancies": 0, "identity_checks": 3666, "max_abs_err": 0.0}
+
+
+def test_run_validation_decides_ki_once_per_distinct_scheme(monkeypatch, diamond):
+    # verify_equivalence decides KI on each of the 121 distinct schemes;
+    # the public verifiers that run_validation calls take that verdict
+    # rather than decide it again in their precondition.
+    calls = []
+    inner = harness.check_ki
+    monkeypatch.setattr(harness, "check_ki", lambda scheme: calls.append(scheme) or inner(scheme))
+    summary = run_validation(diamond, 2, 200, 7)
+    assert len(calls) == len(set(calls)) == 121
+    assert summary["ki_pass"] == 94 and summary["identity_checks"] == 3666
+
+
+def test_verifiers_decide_ki_unless_given_the_verdict(monkeypatch, diamond):
+    calls = []
+    inner = harness.check_ki
+    monkeypatch.setattr(harness, "check_ki", lambda scheme: calls.append(scheme) or inner(scheme))
+    trivial, leaky = gen_trivial(diamond, 2), gen_leaky(diamond, 2, "a", "b")
+    seq = diamond.well_ordered_all()
+    assert (verify_independence_sum(trivial, seq)
+            == verify_independence_sum(trivial, seq, True))
+    assert (verify_main_theorem_sequence(trivial, "c")
+            == verify_main_theorem_sequence(trivial, "c", True))
+    assert calls == [trivial, trivial]
+    with pytest.raises(PreconditionFailed, match="not KI-secure"):
+        verify_conditional_identities(leaky, seq, 3, 1)
+    with pytest.raises(PreconditionFailed, match="not KI-secure"):
+        verify_conditional_identities(trivial, seq, 3, 1, False)
+    assert calls == [trivial, trivial, leaky]

@@ -2,7 +2,7 @@
 
 Run from the checkout, for one or more modules of src/hkas:
 
-    python3 tools/mutate.py harness dist checks
+    python3 tools/mutate.py record harness dist checks
 
 Each mutant swaps one operator, ==/!=, </<=, >/>=, +/-, //, * (both
 ways, also as +=/-= and //=/*=), and/or, is/is not or in/not in, or
@@ -50,6 +50,7 @@ QUICK = {
              "tests/test_fuzz.py"],
     "checks": ["tests/test_checks.py", "tests/test_harness.py", "tests/test_acceptance.py",
                "tests/test_cli_snapshot.py"],
+    "record": ["tests/test_record.py", "tests/test_dist.py", "tests/test_graph.py"],
 }
 
 
@@ -154,8 +155,10 @@ def run_tests(work: Path, tests: list[str], timeout: float | None) -> str:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
             return "hang"
-    if code in (0, 1, 2):  # 2: a collection error, i.e. the mutant does not import
-        return ("pass", "fail", "fail")[code]
+    # 2: a collection error; 4: conftest did not import. Either way the
+    # mutant does not import, as the unmutated run, which must pass, did.
+    if code in (0, 1, 2, 4):
+        return "pass" if code == 0 else "fail"
     sys.exit(f"pytest exited {code} on {' '.join(tests)}; the probe cannot judge mutants")
 
 
