@@ -112,9 +112,8 @@ def _build(variables: tuple[str, ...], decoding: Decoding, codes: Sequence[Codes
 
 
 # The weights of a coalition's target at one value of the coalition: a
-# tuple indexed by the target's code when every code has a positive
-# weight there, else a dict from the codes that do to their weights.
-Vector = tuple[int, ...] | dict[int, int]
+# dict from each target code met there to its positive summed weight.
+Vector = dict[int, int]
 
 
 class _Coalitions:
@@ -132,40 +131,32 @@ class _Coalitions:
     shares each one that a single parent key gives.
 
     The target is independent of a coalition iff each vector of its
-    joint, divided by its gcd, equals the target's marginal divided by
-    its gcd: p(c, t) = p(c) p(t) for every t says the vector at c is
-    proportional to the marginal. Every entry of the marginal is
-    positive, so a vector that misses a code, a dict, fails, as it must;
-    a c off the joint has p(c) = 0 and satisfies the product condition.
+    joint is proportional to the target's marginal: p(c, t) = p(c) p(t)
+    for every t. With r the marginal divided by its gcd, a vector v is
+    proportional to it iff v == gcd(v) * r, one dict comparison. Every
+    entry of r is positive, so a vector that misses a code fails, as it
+    must; a c off the joint has p(c) = 0 and satisfies the product
+    condition.
     """
 
     def __init__(self, dist: "JointDistribution", targets: tuple[str, ...],
                  members: Sequence[str]) -> None:
-        joint, self._width = dist._scan(tuple(members), targets)
-        for head, cells in joint.items():
-            joint[head] = self._packed(cells)
+        joint = dist._scan(tuple(members), targets)
         self._marginal = marginal = self._sum(list(joint.values()))
-        common = math.gcd(*marginal)
-        self._reduced = tuple([w // common for w in marginal])
+        common = math.gcd(*marginal.values())
+        self._reduced = {code: w // common for code, w in marginal.items()}
         self._total = dist.total
         self._everyone = tuple(range(len(members)))
         self._memo = {self._everyone: joint}
 
-    def _packed(self, cells: dict[int, int]) -> Vector:
-        """The vector of these cells, as a tuple if it is full."""
-        if len(cells) == self._width:
-            return tuple(map(cells.__getitem__, range(self._width)))
-        return cells
-
-    def _sum(self, vectors: list[Vector]) -> Vector:
+    @staticmethod
+    def _sum(vectors: list[Vector]) -> Vector:
         """The vector of the summed weights, in one pass over the cells."""
-        if all(type(vector) is tuple for vector in vectors):
-            return tuple(map(sum, zip(*vectors)))
-        summed: dict[int, int] = {}
-        for vector in vectors:
-            for code, w in enumerate(vector) if type(vector) is tuple else vector.items():
+        summed = dict(vectors[0])
+        for vector in vectors[1:]:
+            for code, w in vector.items():
                 summed[code] = summed.get(code, 0) + w
-        return self._packed(summed)
+        return summed
 
     def _joint(self, chosen: tuple[int, ...] | None) -> dict[Codes, Vector]:
         if chosen is None:
@@ -191,20 +182,26 @@ class _Coalitions:
         return joint
 
     def independent(self, chosen: tuple[int, ...] | None = None) -> bool:
-        """Whether the target is independent of the coalition chosen."""
+        """Whether the target is independent of the coalition chosen. The
+        reduced marginal is scaled once per distinct gcd; a vector with
+        fewer cells fails before any scaled copy is built."""
         reduced = self._reduced
+        scaled: dict[int, Vector] = {}
         for vector in self._joint(chosen).values():
-            if type(vector) is dict:
+            if len(vector) != len(reduced):
                 return False
-            common = math.gcd(*vector)
-            if tuple([w // common for w in vector]) != reduced:
+            common = math.gcd(*vector.values())
+            expected = scaled.get(common)
+            if expected is None:
+                expected = scaled[common] = {code: common * w for code, w in reduced.items()}
+            if vector != expected:
                 return False
         return True
 
     def entropy(self) -> float:
         """H(target), in bits: each term is w / total * log2(w / total)."""
         total = self._total
-        return _neg_fsum(w / total * math.log2(w / total) for w in self._marginal)
+        return _neg_fsum(w / total * math.log2(w / total) for w in self._marginal.values())
 
     def conditional_entropy(self, chosen: tuple[int, ...] | None = None) -> float:
         """H(target | coalition chosen), in bits: each term is
@@ -212,9 +209,8 @@ class _Coalitions:
         total = self._total
         terms = []
         for vector in self._joint(chosen).values():
-            weights = vector.values() if type(vector) is dict else vector
-            given = sum(weights)
-            terms.extend(w / total * math.log2(w / given) for w in weights)
+            given = sum(vector.values())
+            terms.extend(w / total * math.log2(w / given) for w in vector.values())
         return _neg_fsum(terms)
 
 
@@ -343,28 +339,25 @@ class JointDistribution(Record):
             raise OverlappingVariableSets(f"variable sets share {shared}")
         return [self._index[var] for var in names]
 
-    def _scan(self, members: tuple[str, ...],
-              targets: tuple[str, ...]) -> tuple[dict[Codes, dict[int, int]], int]:
+    def _scan(self, members: tuple[str, ...], targets: tuple[str, ...]) -> dict[Codes, Vector]:
         """The members' codes mapped to the summed weights of each target code
-        met there, and the number of target codes: one target keeps its own
-        codes, a group (or none) codes its value tuples in the scan's order."""
+        met there: one target keeps its own codes, a group (or none) codes
+        its value tuples in the scan's order."""
         positions = self._positions(members, targets)
         cut = len(members)
         if len(targets) == 1:
-            width = len(self.decoding[positions[cut]])
             codes: Iterable[int] = map(itemgetter(positions[cut]), self.codes)
         else:
             index: dict[Codes, int] = {}
             codes = [index.setdefault(key, len(index))
                      for key in map(_getter(positions[cut:]), self.codes)]
-            width = len(index)
-        joint: dict[Codes, dict[int, int]] = {}
+        joint: dict[Codes, Vector] = {}
         for key, code, w in zip(map(_getter(positions[:cut]), self.codes), codes, self.weights):
             cells = joint.get(key)
             if cells is None:
                 cells = joint[key] = {}
             cells[code] = cells.get(code, 0) + w
-        return joint, width
+        return joint
 
     def _undetermined(self, targets: tuple[str, ...], givens: tuple[str, ...]) -> list[str]:
         """The targets, in the order given, that the givens do not determine:
@@ -382,7 +375,7 @@ class JointDistribution(Record):
         """Marginal distribution over a non-empty variable subset."""
         ordered = self._resolve(variables)
         decoding = tuple([self.decoding[i] for i in self._positions(ordered)])
-        codes, cells = zip(*sorted(self._scan(ordered, ())[0].items()))
+        codes, cells = zip(*sorted(self._scan(ordered, ()).items()))
         return _build(ordered, decoding, codes, [cell[0] for cell in cells], self.total)
 
     def _coalitions(self, targets: Iterable[str], givens: Iterable[str],

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
+from typing import Iterable, Sequence
 
 from .errors import (
     CycleDetected,
@@ -47,9 +48,15 @@ class AccessGraph(Record):
 
     @staticmethod
     def build(classes: tuple[str, ...] | list[str],
-              edges: list[tuple[str, str]] | frozenset[tuple[str, str]]) -> "AccessGraph":
-        """Build and validate a graph from raw class and edge lists."""
-        edge_list = list(edges)
+              edges: Iterable[Sequence[str]]) -> "AccessGraph":
+        """Build and validate a graph from raw class and edge lists; each
+        edge is a list or tuple of two strs, [src, dst]."""
+        edge_list: list[tuple[str, str]] = []
+        for item in edges:
+            if (not isinstance(item, (list, tuple)) or len(item) != 2
+                    or not all(isinstance(part, str) for part in item)):
+                raise ParseError(f"malformed edge {item!r}; expected [src, dst]")
+            edge_list.append(tuple(item))
         if len(set(edge_list)) != len(edge_list):
             seen: set[tuple[str, str]] = set()
             for edge in edge_list:
@@ -167,7 +174,7 @@ class AccessGraph(Record):
             seen.add(label)
         closure = self._closure
         return not any(
-            labels[j] in closure[v] for j in range(1, len(labels)) for v in labels[:j]
+            labels[j] in closure[v] for j in range(len(labels)) for v in labels[:j]
         )
 
     def well_ordered_all(self) -> tuple[str, ...]:
@@ -223,13 +230,7 @@ def graph_from_json(doc: object) -> AccessGraph:
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ParseError("graph 'edges' must be a list of [src, dst] pairs")
-    edges: list[tuple[str, str]] = []
-    for item in raw_edges:
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(part, str) for part in item)):
-            raise ParseError(f"malformed edge {item!r}; expected [src, dst]")
-        edges.append((item[0], item[1]))
-    return AccessGraph.build(classes, edges)
+    return AccessGraph.build(classes, raw_edges)
 
 
 def graph_to_json(graph: AccessGraph) -> dict:

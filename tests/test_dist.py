@@ -338,6 +338,18 @@ def test_exact_predicates_match_brute_force():
             verdicts.add(("mutual", mutual))
     # both verdicts of every predicate are exercised
     assert len(verdicts) == 6
+    # The target's vectors at c = 0, 1, 2 are 1x, 2x and 3x the non-uniform
+    # (1, 2, 4): independent. One cell moved, or one code missing at c = 1,
+    # and they are not.
+    scaled = {(c, t): (c + 1) * w for c in range(3) for t, w in enumerate((1, 2, 4))}
+    moved = {**scaled, (2, 0): 2, (2, 1): 7}
+    missing = {key: w for key, w in scaled.items() if key != (1, 0)}
+    for cells, expected in ((scaled, True), (moved, False), (missing, False)):
+        total = sum(cells.values())
+        rows = [({"c": c, "t": t}, Fraction(w, total)) for (c, t), w in cells.items()]
+        dist = JointDistribution.from_rows(rows)
+        assert dist.is_independent(["t"], ["c"]) == expected
+        assert oracle_independent(rows, [["t"], ["c"]]) == expected
 
 
 def test_conditional_mutual_information_random():

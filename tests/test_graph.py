@@ -168,8 +168,8 @@ def test_validate_graph_errors():
         validate_graph(AccessGraph(("a",), frozenset({("a", "b")})))
     with pytest.raises(DanglingEdge, match="^edge source 'b' is not a declared class$"):
         validate_graph(AccessGraph(("a",), frozenset({("b", "a")})))
-    with pytest.raises(DuplicateEdge):
-        AccessGraph.build(["a", "b"], [("a", "b"), ("a", "b")])
+    with pytest.raises(DuplicateEdge, match=r"^edge \('b', 'c'\) listed more than once$"):
+        AccessGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("b", "c")])
 
 
 def test_cycle_detection():
@@ -184,6 +184,10 @@ def test_cycle_detection():
             [("x", "y"), ("y", "z"), ("z", "x"), ("x", "w")],
         )
     assert set(exc_info.value.cycle) == {"x", "y", "z"}
+    # b has two predecessors on cycles; the first edge into it, a -> b, names the cycle
+    with pytest.raises(CycleDetected) as exc_info:
+        AccessGraph.build(["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")])
+    assert exc_info.value.cycle == ("a", "b")
 
 
 def test_graph_json_round_trip(diamond):
@@ -209,6 +213,14 @@ def test_graph_from_json_errors():
     with pytest.raises(DuplicateEdge):
         graph_from_json({"classes": ["a", "b"],
                          "edges": [["a", "b"], ["a", "b"]]})
+    # build checks the same edge shape for library callers, and takes a
+    # list edge as the tuple it stores
+    for edges in ([("a", "b"), ("a", 1)], [("a", "b"), ("b",)], [("a", "b"), "ab"]):
+        with pytest.raises(ParseError, match=r"^malformed edge .*; expected \[src, dst\]$"):
+            AccessGraph.build(["a", "b"], edges)
+    with pytest.raises(DuplicateEdge):
+        AccessGraph.build(["a", "b"], [["a", "b"], ("a", "b")])
+    assert AccessGraph.build(["a", "b"], [["a", "b"]]).edges == frozenset({("a", "b")})
 
 
 def test_partition_check_single_node():

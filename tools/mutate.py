@@ -2,7 +2,7 @@
 
 Run from the checkout, for one or more modules of src/hkas:
 
-    python3 tools/mutate.py record harness dist checks
+    python3 tools/mutate.py record harness dist checks graph
 
 Each mutant swaps one operator, ==/!=, </<=, >/>=, +/-, //, * (both
 ways, also as +=/-= and //=/*=), and/or, is/is not or in/not in, or
@@ -51,6 +51,8 @@ QUICK = {
     "checks": ["tests/test_checks.py", "tests/test_harness.py", "tests/test_acceptance.py",
                "tests/test_cli_snapshot.py"],
     "record": ["tests/test_record.py", "tests/test_dist.py", "tests/test_graph.py"],
+    "graph": ["tests/test_graph.py", "tests/test_checks.py", "tests/test_harness.py",
+              "tests/test_cli.py"],
 }
 
 
