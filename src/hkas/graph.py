@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     CycleDetected,
@@ -48,9 +48,13 @@ class AccessGraph(Record):
 
     @staticmethod
     def build(classes: tuple[str, ...] | list[str],
-              edges: Iterable[Sequence[str]]) -> "AccessGraph":
-        """Build and validate a graph from raw class and edge lists; each
-        edge is a list or tuple of two strs, [src, dst]."""
+              edges: Sequence[Sequence[str]]) -> "AccessGraph":
+        """Build and validate a graph from raw class and edge lists or
+        tuples; each edge is a list or tuple of two strs, [src, dst]."""
+        if not isinstance(classes, (list, tuple)) or not all(isinstance(c, str) for c in classes):
+            raise ParseError("graph 'classes' must be a list of strings")
+        if not isinstance(edges, (list, tuple)):
+            raise ParseError("graph 'edges' must be a list of [src, dst] pairs")
         edge_list: list[tuple[str, str]] = []
         for item in edges:
             if (not isinstance(item, (list, tuple)) or len(item) != 2
@@ -224,13 +228,7 @@ def graph_from_json(doc: object) -> AccessGraph:
     unknown = set(doc) - {"classes", "edges"}
     if unknown:
         raise ParseError(f"unexpected graph keys: {sorted(unknown)}")
-    classes = doc.get("classes")
-    if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
-        raise ParseError("graph 'classes' must be a list of strings")
-    raw_edges = doc.get("edges", [])
-    if not isinstance(raw_edges, list):
-        raise ParseError("graph 'edges' must be a list of [src, dst] pairs")
-    return AccessGraph.build(classes, raw_edges)
+    return AccessGraph.build(doc.get("classes"), doc.get("edges", []))
 
 
 def graph_to_json(graph: AccessGraph) -> dict:

@@ -1,10 +1,11 @@
 """Canonical JSON helpers shared by loaders, serializers, and the CLI.
 
-Canonical form: keys sorted, two-space indent, trailing newline.
-There is one encoder, dumps_at, which writes a fragment as it would
-appear nested depth levels deep in an indented document, in the bytes
-of json.dumps(..., sort_keys=True, indent=2), its oracle in the tests.
-dumps_canonical is dumps_at at depth 0 plus the newline;
+Canonical form: the bytes of json.dumps(..., sort_keys=True, indent=2)
+plus a trailing newline. dumps_at writes a fragment as it would appear
+nested depth levels deep in such a document: it lays out scheme values
+(ints, strs, nested tuples) itself and hands every other value, each
+document included, to json's encoder, re-indented, whose bytes it
+matches. dumps_canonical is dumps_at at depth 0 plus the newline;
 serialize_scheme assembles a scheme's text from fragments. Either way
 the document is written as given, so whoever builds it puts its values
 in canonical form first: rationals as "num/den" strings (prob_str),
@@ -137,7 +138,7 @@ def dumps_at(value: Any, depth: int, memo: EncodeMemo | None = None) -> str:
     memo = {} if memo is None else memo
     try:
         text = _encode(value, depth, memo)
-    except RecursionError:  # too deep, or a cycle: json says which
+    except RecursionError:  # tuples nested too deep: json says how
         return _json_at(value, depth)
     memo.pop((id(value), depth), None)
     return text
@@ -154,26 +155,17 @@ def _encode(value: Any, depth: int, memo: EncodeMemo) -> str:
         if hit is None:
             hit = memo[id(value), depth] = (value, _array(value, depth, memo))
         return hit[1]
-    if isinstance(value, list) and value:
-        return _array(value, depth, memo)
-    if isinstance(value, dict) and value and all(type(key) is str for key in value):
-        return _layout([_quote(key) + ": " + _encode(value[key], depth + 1, memo)
-                        for key in sorted(value)], depth, "{}")
-    # Floats, bools, None, int and str subclasses, empty containers, keys
-    # that json converts, and whatever json refuses.
+    # Documents (dicts, lists), the empty tuple (json's "[]"), and what
+    # no scheme value holds: floats, bools, None, int and str subclasses.
     return _json_at(value, depth)
 
 
-def _array(items: list | tuple, depth: int, memo: EncodeMemo) -> str:
-    return _layout([_quote(item) if type(item) is str
-                    else int.__repr__(item) if type(item) is int
-                    else _encode(item, depth + 1, memo) for item in items], depth, "[]")
-
-
-def _layout(texts: list[str], depth: int, brackets: str) -> str:
-    """Items, at least one, a line each, one indent deeper than the brackets."""
+def _array(items: tuple, depth: int, memo: EncodeMemo) -> str:
+    """A non-empty tuple: its items a line each, one indent deeper."""
     inner = "\n" + "  " * (depth + 1)
-    return brackets[0] + inner + ("," + inner).join(texts) + inner[:-2] + brackets[1]
+    return "[" + inner + ("," + inner).join([
+        _quote(item) if type(item) is str else int.__repr__(item) if type(item) is int
+        else _encode(item, depth + 1, memo) for item in items]) + inner[:-2] + "]"
 
 
 def _json_at(value: Any, depth: int) -> str:

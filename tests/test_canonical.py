@@ -231,6 +231,7 @@ def _near_canonical(text: str) -> dict[str, str]:
         "rows swapped": swapped,
         "row duplicated": duplicated,
         "probabilities sum past 1": text.replace('"p": "1/2"', '"p": "3/4"'),
+        "variable added": text.replace(value, value + ',\n        "T:x": 0'),
         "bool value": text.replace(first, '"K:x": true,'),
         "int over the digit limit": text.replace(first, '"K:x": ' + "1" * 5000 + ","),
         "list 900 deep": text.replace(first, '"K:x": ' + _nested(900, 4) + ","),
@@ -266,10 +267,10 @@ def test_near_canonical_files_take_the_json_path(tmp_path, fallbacks):
             assert got == want, name
         else:
             _assert_same_scheme(got, want)
-    assert fallbacks.count == 11  # all but the two that json rejects
+    assert fallbacks.count == 12  # all but the two that json rejects
     path.write_bytes(text.replace("\n", "\r\n").encode())
     _assert_same_scheme(load_scheme_file(str(path)), scheme)
-    assert fallbacks.count == 11
+    assert fallbacks.count == 12
 
 
 def test_late_failures_take_the_json_path(tmp_path, fallbacks, monkeypatch):
@@ -291,7 +292,7 @@ def test_late_failures_take_the_json_path(tmp_path, fallbacks, monkeypatch):
     rows = text[:-len(end)].split(",\n    {")
     late["last two rows swapped"] = ",\n    {".join(rows[:-2] + rows[:-3:-1]) + end
     late["last row duplicated"] = ",\n    {".join(rows + rows[-1:]) + end
-    assert len(late) == 11
+    assert len(late) == 12
     reads = []
     read = hkas.scheme.load_json_file
     monkeypatch.setattr("hkas.scheme.load_json_file", lambda p: reads.append(p) or read(p))
@@ -305,14 +306,14 @@ def test_late_failures_take_the_json_path(tmp_path, fallbacks, monkeypatch):
             assert got == want, name
         else:
             _assert_same_scheme(got, want)
-    assert fallbacks.count == 10  # all but the int over the digit limit, which json rejects
+    assert fallbacks.count == 11  # all but the int over the digit limit, which json rejects
     position = 2 * chars + 5
     data = text.encode()
     path.write_bytes(data[:position] + b"\xff" + data[position:])
     got = _outcome(lambda: load_scheme_file(str(path)))
     assert got == _outcome(lambda: load_scheme(load_json_file(str(path))))
     assert got[0] is ParseError and f"in position {position}:" in got[1]
-    assert reads == [str(path)] * 12 and fallbacks.count == 10
+    assert reads == [str(path)] * 13 and fallbacks.count == 11
 
 
 class _Counted(io.StringIO):

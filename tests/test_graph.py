@@ -220,7 +220,14 @@ def test_graph_from_json_errors():
             AccessGraph.build(["a", "b"], edges)
     with pytest.raises(DuplicateEdge):
         AccessGraph.build(["a", "b"], [["a", "b"], ("a", "b")])
-    assert AccessGraph.build(["a", "b"], [["a", "b"]]).edges == frozenset({("a", "b")})
+    # ... and the same containers: no untyped error, no string taken as a list
+    for classes, edges, field in ((["a"], None, "edges"), (None, [], "classes"),
+                                  ("ab", [], "classes"), (["a", 1], [], "classes")):
+        with pytest.raises(ParseError, match=f"^graph '{field}' must be a list of "):
+            AccessGraph.build(classes, edges)
+    pair = AccessGraph.build(["a", "b"], [["a", "b"]])
+    assert pair.edges == frozenset({("a", "b")})
+    assert AccessGraph.build(("a", "b"), (("a", "b"),)) == pair
 
 
 def test_partition_check_single_node():

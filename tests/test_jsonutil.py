@@ -149,13 +149,20 @@ def _reference_at(value, depth: int) -> str:
 def _documents() -> list:
     """Every kind of document hkas writes, as built: the goldens, as read
     and as a scheme document; each gen kind's scheme document; and the
-    check --json, entropy --json and validate --json documents."""
+    graph analyze --json (with and without --class), check --json,
+    entropy --json and validate --json documents."""
     docs = []
     for name in ("golden-random-q2-s42.json", "golden-random-q2-s2.json"):
         path = DATA_DIR / name
         docs += [json.loads(path.read_text()), scheme_to_json(load_scheme_file(str(path)))]
     graph = make_diamond()
     docs.append(graph_to_json(graph))
+    for targets in (sorted(graph.classes), ["a"]):
+        docs.append({"classes": list(graph.classes),
+                     "topological_sort": list(graph.topological_sort()),
+                     "well_ordered_all": list(graph.well_ordered_all()),
+                     "analysis": {label: hkas.cli._analysis(graph, label)
+                                  for label in targets}})
     for q in (2, 3):
         for scheme in (gen_trivial(graph, q), gen_leaky(graph, q, "a", "b"),
                        gen_correlated(graph, q, "a", "r"), gen_random_correct(graph, q, 0),
@@ -244,15 +251,21 @@ def test_dumps_at_raises_where_json_does():
 
 
 def test_dumps_at_falls_back_to_json_past_the_recursion_limit():
-    # The encoder recurses once per level; a cycle or a list nested far
-    # past the recursion limit makes it give up, and json's own encoder
-    # then raises its exception, with its message.
+    # The encoder recurses once per level of a tuple only: lists and
+    # dicts go to json's encoder at once, and a tuple nested far past the
+    # recursion limit (JointDistribution does not check its decoding)
+    # makes the encoder give up. Either way json's own encoder raises its
+    # exception, with its message.
     cycle: list = []
     cycle.append(cycle)
     deep: list = []
     for _ in range(5_000):
         deep = [deep]
-    for value, kind in ((cycle, ValueError), (deep, RecursionError)):
+    deep_tuple: tuple = ()
+    for _ in range(5_000):
+        deep_tuple = (deep_tuple,)
+    for value, kind in ((cycle, ValueError), (deep, RecursionError),
+                        (deep_tuple, RecursionError)):
         with pytest.raises(kind) as expected:
             json.dumps(value, sort_keys=True, indent=2)
         with pytest.raises(kind) as got:

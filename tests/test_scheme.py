@@ -392,16 +392,14 @@ def test_support_bound(monkeypatch, tmp_path, diamond):
     # 2 rows fit in a bound of 8, and in a bound of 2
     assert load_scheme(doc).dist.support_size() == 2
     monkeypatch.setenv("HKAS_MAX_SUPPORT", "2")
-    assert load_scheme_file(str(path)) == scheme
+    assert load_scheme(doc) == scheme and load_scheme_file(str(path)) == scheme
     monkeypatch.setenv("HKAS_MAX_SUPPORT", "1")
     with pytest.raises(SupportTooLarge):
         load_scheme(doc)
     # A canonical file over the bound fails as any other file does.
     with pytest.raises(SupportTooLarge, match=r"^support has 2 rows, bound is 1$"):
         load_scheme_file(str(path))
-    monkeypatch.setenv("HKAS_MAX_SUPPORT", "zero")
-    with pytest.raises(ParseError):
-        max_support_size()
-    monkeypatch.setenv("HKAS_MAX_SUPPORT", "-3")
-    with pytest.raises(ParseError):
-        max_support_size()
+    for raw in ("zero", "-3", "0"):
+        monkeypatch.setenv("HKAS_MAX_SUPPORT", raw)
+        with pytest.raises(ParseError):
+            max_support_size()

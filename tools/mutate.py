@@ -2,7 +2,7 @@
 
 Run from the checkout, for one or more modules of src/hkas:
 
-    python3 tools/mutate.py record harness dist checks graph
+    python3 tools/mutate.py record harness dist checks graph jsonutil scheme
 
 Each mutant swaps one operator, ==/!=, </<=, >/>=, +/-, //, * (both
 ways, also as +=/-= and //=/*=), and/or, is/is not or in/not in, or
@@ -53,6 +53,10 @@ QUICK = {
     "record": ["tests/test_record.py", "tests/test_dist.py", "tests/test_graph.py"],
     "graph": ["tests/test_graph.py", "tests/test_checks.py", "tests/test_harness.py",
               "tests/test_cli.py"],
+    "jsonutil": ["tests/test_jsonutil.py", "tests/test_canonical.py", "tests/test_scheme.py",
+                 "tests/test_fuzz.py"],
+    "scheme": ["tests/test_scheme.py", "tests/test_canonical.py", "tests/test_fuzz.py",
+               "tests/test_jsonutil.py", "tests/test_cli.py"],
 }
 
 
