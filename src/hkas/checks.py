@@ -9,7 +9,12 @@ holds the secrets of classes in forbidden_set(u) and the keys of classes
 in ancestor_set(u); KI is SKI with no keys held. Each coalition is
 decided on its own joint with K:u, through dist._Coalitions: one scan
 of the support per class builds the joint of the largest coalition, and
-each smaller one is summed from a joint one member larger.
+each smaller one is summed from a joint one member larger. run_checks'
+"all" mode builds one engine per class, over SKI's members, and decides
+KI from it too: in one walk in SKI's witness order, each coalition that
+holds no keys is decided once for both, and once SKI's witness is found
+the walk goes on over those coalitions alone, to find KI's. Maximal mode
+sums KI's coalition from the top joint, and only when SKI's fails.
 
 Coalition checks run in one of two modes:
 
@@ -34,7 +39,7 @@ tuples.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable
+from typing import Callable
 
 from .dist import _Coalitions
 from .errors import CoalitionSpaceTooLarge, InvalidArgument
@@ -51,31 +56,54 @@ def _sorted_subsets(pool: range) -> list[tuple[int, ...]]:
 
 
 def _first_failure(scheme: Scheme, cls: str, secrets: list[str], keys: list[str],
-                   exhaustive: bool) -> Witness | None:
-    """The witness of the first coalition against cls, holding some of these
-    sorted secrets and keys, that K:cls depends on, or None. Maximal mode
-    tests the coalition of them all; exhaustive mode tests every non-empty
-    one, in witness order."""
+                   exhaustive: bool, keyless_too: bool) -> tuple[Witness, Witness | None] | None:
+    """The witnesses of two coalitions against cls, each holding some of
+    these sorted secrets and keys: the first that K:cls depends on, and the
+    first holding no keys that K:cls depends on (or None); or None when
+    K:cls depends on none. Maximal mode tests the coalition of them all,
+    and exhaustive mode every non-empty one, in witness order. The walk
+    goes on past the first failure, over the coalitions holding no keys,
+    only if keyless_too is set; in maximal mode that is the coalition of
+    all the secrets, summed from the top joint. (If the coalition of them
+    all passes, so does each of those, as maximal mode holds.)"""
     members = secrets + keys
+    cut = len(secrets)
     coalitions = _Coalitions(scheme.dist, (key_var(cls),), [secret_var(v) for v in secrets]
                              + [key_var(w) for w in keys])
+
+    def witness(chosen: tuple[int, ...]) -> Witness:
+        labels = [members[i] for i in chosen]
+        held = sum(i < cut for i in chosen)
+        return Witness(cls, tuple(labels[:held]), tuple(labels[held:]),
+                       coalitions.entropy(), coalitions.conditional_entropy(chosen))
+
     if exhaustive:
-        key_subsets = _sorted_subsets(range(len(secrets), len(members)))
-        order: Iterable[tuple[int, ...]] = (
-            held + held_keys
-            for held in _sorted_subsets(range(len(secrets)))
-            for held_keys in key_subsets
-            if held or held_keys
-        )
+        held_secrets = _sorted_subsets(range(cut))
+        key_subsets = _sorted_subsets(range(cut, len(members)))
     else:
-        order = [tuple(range(len(members)))]
-    for chosen in order:
-        if not coalitions.independent(chosen):
-            labels = [members[i] for i in chosen]
-            cut = sum(i < len(secrets) for i in chosen)
-            return Witness(cls, tuple(labels[:cut]), tuple(labels[cut:]),
-                           coalitions.entropy(), coalitions.conditional_entropy(chosen))
-    return None
+        held_secrets = [tuple(range(cut))]
+        key_subsets = [tuple(range(cut, len(members)))]
+    walk = ((i, held + held_keys) for i, held in enumerate(held_secrets)
+            for held_keys in key_subsets if held or held_keys)
+    i, first = next(((i, chosen) for i, chosen in walk if not coalitions.independent(chosen)),
+                    (None, None))
+    if first is None:
+        return None
+    found = witness(first)
+    if first[-1] < cut:  # it holds no keys
+        return found, found
+    if not keyless_too:
+        return found, None
+    if exhaustive:
+        # Each coalition holding no keys and at most the secrets held by
+        # first came before it in the walk.
+        rest = held_secrets[i + 1:]
+    else:
+        rest = held_secrets
+        if cut:
+            coalitions.sum_from_top(rest[0])
+    keyless = next((held for held in rest if held and not coalitions.independent(held)), None)
+    return found, keyless and witness(keyless)
 
 
 def check_correctness(scheme: Scheme) -> CheckReport:
@@ -95,36 +123,46 @@ def check_correctness(scheme: Scheme) -> CheckReport:
                        witnesses=tuple(witnesses))
 
 
-def _check_coalitions(scheme: Scheme, kind: str, with_keys: bool,
-                      exhaustive: bool) -> CheckReport:
+def _check_coalitions(scheme: Scheme, kinds: tuple[str, ...],
+                      exhaustive: bool) -> list[CheckReport]:
     """Each key must be independent of every legal coalition against it.
 
-    The coalition against u holds secrets of forbidden_set(u) and, when
-    with_keys is set, keys of ancestor_set(u).
+    The coalition against u holds secrets of forbidden_set(u) and, for
+    "ski", keys of ancestor_set(u). kinds is ("ki",), ("ski",) or both:
+    then one engine per class decides both, KI's coalitions being SKI's
+    that hold no keys.
     """
     graph = scheme.graph
     rows = scheme.dist.support_size()
-    classes = []
-    for u in sorted(graph.classes):
-        forbidden = sorted(graph.forbidden_set(u))
-        ancestors = sorted(graph.ancestor_set(u)) if with_keys else []
-        members = len(forbidden) + len(ancestors)
-        if exhaustive and 2 ** members * (rows + 1) > MAX_LATTICE_WORK:
-            raise CoalitionSpaceTooLarge(
-                f"class {u!r} has {members} coalition members over {rows} support "
-                f"rows: 2**{members} * {rows + 1} exceeds the exhaustive mode's "
-                f"budget of {MAX_LATTICE_WORK}"
-            )
-        if members:
-            classes.append((u, forbidden, ancestors))
-    witnesses = [witness for u, forbidden, ancestors in classes
-                 if (witness := _first_failure(scheme, u, forbidden, ancestors, exhaustive))]
-    return CheckReport(kind=kind, passed=not witnesses, witnesses=tuple(witnesses))
+    with_keys = "ski" in kinds
+    classes = [(u, sorted(graph.forbidden_set(u)), sorted(graph.ancestor_set(u)) if with_keys
+                else []) for u in sorted(graph.classes)]
+    if exhaustive:
+        for kind in kinds:  # KI's refusal comes before SKI's
+            for u, forbidden, ancestors in classes:
+                members = len(forbidden) + (len(ancestors) if kind == "ski" else 0)
+                if 2 ** members * (rows + 1) > MAX_LATTICE_WORK:
+                    raise CoalitionSpaceTooLarge(
+                        f"class {u!r} has {members} coalition members over {rows} support "
+                        f"rows: 2**{members} * {rows + 1} exceeds the exhaustive mode's "
+                        f"budget of {MAX_LATTICE_WORK}"
+                    )
+    witnesses: dict[str, list[Witness]] = {kind: [] for kind in kinds}
+    for u, forbidden, ancestors in classes:
+        if forbidden or ancestors:
+            found = _first_failure(scheme, u, forbidden, ancestors, exhaustive, len(kinds) > 1)
+            # The first failure is the last kind's, and the first holding no
+            # keys is KI's when both kinds run.
+            for kind, witness in zip(kinds[::-1], found or ()):
+                if witness is not None:
+                    witnesses[kind].append(witness)
+    return [CheckReport(kind=kind, passed=not failed, witnesses=tuple(failed))
+            for kind, failed in witnesses.items()]
 
 
 def check_ki(scheme: Scheme, exhaustive: bool = False) -> CheckReport:
     """Keys must be independent of the secrets of any forbidden coalition."""
-    return _check_coalitions(scheme, "ki", with_keys=False, exhaustive=exhaustive)
+    return _check_coalitions(scheme, ("ki",), exhaustive)[0]
 
 
 def check_ski(scheme: Scheme, exhaustive: bool = False) -> CheckReport:
@@ -133,7 +171,7 @@ def check_ski(scheme: Scheme, exhaustive: bool = False) -> CheckReport:
     The coalition holds the secrets of classes forbidden to reach u plus
     the keys (not secrets) of classes above u.
     """
-    return _check_coalitions(scheme, "ski", with_keys=True, exhaustive=exhaustive)
+    return _check_coalitions(scheme, ("ski",), exhaustive)[0]
 
 
 def check_key_independence(scheme: Scheme) -> CheckReport:
@@ -145,14 +183,14 @@ def check_key_independence(scheme: Scheme) -> CheckReport:
     """
     labels = sorted(scheme.graph.classes)
     for i in range(1, len(labels)):
-        witness = _first_failure(scheme, labels[i], [], labels[:i], exhaustive=False)
-        if witness is not None:
-            return CheckReport(kind="key-indep", passed=False, witnesses=(witness,))
+        found = _first_failure(scheme, labels[i], [], labels[:i], False, False)
+        if found is not None:
+            return CheckReport(kind="key-indep", passed=False, witnesses=found[:1])
     return CheckReport(kind="key-indep", passed=True, witnesses=())
 
 
-# Each check kind, in the order "all" runs them, and how to run it on a
-# scheme in a coalition mode (exhaustive or not).
+# Each check kind, in the order "all" reports them, and how to run it on
+# a scheme in a coalition mode (exhaustive or not).
 CHECK_KINDS: dict[str, Callable[[Scheme, bool], CheckReport]] = {
     "correctness": lambda scheme, exhaustive: check_correctness(scheme),
     "ki": check_ki,
@@ -162,8 +200,12 @@ CHECK_KINDS: dict[str, Callable[[Scheme, bool], CheckReport]] = {
 
 
 def run_checks(scheme: Scheme, mode: str = "all", exhaustive: bool = False) -> list[CheckReport]:
-    """Run one named check, or all four in a fixed order."""
-    if mode != "all" and mode not in CHECK_KINDS:
+    """Run one named check, or all four in a fixed order. "all" decides KI
+    and SKI on one engine per class, first, so that exhaustive mode
+    refuses before any work."""
+    if mode == "all":
+        ki, ski = _check_coalitions(scheme, ("ki", "ski"), exhaustive)
+        return [check_correctness(scheme), ki, ski, check_key_independence(scheme)]
+    if mode not in CHECK_KINDS:
         raise InvalidArgument(f"unknown check mode {mode!r}")
-    return [CHECK_KINDS[kind](scheme, exhaustive)
-            for kind in (CHECK_KINDS if mode == "all" else (mode,))]
+    return [CHECK_KINDS[mode](scheme, exhaustive)]

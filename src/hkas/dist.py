@@ -127,8 +127,9 @@ class _Coalitions:
     row, whatever the size of the target's domain. The top joint, of
     every member, comes from one scan of the support; every other joint
     is summed from its parent, the memoised joint of the coalition plus
-    the smallest member it lacks. Vectors are never mutated, so a joint
-    shares each one that a single parent key gives.
+    the smallest member it lacks, or, through sum_from_top, from the top
+    joint itself. Vectors are never mutated, so a joint shares each one
+    that a single parent key gives.
 
     The target is independent of a coalition iff each vector of its
     joint is proportional to the target's marginal: p(c, t) = p(c) p(t)
@@ -158,6 +159,22 @@ class _Coalitions:
                 summed[code] = summed.get(code, 0) + w
         return summed
 
+    @classmethod
+    def _summed(cls, parent: dict[Codes, Vector], positions: Sequence[int]) -> dict[Codes, Vector]:
+        """The joint of the parent's members at these positions, in one pass
+        over the parent's joint."""
+        keep = _getter(positions)
+        groups: dict[Codes, list[Vector]] = {}
+        for key, vector in parent.items():
+            key = keep(key)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [vector]
+            else:
+                group.append(vector)
+        return {key: group[0] if len(group) == 1 else cls._sum(group)
+                for key, group in groups.items()}
+
     def _joint(self, chosen: tuple[int, ...] | None) -> dict[Codes, Vector]:
         if chosen is None:
             chosen = self._everyone
@@ -166,20 +183,17 @@ class _Coalitions:
             # The smallest member not held; it sits at position drop of the parent.
             drop = next(i for i, held in enumerate(chosen + (-1,)) if held != i)
             parent = chosen[:drop] + (drop,) + chosen[drop:]
-            keep = _getter([i for i in range(len(parent)) if i != drop])
-            groups: dict[Codes, list[Vector]] = {}
-            for key, vector in self._joint(parent).items():
-                key = keep(key)
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = [vector]
-                else:
-                    group.append(vector)
-            joint = {key: group[0] if len(group) == 1 else self._sum(group)
-                     for key, group in groups.items()}
+            joint = self._summed(self._joint(parent),
+                                 [i for i in range(len(parent)) if i != drop])
             if drop:  # only a coalition holding member 0 is ever a parent
                 self._memo[chosen] = joint
         return joint
+
+    def sum_from_top(self, chosen: tuple[int, ...]) -> None:
+        """Sums the joint of chosen from the top joint in one pass and
+        memoises it, where the parent rule would sum it through each
+        coalition in between."""
+        self._memo[chosen] = self._summed(self._memo[self._everyone], chosen)
 
     def independent(self, chosen: tuple[int, ...] | None = None) -> bool:
         """Whether the target is independent of the coalition chosen. The

@@ -118,6 +118,20 @@ def incorrect_scheme(graph: AccessGraph) -> Scheme:
     return Scheme(graph=graph, dist=JointDistribution.from_rows(rows))
 
 
+def mixed_leak_scheme() -> Scheme:
+    """r→a, with b and c isolated; uniform bits k_r, k_b, k_c and x, and
+    k_a = k_r XOR x. S:b = (k_b, x) and S:c = (k_c, k_a), the rest spell
+    out their keys. K:a is independent of S:b and of K:r, but not of
+    both, so SKI at a first fails for secrets {b} and keys {r}; KI at a
+    fails for {c}, which comes later in witness order, first as {b, c}."""
+    rows = [({"K:a": kr ^ x, "K:b": kb, "K:c": kc, "K:r": kr,
+              "S:a": kr ^ x, "S:b": (kb, x), "S:c": (kc, kr ^ x), "S:r": (kr, kr ^ x)},
+             Fraction(1, 16))
+            for kr, kb, kc, x in itertools.product((0, 1), repeat=4)]
+    return Scheme(graph=AccessGraph.build(["a", "b", "c", "r"], [("r", "a")]),
+                  dist=JointDistribution.from_rows(rows))
+
+
 def test_correctness_witness_shape(diamond):
     scheme = incorrect_scheme(diamond)
     report = check_correctness(scheme)
@@ -133,7 +147,7 @@ def test_correctness_witness_shape(diamond):
 
 def test_witness_floats_match_fraction_reference(diamond):
     rng = random.Random(29)
-    schemes = [incorrect_scheme(diamond)]
+    schemes = [incorrect_scheme(diamond), make_parity_leak(), mixed_leak_scheme()]
     for trial in range(24):
         graph = make_random_dag(rng, max_nodes=5, min_nodes=2)
         q = 2 + trial % 2
@@ -143,7 +157,12 @@ def test_witness_floats_match_fraction_reference(diamond):
     for scheme in schemes:
         rows = scheme.dist.rows()
         for exhaustive in (False, True):
-            for report in run_checks(scheme, "all", exhaustive=exhaustive):
+            reports = run_checks(scheme, "all", exhaustive=exhaustive)
+            # "all" decides KI and SKI on one engine per class; each check
+            # run alone decides them on its own.
+            assert reports == [check_correctness(scheme), check_ki(scheme, exhaustive),
+                               check_ski(scheme, exhaustive), check_key_independence(scheme)]
+            for report in reports:
                 for w in report.witnesses:
                     target = [f"K:{w.cls}"]
                     givens = [f"S:{v}" for v in w.secrets] + [f"K:{v}" for v in w.keys]
@@ -180,17 +199,21 @@ def test_run_checks_scans_once_per_class_and_engine(diamond, support_scans):
     # class, and reads each failing pair's witness from one more; the other
     # checks scan once per engine, as above. The incorrect scheme fails all
     # nine accessible pairs, SKI at every class and key independence at b.
-    for scheme, scans in (
-            (gen_trivial(diamond, 2), {"correctness": 4, "ki": 3, "ski": 4, "key-indep": 3}),
+    # "all" decides KI and SKI on one engine per class, so it scans as
+    # correctness, SKI and key independence do, in either coalition mode.
+    for scheme, scans, everything in (
+            (gen_trivial(diamond, 2), {"correctness": 4, "ki": 3, "ski": 4, "key-indep": 3},
+             {False: 11, True: 11}),
             (incorrect_scheme(diamond),
-             {"correctness": 4 + 9, "ki": 3, "ski": 4, "key-indep": 1})):
+             {"correctness": 4 + 9, "ki": 3, "ski": 4, "key-indep": 1}, {False: 18})):
         for kind, want in scans.items():
             support_scans.scans = 0
             run_checks(scheme, kind)
             assert support_scans.scans == want, kind
-        support_scans.scans = 0
-        run_checks(scheme, "all")
-        assert support_scans.scans == sum(scans.values())
+        for exhaustive, want in everything.items():
+            support_scans.scans = 0
+            run_checks(scheme, "all", exhaustive)
+            assert support_scans.scans == want, exhaustive
 
 
 def test_vacuous_passes():
@@ -278,20 +301,30 @@ def test_exhaustive_budget_bounds_the_lattice(monkeypatch):
         assert check(dag8, exhaustive=True).passed
 
 
-def test_exhaustive_budget_boundary(monkeypatch):
+def test_exhaustive_budget_boundary(monkeypatch, support_scans):
     # On b→a at q=2 (4 rows), KI at b holds S:a and SKI at a holds K:b:
     # one member each, so 2**1 * (4 + 1) = 10 bounds each lattice.
     scheme = gen_trivial(AccessGraph.build(["a", "b"], [("b", "a")]), 2)
     monkeypatch.setattr(hkas.checks, "MAX_LATTICE_WORK", 10)
     for check in (check_ki, check_ski):
         assert check(scheme, exhaustive=True).passed
+    assert all(report.passed for report in run_checks(scheme, "all", True))
     monkeypatch.setattr(hkas.checks, "MAX_LATTICE_WORK", 9)
-    for check, cls in ((check_ki, "b"), (check_ski, "a")):
+
+    def unbuilt(*_args):
+        raise AssertionError("a lattice was built past the exhaustive budget")
+
+    monkeypatch.setattr(hkas.checks, "_Coalitions", unbuilt)
+    # "all" refuses as KI does, before SKI, and before any other work.
+    for check, cls in ((check_ki, "b"), (check_ski, "a"),
+                       (functools.partial(run_checks, mode="all"), "b")):
+        support_scans.scans = 0
         with pytest.raises(CoalitionSpaceTooLarge) as refused:
             check(scheme, exhaustive=True)
         assert str(refused.value) == (
             f"class {cls!r} has 1 coalition members over 4 support rows: "
             "2**1 * 5 exceeds the exhaustive mode's budget of 9")
+        assert support_scans.scans == 0
 
 
 def _witness_order(forbidden, ancestors):
@@ -304,7 +337,7 @@ def _witness_order(forbidden, ancestors):
 
 
 def test_exhaustive_witness_is_the_first_dependent_coalition(diamond, chain4, antichain4):
-    schemes = [make_parity_leak()]
+    schemes = [make_parity_leak(), mixed_leak_scheme()]
     for graph in (diamond, chain4, antichain4):
         labels = sorted(graph.classes)
         schemes.append(gen_trivial(graph, 2))
@@ -333,6 +366,80 @@ def test_exhaustive_witness_is_the_first_dependent_coalition(diamond, chain4, an
     assert failures > len(schemes)
 
 
+def _decisions(scheme, kinds, exhaustive, reports):
+    """Per class with a coalition, the (secrets, keys) coalitions that the
+    walk decides, in order, given the verdicts it reached: SKI's witness
+    order (or the coalition of every member, in maximal mode) up to its
+    witness; then, only if KI runs too and that witness holds keys, the
+    coalitions holding no keys that come after it (maximal mode: the one
+    of all the secrets), up to KI's witness."""
+    found = {kind: {w.cls: (w.secrets, w.keys) for w in report.witnesses}
+             for kind, report in zip(kinds, reports)}
+    graph = scheme.graph
+    decided = []
+    for u in sorted(graph.classes):
+        forbidden = tuple(sorted(graph.forbidden_set(u)))
+        ancestors = tuple(sorted(graph.ancestor_set(u))) if "ski" in kinds else ()
+        if not forbidden + ancestors:
+            continue
+        order = (_witness_order(forbidden, ancestors) if exhaustive
+                 else [(forbidden, ancestors)])
+        first = found[kinds[-1]].get(u)
+        walk = order[:order.index(first) + 1] if first else order
+        if len(kinds) > 1 and first and first[1]:
+            if exhaustive:
+                rest = [(held, keys) for held, keys in order[order.index(first) + 1:] if not keys]
+            else:
+                rest = [(forbidden, ())] if forbidden else []
+            keyless = found["ki"].get(u)
+            walk += rest[:rest.index(keyless) + 1] if keyless else rest
+        decided.append(walk)
+    return decided
+
+
+def test_one_engine_per_class_decides_each_coalition_once(diamond, chain4, antichain4,
+                                                           monkeypatch):
+    # Every coalition engine the coalition checks build, and each coalition
+    # it decides, as (secrets, keys) labels; the other two checks are
+    # stubbed out so that only KI's and SKI's engines are counted.
+    engines = []
+    build, independent = hkas.checks._Coalitions, hkas.checks._Coalitions.independent
+
+    def built(dist, targets, members):
+        engine = build(dist, targets, members)
+        engines.append((engine, members, []))
+        return engine
+
+    def decided(engine, chosen=None):
+        _, members, walk = next(entry for entry in engines if entry[0] is engine)
+        labels = [members[i] for i in chosen]
+        walk.append((tuple(v[2:] for v in labels if v.startswith("S:")),
+                     tuple(v[2:] for v in labels if v.startswith("K:"))))
+        return independent(engine, chosen)
+
+    monkeypatch.setattr(hkas.checks, "_Coalitions", built)
+    monkeypatch.setattr(build, "independent", decided)
+    monkeypatch.setattr(hkas.checks, "check_correctness", lambda scheme: None)
+    monkeypatch.setattr(hkas.checks, "check_key_independence", lambda scheme: None)
+    schemes = [make_parity_leak(), incorrect_scheme(diamond), mixed_leak_scheme()]
+    for graph in (diamond, chain4, antichain4):
+        labels = sorted(graph.classes)
+        schemes += [gen_leaky(graph, 2, target, leaker) for target in labels
+                    for leaker in sorted(graph.forbidden_set(target))]
+        schemes += [gen_correlated(graph, 2, high, low)
+                    for high, low in itertools.permutations(labels, 2)]
+        schemes += [gen_random_correct(graph, 2, seed) for seed in (3, 4)]
+    for scheme in schemes:
+        for exhaustive in (False, True):
+            for kinds, check in ((("ki",), check_ki), (("ski",), check_ski),
+                                 (("ki", "ski"), run_checks)):
+                engines.clear()
+                reports = check(scheme, exhaustive=exhaustive)
+                reports = reports[1:3] if check is run_checks else [reports]
+                assert [walk for _, _, walk in engines] == _decisions(
+                    scheme, kinds, exhaustive, reports), (kinds, exhaustive)
+
+
 def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
@@ -351,7 +458,9 @@ def test_wide_key_domain_keeps_the_joint_within_the_support(kind):
     graph = AccessGraph.build(["a", "b"], [])
     if kind == "leaky":
         scheme, target, given = gen_leaky(graph, 100, "a", "b"), "K:a", "S:b"
-        checks = [check_ki, functools.partial(check_ski, exhaustive=True)]
+        checks = [check_ki, functools.partial(check_ski, exhaustive=True),
+                  lambda scheme: run_checks(scheme, "all")[1],
+                  lambda scheme: run_checks(scheme, "all", True)[1]]
     else:
         scheme, target, given = gen_correlated(graph, 300, "a", "b"), "K:b", "K:a"
         checks = [check_key_independence]
