@@ -14,6 +14,11 @@ written as arrays. Re-serializing the same object yields byte-identical
 text. A scheme's secrets share their (class, key) pairs, so dumps_at
 and value_sort_key take a memo, shared by a caller across a scheme,
 that writes, or keys, each nested tuple object once per depth.
+
+loads_at is dumps_at's inverse on scheme values: it reads back exactly
+the texts dumps_at writes for them, with each value's sort key, and
+refuses every other text. It takes a memo too, keyed by text, so a
+caller reading many values decodes each distinct item text once.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
+from typing import Any, Callable
 
 from .errors import ParseError, ProbabilityError, UnsupportedValue
 
@@ -38,6 +44,9 @@ MAX_VALUE_DEPTH = 32
 # memo lives. Keyed by identity, never by equality: True == 1 == 1.0.
 KeyMemo = dict[tuple[int, int], tuple[tuple, tuple]]
 EncodeMemo = dict[tuple[int, int], tuple[tuple, str]]
+# loads_at's memo: each text read -> (its value, that value's sort key),
+# and each tuple read -> itself, its one interned copy.
+LoadMemo = dict[str | tuple, tuple]
 
 _PROB_TEXT = re.compile(r"[0-9]+(?:/[0-9]+)?")
 
@@ -173,6 +182,67 @@ def _json_at(value: Any, depth: int) -> str:
     control character inside a string, so each newline in its output
     separates two lines of layout, and shifting them all is safe."""
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def loads_at(text: str, depth: int, memo: LoadMemo) -> tuple[Value, tuple]:
+    """(value, value_sort_key(value)) for the scheme value with
+    dumps_at(value, depth) == text; ValueError for every other text, and
+    for arrays nested more than MAX_VALUE_DEPTH deep counting from depth
+    4, where a scheme file's values sit, as value_from_json counts.
+
+    Each array is split and checked as _array lays it out, so a text is
+    certified as it is read, with no re-encoding. A leaf, a str as json
+    reads it or an int as int reads it, is accepted only if the writer
+    gives its text back. Through memo each distinct text is read once.
+    Keying memo by text alone is sound: a leaf reads the same at every
+    depth, and so does "[]" but for the depth bound, so it is read again
+    wherever it is met; a non-empty array's closing indent fixes the one
+    depth it reads at, so one met again at another depth is read again
+    there, and refused. Equal tuples read through one memo are one
+    object, interned once valid, and each key is built from its items'
+    keys."""
+    hit = memo.get(text)
+    if hit is None or text[0] == "[" and not text.endswith(_frame(depth)[1]):
+        hit = memo[text] = _load(text, depth, memo)
+    return hit
+
+
+@cache
+def _frame(depth: int) -> tuple[str, str, Callable[[str], list[str]]]:
+    """An array's layout at depth, as _array writes it: its opening, its
+    closing, and the split of its body into items, on the separator not
+    followed by a space, which an item one level deeper would add."""
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner, inner[:-2] + "]", re.compile("," + inner + "(?! )").split
+
+
+def _load(text: str, depth: int, memo: LoadMemo) -> tuple[Value, tuple]:
+    """loads_at of a text not yet read at depth."""
+    if text[:1] != "[":
+        if text[:1] == '"':
+            value = json.loads(text)
+            if _quote(value) == text:
+                return value, (1, value)
+        else:
+            value = int(text)
+            if int.__repr__(value) == text:
+                return value, (0, value)
+        raise ValueError(f"not a value as dumps_at writes it: {text[:40]!r}")
+    if depth - 4 >= MAX_VALUE_DEPTH:
+        raise ValueError(f"outcome value nests arrays more than {MAX_VALUE_DEPTH} deep")
+    if text == "[]":
+        return (), (2, -1)
+    opening, closing, split = _frame(depth)
+    if not (text.startswith(opening) and text.endswith(closing)):
+        raise ValueError(f"not an array as dumps_at writes it at depth {depth}")
+    items, key = [], [2]
+    for item in split(text[len(opening):-len(closing)]):
+        value, item_key = loads_at(item, depth + 1, memo)
+        items.append(value)
+        key += item_key
+    key.append(-1)
+    value = tuple(items)
+    return memo.setdefault(value, value), tuple(key)
 
 
 def dumps_canonical(doc: Any) -> str:

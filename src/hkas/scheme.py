@@ -19,17 +19,20 @@ load_scheme_file reads such a text by the same template, as its inverse,
 in fixed-size reads: it reads the head, then cuts on the separator
 between rows, carrying at most one row to the next read, and gives up
 rather than carry a row end that no separator follows. The certified
-graph fixes the variables. Only the distinct lines and probabilities
-are decoded; the int codes and weights come from their ranks. The cut
-is accepted only when the writer certifies it: when serialize_scheme of
-the result would give back the text byte for byte, so the format has
-one definition, the writer's. Every other file (hand-written, a
-graph_file reference, other layouts, anything one byte off, or not
-UTF-8) is read again and decoded by json and load_scheme, which decodes
-each distinct raw value once and gives its repeats, and equal tuples
-within values, the same object, so from_rows validates each distinct
-value and sub-value once. Both paths give equal Schemes; every error
-but SupportTooLarge in the writer's frame comes from the second.
+graph fixes the variables. Each row is cut once into its lines, and
+each distinct item text of the lines' values is decoded once, by
+loads_at, the inverse of the writer's dumps_at; the int codes and
+weights come from the ranks of the distinct lines and probabilities.
+The cut is accepted only when the writer certifies it: when
+serialize_scheme of the result would give back the text byte for byte,
+so the format has one definition, the writer's. Every other file
+(hand-written, a graph_file reference, other layouts, anything one byte
+off, or not UTF-8) is read again and decoded by json and load_scheme,
+which decodes each distinct raw value once and gives its repeats, and
+equal tuples within values, the same object, so from_rows validates
+each distinct value and sub-value once. Both paths give equal Schemes;
+every error but SupportTooLarge in the writer's frame comes from the
+second.
 """
 
 from __future__ import annotations
@@ -49,14 +52,14 @@ from .errors import HkasError, ParseError, SupportTooLarge, VariableMismatch
 from .graph import AccessGraph, graph_from_json, graph_to_json
 from .jsonutil import (
     EncodeMemo,
-    KeyMemo,
+    LoadMemo,
     Value,
     dumps_at,
+    loads_at,
     parse_prob,
     prob_str,
     round_float,
     value_from_json,
-    value_sort_key,
 )
 from .record import Record
 
@@ -415,14 +418,16 @@ def _cut_rows(pieces: Iterable[str], width: int) -> tuple[
     """Cut the rows, one a piece, into (lines, tails, rows): lines[j] and
     tails map each distinct text of a row's j-th line and of its
     probability to itself, and a row is the tuple of its lines and its
-    probability, so rows share one string per distinct text. Raises
-    _NotCanonical unless a row is width lines, _ROW_MID and the rest."""
+    probability, so rows share one string per distinct text. Each piece
+    is split once on _LINE_BREAK, and only its last part is cut on
+    _ROW_MID. Raises _NotCanonical unless a row is width lines joined by
+    _LINE_BREAK, then _ROW_MID and the rest."""
     lines: list[dict[str, str]] = [{} for _ in range(width)]
     tails: dict[str, str] = {}
     rows: list[tuple[tuple[str, ...], str]] = []
     for piece in pieces:
-        assignment, mid, p = piece.partition(_ROW_MID)
-        parts = assignment.split(_LINE_BREAK)
+        parts = piece.split(_LINE_BREAK)
+        parts[-1], mid, p = parts[-1].partition(_ROW_MID)
         if not mid or len(parts) != width:
             raise _NotCanonical
         rows.append((tuple(map(dict.setdefault, lines, parts, parts)), tails.setdefault(p, p)))
@@ -434,29 +439,21 @@ def _decode_lines(variables: tuple[str, ...], lines: list[dict[str, str]]) -> tu
     """(ranks, decoding) of the distinct lines of each row position, whose
     variable is variables[j]: the rank of each line's value among the
     position's values, and those values in rank order. Each distinct
-    value text is decoded, checked and sort-keyed once, in whichever
-    positions it is met; equal tuples within the values are decoded to
-    one object, which is re-encoded and sort-keyed once. Raises
-    _NotCanonical unless every line is _head(var) + dumps_at(value, 4)."""
-    decoded: dict[str, tuple[Value, tuple]] = {}
-    interned: dict[tuple, tuple] = {}
-    encoded: EncodeMemo = {}
-    keys: KeyMemo = {}
+    line is read by loads_at, with one memo, so each distinct item text
+    is decoded, checked and sort-keyed once, in whichever positions and
+    lines it is met, and equal tuples within the values are one object.
+    Raises _NotCanonical, or loads_at's ValueError, unless every line is
+    _head(var) + dumps_at(value, 4)."""
+    memo: LoadMemo = {}
     ranks, decoding = [], []
     for var, seen in zip(variables, lines):
         head = _head(var)
-        memo = {}
+        read = {}
         for line in seen:
             if not line.startswith(head):
                 raise _NotCanonical
-            raw = line[len(head):]
-            if raw not in decoded:
-                value = value_from_json(json.loads(raw), interned)
-                if dumps_at(value, 4, encoded) != raw:
-                    raise _NotCanonical
-                decoded[raw] = (value, value_sort_key(value, keys))
-            memo[line] = decoded[raw]
-        rank, values = _rank(memo)
+            read[line] = loads_at(line[len(head):], 4, memo)
+        rank, values = _rank(read)
         ranks.append(rank)
         decoding.append(values)
     return ranks, tuple(decoding)

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+import hkas.jsonutil
 import hkas.scheme
 from conftest import (
     DATA_DIR,
@@ -49,6 +50,7 @@ from hkas import (
 )
 from hkas.cli import main
 from hkas.graph import graph_to_json
+from hkas.jsonutil import dumps_at
 from hkas.scheme import (
     _DOC_HEAD,
     _ROW_END,
@@ -425,6 +427,38 @@ def test_serialize_encodes_each_distinct_value_once():
     text = serialize_scheme(Scheme(graph=graph, dist=dist))
     assert Walked.walks <= len(distinct)
     assert text == reference_serialize_scheme(scheme)
+
+
+def test_the_row_template_decodes_each_distinct_item_text_once(tmp_path, fallbacks,
+                                                              monkeypatch):
+    """The canonical reader's decode costs per distinct item text, not per
+    line or row: each distinct text of a value or sub-value, at the depth
+    it is laid out at, is decoded once, and json reads only str leaves."""
+    scheme = gen_leaky(make_diamond(), 3, "a", "b")
+    path = tmp_path / "leaky.json"
+    path.write_text(serialize_scheme(scheme))
+    texts: set[str] = set()
+
+    def walk(value, depth: int) -> None:
+        texts.add(dumps_at(value, depth))
+        if isinstance(value, tuple):
+            for item in value:
+                walk(item, depth + 1)
+
+    for values in scheme.dist.decoding:
+        for value in values:
+            walk(value, 4)
+    decoded: list[str] = []
+    parsed: list[str] = []
+    load, json_loads = hkas.jsonutil._load, json.loads
+    monkeypatch.setattr(hkas.jsonutil, "_load",
+                        lambda text, *rest: decoded.append(text) or load(text, *rest))
+    monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or json_loads(text))
+    assert load_scheme_file(str(path)) == scheme and fallbacks.count == 0
+    assert sorted(decoded) == sorted(texts) and len(texts) == 139
+    graph_text, *leaves = parsed
+    assert graph_text.startswith("{")
+    assert sorted(leaves) == sorted(text for text in texts if text.startswith('"'))
 
 
 def _raw_report(report) -> dict:

@@ -40,7 +40,7 @@ from hkas import (
     serialize_scheme,
 )
 from hkas.dist import _build
-from hkas.jsonutil import MAX_VALUE_DEPTH, value_from_json, value_sort_key
+from hkas.jsonutil import MAX_VALUE_DEPTH, dumps_at, value_from_json, value_sort_key
 
 TOL = 1e-9
 
@@ -465,18 +465,27 @@ def _nested(depth: int) -> tuple:
     return value
 
 
-def test_from_rows_bounds_value_depth(tmp_path):
+def test_from_rows_bounds_value_depth(tmp_path, fallbacks):
     """from_rows takes values nested MAX_VALUE_DEPTH deep, as the readers
-    do, so such a scheme round-trips through its file, and refuses any
-    deeper with UnsupportedValue, however deep, and also where a tuple
-    already keyed is met again deeper, in the same variable or another."""
+    do, so such a scheme round-trips through its file, by the row
+    template, and refuses any deeper with UnsupportedValue, however deep,
+    and also where a tuple already keyed is met again deeper, in the same
+    variable or another. A file in the writer's layout one level deeper
+    falls to the json path, which refuses it with ParseError."""
     deep = _nested(MAX_VALUE_DEPTH)
     scheme = Scheme(graph=AccessGraph.build(["x"], []), dist=JointDistribution.from_rows(
         [({"K:x": 0, "S:x": deep}, Fraction(1, 2)), ({"K:x": 1, "S:x": ()}, Fraction(1, 2))]))
     path = tmp_path / "deep.json"
-    path.write_text(serialize_scheme(scheme))
-    assert load_scheme_file(str(path)) == scheme
+    text = serialize_scheme(scheme)
+    path.write_text(text)
+    assert load_scheme_file(str(path)) == scheme and fallbacks.count == 0
     assert load_scheme(json.loads(path.read_text())) == scheme
+    line = '"S:x": ' + dumps_at(deep, 4)
+    assert text.count(line) == 1
+    path.write_text(text.replace(line, '"S:x": ' + dumps_at((deep,), 4)))
+    with pytest.raises(ParseError, match="^outcome value nests lists more than 32 deep$"):
+        load_scheme_file(str(path))
+    assert fallbacks.count == 1
     for depth in (MAX_VALUE_DEPTH + 1, 5000):
         with pytest.raises(UnsupportedValue, match="nests tuples more than 32 deep"):
             JointDistribution.from_rows([({"X": _nested(depth)}, Fraction(1))])

@@ -33,6 +33,7 @@ from hkas.jsonutil import (
     MAX_VALUE_DEPTH,
     dumps_at,
     dumps_canonical,
+    loads_at,
     parse_prob,
     prob_str,
     round_float,
@@ -272,6 +273,117 @@ def test_dumps_at_falls_back_to_json_past_the_recursion_limit():
             dumps_at(value, 0)
         assert got.type is expected.type and str(got.value) == str(expected.value)
         assert any(entry.name == "_json_at" for entry in got.traceback)
+
+
+def _nested(depth: int, leaf=0):
+    for _ in range(depth):
+        leaf = (leaf,)
+    return leaf
+
+
+def _scheme_values() -> list:
+    """Generator values, every kind at q=2 and 3 on the diamond, plus
+    hand-made ones: extreme ints, escaped and non-ASCII strs, empty and
+    shared tuples."""
+    graph = make_diamond()
+    values = {value for q in (2, 3)
+              for scheme in (gen_trivial(graph, q), gen_leaky(graph, q, "a", "b"),
+                             gen_correlated(graph, q, "a", "r"),
+                             gen_random_correct(graph, q, 0))
+              for column in scheme.dist.decoding for value in column}
+    shared = ("x", (0, -1))
+    return sorted(values, key=value_sort_key) + [
+        -1, -(10 ** 40), 10 ** 3999, 0, 'q"\\/\n\r\t\b\f\x00\x1f\x7f',
+        "é\u2028\u2029\ud800\U0001f600", "", (), ((),), ((), ("", 0), ()),
+        (shared, (shared,), shared), ((shared, 1), ((shared, 1),)),
+    ]
+
+
+def test_loads_at_inverts_dumps_at():
+    """loads_at reads back every scheme value dumps_at writes, at every
+    depth a scheme file's values take, with the value's sort key, equal
+    sub-tuples as one object, and nesting up to the bound counted from
+    depth 4; one array deeper is refused."""
+    values = _scheme_values()
+    assert len(values) > 60
+    for depth in (4, 5, 6):
+        deep = _nested(MAX_VALUE_DEPTH - (depth - 4), "z")
+        memo: dict = {}
+        for value in values + [deep, (1, deep[0])]:
+            text = dumps_at(value, depth)
+            for read in (loads_at(text, depth, {}), loads_at(text, depth, memo)):
+                assert read == (value, value_sort_key(value))
+                assert repr(read[0]) == repr(value)
+        for bad in ((deep,), (1, deep)):
+            with pytest.raises(ValueError, match="more than 32 deep"):
+                loads_at(dumps_at(bad, depth), depth, {})
+        with pytest.raises(ValueError):
+            loads_at(dumps_at(deep, depth), depth - 1, {})
+    shared = ("x", (0, -1))
+    got, _ = loads_at(dumps_at((shared, (shared,), shared), 4), 4, {})
+    assert got[0] is got[1][0] is got[2]
+
+
+def test_loads_at_refuses_near_canonical_texts():
+    """Texts the writer would not write are refused with ValueError:
+    json's other layouts and spellings, stray whitespace, an empty body,
+    a misplaced indent, and an array met through the memo at another
+    depth than its layout's."""
+    value = (("a", 1), ("b", -2))
+    text = dumps_at(value, 4)
+    near = [
+        json.dumps(value), json.dumps(value, separators=(",", ":")), "[ ]", "[\n]",
+        "-0", "01", "+1", "1_0", "1.0", "1e3", "true", "false", "null", "NaN",
+        '"é"', '"\\u00E9"', '"\\/"', "'a'", '"a" ', " 0", "0 ", "", "[", "]", "{}",
+        text + " ", " " + text, text + "\n", text.replace("]", "],", 1),
+        "[\n          \n        ]",  # the empty body
+        text.replace("\n            1", "\n             1"),  # one item an indent off
+        text.replace("\n          ]", "\n           ]", 1),  # a closing indent off
+        text.replace("\n        ]", "\n      ]"),  # the outer array laid out a level up
+        dumps_at(value, 5), dumps_at(value, 3),
+    ]
+    assert loads_at('"\\u00e9"', 4, {}) == ("é", (1, "é"))
+    for bad in near:
+        assert bad != text
+        with pytest.raises(ValueError):
+            loads_at(bad, 4, {})
+    memo: dict = {}
+    loads_at(dumps_at(((value,), ()), 4), 4, memo)  # value at depth 6, () at 5
+    loads_at(dumps_at((value, 1), 4), 4, memo)  # value at depth 5
+    assert {dumps_at(value, 5), dumps_at(value, 6), "[]"} <= set(memo)
+    for bad in (dumps_at(value, 5), dumps_at((value, 1), 4).replace(
+            dumps_at(value, 5), dumps_at(value, 6))):
+        with pytest.raises(ValueError):
+            loads_at(bad, 4, memo)
+    with pytest.raises(ValueError, match="more than 32 deep"):
+        loads_at("[]", 4 + MAX_VALUE_DEPTH, memo)
+
+
+def test_loads_at_single_character_edits():
+    """Every one-character substitution, deletion or insertion in a
+    canonical text is refused, or reads as a value the writer writes as
+    the edited text: a generated secret, and a hand-made value one
+    level deeper."""
+    alphabet = ' \n[],"0-1a\\xé'
+    secret = gen_leaky(make_diamond(), 2, "a", "b").dist.decoding[4][-1]
+    for value, depth in ((secret, 4), ((-12, ("é\n", ()), 7), 5)):
+        text = dumps_at(value, depth)
+        edits = set()
+        for i in range(len(text) + 1):
+            for char in alphabet:
+                edits.add(text[:i] + char + text[i:])
+                edits.add(text[:i] + char + text[i + 1:])
+            edits.add(text[:i] + text[i + 1:])
+        edits.discard(text)
+        accepted = 0
+        for edited in edits:
+            try:
+                read, key = loads_at(edited, depth, {})
+            except ValueError:
+                continue
+            accepted += 1
+            assert dumps_at(read, depth) == edited and key == value_sort_key(read)
+        assert 0 < accepted < len(edits) // 4
 
 
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
