@@ -13,8 +13,7 @@ each smaller one is summed from a joint one member larger. run_checks'
 "all" mode builds one engine per class, over SKI's members, and decides
 KI from it too: in one walk in SKI's witness order, each coalition that
 holds no keys is decided once for both, and once SKI's witness is found
-the walk goes on over those coalitions alone, to find KI's. Maximal mode
-sums KI's coalition from the top joint, and only when SKI's fails.
+the walk goes on over those coalitions alone, to find KI's.
 
 Coalition checks run in one of two modes:
 
@@ -64,8 +63,8 @@ def _first_failure(scheme: Scheme, cls: str, secrets: list[str], keys: list[str]
     and exhaustive mode every non-empty one, in witness order. The walk
     goes on past the first failure, over the coalitions holding no keys,
     only if keyless_too is set; in maximal mode that is the coalition of
-    all the secrets, summed from the top joint. (If the coalition of them
-    all passes, so does each of those, as maximal mode holds.)"""
+    all the secrets. (If the coalition of them all passes, so does each
+    of those, as maximal mode holds.)"""
     members = secrets + keys
     cut = len(secrets)
     coalitions = _Coalitions(scheme.dist, (key_var(cls),), [secret_var(v) for v in secrets]
@@ -94,14 +93,9 @@ def _first_failure(scheme: Scheme, cls: str, secrets: list[str], keys: list[str]
         return found, found
     if not keyless_too:
         return found, None
-    if exhaustive:
-        # Each coalition holding no keys and at most the secrets held by
-        # first came before it in the walk.
-        rest = held_secrets[i + 1:]
-    else:
-        rest = held_secrets
-        if cut:
-            coalitions.sum_from_top(rest[0])
+    # Exhaustively, each coalition holding no keys and at most the secrets
+    # held by first came before it in the walk.
+    rest = held_secrets[i + 1:] if exhaustive else held_secrets
     keyless = next((held for held in rest if held and not coalitions.independent(held)), None)
     return found, keyless and witness(keyless)
 

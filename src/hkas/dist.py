@@ -16,11 +16,10 @@ One private builder, _build, checks that the probabilities sum to 1
 and reduces the weights; from_rows, marginal, the scheme loader's row
 template and the generator core all build through it. from_rows, the
 json path and the generators' test oracle, validates and sort-keys
-each distinct value object once, and each distinct tuple object within
-the values once (both memoised by identity, never by equality), and
-ranks them; the row template ranks the values it decoded itself, the
-generator core the keys it enumerated; marginal takes its codes and
-summed weights from its parent.
+each distinct value object once (memoised by identity, never by
+equality), and ranks them; the row template ranks the values it
+decoded itself, the generator core the keys it enumerated; marginal
+takes its codes and summed weights from its parent.
 
 Queries never do Fraction arithmetic and never hash or compare values:
 each decision reads the support once, exactly, on the codes and int
@@ -60,7 +59,7 @@ from .errors import (
     ProbabilityError,
     UnknownVariable,
 )
-from .jsonutil import KeyMemo, Value, value_sort_key
+from .jsonutil import Value, value_sort_key
 from .record import Record
 
 Codes = tuple[int, ...]
@@ -127,9 +126,8 @@ class _Coalitions:
     row, whatever the size of the target's domain. The top joint, of
     every member, comes from one scan of the support; every other joint
     is summed from its parent, the memoised joint of the coalition plus
-    the smallest member it lacks, or, through sum_from_top, from the top
-    joint itself. Vectors are never mutated, so a joint shares each one
-    that a single parent key gives.
+    the smallest member it lacks. Vectors are never mutated, so a joint
+    shares each one that a single parent key gives.
 
     The target is independent of a coalition iff each vector of its
     joint is proportional to the target's marginal: p(c, t) = p(c) p(t)
@@ -188,12 +186,6 @@ class _Coalitions:
             if drop:  # only a coalition holding member 0 is ever a parent
                 self._memo[chosen] = joint
         return joint
-
-    def sum_from_top(self, chosen: tuple[int, ...]) -> None:
-        """Sums the joint of chosen from the top joint in one pass and
-        memoises it, where the parent rule would sum it through each
-        coalition in between."""
-        self._memo[chosen] = self._summed(self._memo[self._everyone], chosen)
 
     def independent(self, chosen: tuple[int, ...] | None = None) -> bool:
         """Whether the target is independent of the coalition chosen. The
@@ -279,7 +271,6 @@ class JointDistribution(Record):
             raise EmptyVariableSet("outcomes must assign at least one variable")
         varset = set(variables)
         memos: list[dict[int, tuple[Value, tuple]]] = [{} for _ in variables]
-        keys: KeyMemo = {}
         table: dict[tuple[Value, ...], Fraction] = {}
         for assignment, raw_p in materialized:
             if set(assignment) != varset:
@@ -297,7 +288,7 @@ class JointDistribution(Record):
             # (True == 1 and 1.0 == 1), before hashing: rejects lists, bools.
             for memo, value in zip(memos, outcome):
                 if id(value) not in memo:
-                    memo[id(value)] = (value, value_sort_key(value, keys))
+                    memo[id(value)] = (value, value_sort_key(value))
             if outcome in table:
                 raise DuplicateOutcome(f"outcome {outcome!r} appears more than once")
             table[outcome] = p

@@ -12,8 +12,8 @@ in canonical form first: rationals as "num/den" strings (prob_str),
 floats rounded to 12 significant digits (round_float). Tuples are
 written as arrays. Re-serializing the same object yields byte-identical
 text. A scheme's secrets share their (class, key) pairs, so dumps_at
-and value_sort_key take a memo, shared by a caller across a scheme,
-that writes, or keys, each nested tuple object once per depth.
+takes a memo, shared by a caller across a scheme, that writes each
+nested tuple object once per depth.
 
 loads_at is dumps_at's inverse on scheme values: it reads back exactly
 the texts dumps_at writes for them, with each value's sort key, and
@@ -38,11 +38,10 @@ Value = int | str | tuple
 # Far below the recursion limit; generated secrets nest two deep.
 MAX_VALUE_DEPTH = 32
 
-# Both memos: (id(tuple), depth) -> (tuple, its sort key or its text at
-# that depth), for the tuples nested in a caller's value, never the value
-# itself. Each entry holds its value, so the id is not reused while the
-# memo lives. Keyed by identity, never by equality: True == 1 == 1.0.
-KeyMemo = dict[tuple[int, int], tuple[tuple, tuple]]
+# dumps_at's memo: (id(tuple), depth) -> (tuple, its text at that depth),
+# for the tuples nested in a caller's value, never the value itself. Each
+# entry holds its value, so the id is not reused while the memo lives.
+# Keyed by identity, never by equality: True == 1 == 1.0.
 EncodeMemo = dict[tuple[int, int], tuple[tuple, str]]
 # loads_at's memo: each text read -> (its value, that value's sort key),
 # and each tuple read -> itself, its one interned copy.
@@ -81,9 +80,9 @@ def value_from_json(raw: object, interned: dict[tuple, tuple] | None = None,
     With interned, each tuple built is replaced by the equal tuple
     already in that table, or added to it, so equal sub-values decoded
     through one table are one object. Interning goes by equality, which
-    the memos of value_sort_key and dumps_at never use, since True == 1
-    and 1.0 == 1; it is safe here because a tuple is interned only once
-    its items are validated, so it holds no bool and no float."""
+    dumps_at's memo never uses, since True == 1 and 1.0 == 1; it is safe
+    here because a tuple is interned only once its items are validated,
+    so it holds no bool and no float."""
     if isinstance(raw, bool):
         raise ParseError(f"unsupported outcome value {raw!r}")
     if isinstance(raw, int) or isinstance(raw, str):
@@ -97,7 +96,7 @@ def value_from_json(raw: object, interned: dict[tuple, tuple] | None = None,
     raise ParseError(f"unsupported outcome value {raw!r}")
 
 
-def value_sort_key(value: Value, memo: KeyMemo | None = None, _depth: int = 0) -> tuple:
+def value_sort_key(value: Value, _depth: int = 0) -> tuple:
     """Total order over outcome values (ints, strs, tuples nested at most
     MAX_VALUE_DEPTH deep, counting the _depth tuples enclosing value);
     injective on them. Anything else, bools included, raises UnsupportedValue.
@@ -106,25 +105,17 @@ def value_sort_key(value: Value, memo: KeyMemo | None = None, _depth: int = 0) -
     (1, s), and a tuple as 2, its items' keys, then -1. No key is a
     prefix of another, and two keys agree up to where their values first
     differ, so keys compare as values do: ints, strs, then tuples item by
-    item, a proper prefix first. Each tuple nested in value is keyed once
-    per depth per memo; value itself leaves no entry, since callers key
-    each value once, and only nested tuples repeat."""
+    item, a proper prefix first."""
     if isinstance(value, tuple):
         if _depth >= MAX_VALUE_DEPTH:
             raise UnsupportedValue(f"outcome value nests tuples more than {MAX_VALUE_DEPTH} deep")
-        memo = {} if memo is None else memo
-        hit = memo.get((id(value), _depth))
-        if hit is None:
-            key = [2]
-            for item in value:
-                kind = type(item)
-                key += ((0, item) if kind is int else (1, item) if kind is str
-                        else value_sort_key(item, memo, _depth + 1))
-            key.append(-1)
-            hit = (value, tuple(key))
-            if _depth:
-                memo[id(value), _depth] = hit
-        return hit[1]
+        key = [2]
+        for item in value:
+            kind = type(item)
+            key += ((0, item) if kind is int else (1, item) if kind is str
+                    else value_sort_key(item, _depth + 1))
+        key.append(-1)
+        return tuple(key)
     if isinstance(value, int) and not isinstance(value, bool):
         return (0, value)
     if isinstance(value, str):
@@ -143,7 +134,7 @@ def dumps_at(value: Any, depth: int, memo: EncodeMemo | None = None) -> str:
     by depth indents: json.dumps(value, sort_keys=True, indent=2), with
     depth more indents after each newline, raising where json raises.
     Each non-empty tuple nested in value is written once per depth per
-    memo, and value itself leaves no entry, as in value_sort_key."""
+    memo, and value itself leaves no entry."""
     memo = {} if memo is None else memo
     try:
         text = _encode(value, depth, memo)

@@ -407,8 +407,8 @@ def test_over_the_bound_fails_in_the_template(tmp_path, fallbacks, monkeypatch):
 def test_serialize_encodes_each_distinct_value_once():
     """Work per distinct sub-value, not per node: the generator shares one
     tuple per distinct secret and per distinct (class, key) pair, and
-    from_rows sort-keys, and serialize_scheme encodes, each of those
-    tuples once, reading its items once, however many values hold it."""
+    serialize_scheme encodes each of those tuples once, reading its items
+    once, however many values hold it."""
     labels = ["n0", "n1", "n2", "n3", "n4", "n5"]
     graph = AccessGraph.build(labels, [("n0", "n1"), ("n0", "n2"), ("n1", "n3"),
                                        ("n2", "n3"), ("n4", "n5")])
@@ -420,9 +420,7 @@ def test_serialize_encodes_each_distinct_value_once():
     copies: dict = {}
     rows = [({var: walked(value, copies) for var, value in assignment.items()}, p)
             for assignment, p in rows]
-    Walked.walks = 0
     dist = JointDistribution.from_rows(rows)
-    assert Walked.walks <= len(distinct)
     Walked.walks = 0
     text = serialize_scheme(Scheme(graph=graph, dist=dist))
     assert Walked.walks <= len(distinct)

@@ -447,7 +447,7 @@ def test_construction_errors():
 @pytest.mark.parametrize("good, bad", [((1,), (True,)), (((1, "a"),), ((1.0, "a"),))])
 @pytest.mark.parametrize("bad_first", [False, True])
 def test_sort_key_memo_is_keyed_by_identity(good, bad, bad_first):
-    """from_rows keys each tuple object once, by identity: a value holding
+    """from_rows keys each value object once, by identity: a value holding
     a bool or a float is refused whether the equal valid value, held by
     two rows, comes before or after it."""
     rows = [({"X": good, "Y": 0}, Fraction(1, 3)), ({"X": good, "Y": 1}, Fraction(1, 3)),
@@ -469,7 +469,7 @@ def test_from_rows_bounds_value_depth(tmp_path, fallbacks):
     """from_rows takes values nested MAX_VALUE_DEPTH deep, as the readers
     do, so such a scheme round-trips through its file, by the row
     template, and refuses any deeper with UnsupportedValue, however deep,
-    and also where a tuple already keyed is met again deeper, in the same
+    and also where one tuple object is met again deeper, in the same
     variable or another. A file in the writer's layout one level deeper
     falls to the json path, which refuses it with ParseError."""
     deep = _nested(MAX_VALUE_DEPTH)

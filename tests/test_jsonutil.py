@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import hkas.cli
+import hkas.jsonutil
 from conftest import DATA_DIR, make_diamond, reference_dumps
 from hkas import (
     ParseError,
@@ -99,7 +100,7 @@ def test_value_sort_key_total_order():
     ordered = sorted(values, key=value_sort_key)
     assert ordered == [0, 3, "a", "b", (), (("a", 0),), (("b", 1),)]
     # The flat key orders as the nested reference does, prefixes first,
-    # and is injective, with or without one memo across the values.
+    # and is injective.
     rng = random.Random(5)
 
     def draw(depth=0):
@@ -111,10 +112,8 @@ def test_value_sort_key_total_order():
         return tuple(draw(depth + 1) for _ in range(rng.randrange(4)))
 
     values = [draw() for _ in range(2000)]
-    memo: dict = {}
-    for key in (value_sort_key, lambda value: value_sort_key(value, memo)):
-        assert sorted(values, key=key) == sorted(values, key=_nested_key)
-        assert len({key(value) for value in values}) == len(set(values))
+    assert sorted(values, key=value_sort_key) == sorted(values, key=_nested_key)
+    assert len({value_sort_key(value) for value in values}) == len(set(values))
 
 
 def test_round_float():
@@ -251,7 +250,7 @@ def test_dumps_at_raises_where_json_does():
         assert got.type is expected.type
 
 
-def test_dumps_at_falls_back_to_json_past_the_recursion_limit():
+def test_dumps_at_falls_back_to_json_past_the_recursion_limit(monkeypatch):
     # The encoder recurses once per level of a tuple only: lists and
     # dicts go to json's encoder at once, and a tuple nested far past the
     # recursion limit (JointDistribution does not check its decoding)
@@ -273,6 +272,16 @@ def test_dumps_at_falls_back_to_json_past_the_recursion_limit():
             dumps_at(value, 0)
         assert got.type is expected.type and str(got.value) == str(expected.value)
         assert any(entry.name == "_json_at" for entry in got.traceback)
+    # A tuple 400 deep is past the encoder's reach, a few frames a level,
+    # but within json's: the whole value goes to json, once, and the text
+    # is json's, byte for byte.
+    value = _nested(400)
+    fallbacks: list = []
+    json_at = hkas.jsonutil._json_at
+    monkeypatch.setattr(hkas.jsonutil, "_json_at",
+                        lambda *args: fallbacks.append(args) or json_at(*args))
+    want = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n    ")
+    assert dumps_at(value, 2) == want and fallbacks == [(value, 2)]
 
 
 def _nested(depth: int, leaf=0):

@@ -13,7 +13,7 @@ from typing import Callable
 import pytest
 
 import hkas
-from conftest import DATA_DIR, Walked, make_dag8, sub_tuples, walked
+from conftest import DATA_DIR, make_dag8, sub_tuples
 from hkas import (
     AccessGraph,
     ParseError,
@@ -75,48 +75,39 @@ def test_loader_decodes_values_without_a_repr():
         load_scheme(doc)
 
 
-def test_each_distinct_value_is_decoded_and_keyed_once(tmp_path, monkeypatch):
-    """Work per distinct sub-value, not per node: on a 729-row scheme with
-    132 distinct (variable, value) pairs, loading decodes each distinct
-    raw value once, decodes equal tuples within the values to one
-    object, and re-encodes and sort-keys each such tuple once, reading
-    its items once each time. The file is canonical, so it loads by the
-    row template, which decodes through hkas.scheme.value_from_json; the
-    decoded values are copied to Walked tuples that share what the
-    decoder shared, to count the reads."""
+def test_each_distinct_value_is_decoded_and_keyed_once(tmp_path, fallbacks, monkeypatch):
+    """Work per distinct value on the json path: a compact-JSON copy of a
+    729-row scheme with 132 distinct (variable, value) pairs is not
+    canonical, so it loads through json and load_scheme, which decodes
+    each distinct raw value with one hkas.scheme.value_from_json call
+    and decodes equal tuples within the values to one object. The row
+    template's decode is pinned in test_canonical.py."""
     labels = ["n0", "n1", "n2", "n3", "n4", "n5"]
     graph = AccessGraph.build(labels, [("n0", "n1"), ("n0", "n2"), ("n1", "n3"),
                                        ("n2", "n3"), ("n4", "n5")])
+    scheme = gen_trivial(graph, 3)
+    doc = scheme_to_json(scheme)
     path = tmp_path / "trivial.json"
-    path.write_text(serialize_scheme(gen_trivial(graph, 3)))
+    path.write_text(json.dumps(doc, separators=(",", ":")))
     calls = 0
-    copies: dict = {}
     decode = hkas.scheme.value_from_json
 
-    def counted(raw, *args):
+    def counted(raw, *args, **kwargs):
         nonlocal calls
         calls += 1
-        return walked(decode(raw, *args), copies)
+        return decode(raw, *args, **kwargs)
 
     monkeypatch.setattr(hkas.scheme, "value_from_json", counted)
-    Walked.walks = 0
-    scheme = load_scheme_file(str(path))
-    walks = Walked.walks
-    rows = scheme.dist.rows()
+    loaded = load_scheme_file(str(path))
+    assert loaded == scheme and fallbacks.count == 1
+    rows = loaded.dist.rows()
     distinct = {(var, json.dumps(value)) for assignment, _ in rows
                 for var, value in assignment.items()}
-    raw = {json.dumps(value) for row in json.loads(path.read_text())["support"]
-           for value in row["assignment"].values()}
+    raw = {json.dumps(value) for row in doc["support"] for value in row["assignment"].values()}
+    assert len(rows) == 729 and len(distinct) == 132
+    assert calls == len(raw)
     shared = sub_tuples([value for assignment, _ in rows for value in assignment.values()])
-    tuples = set(shared.values())
-    assert scheme.dist.support_size() == 729 and len(distinct) == 132
-    assert calls <= len(raw)
-    assert len(shared) == len(tuples) == 132
-    assert walks <= 2 * len(tuples)
-    monkeypatch.undo()
-    decoded = load_scheme(json.loads(path.read_text()))  # the json path shares too
-    assert len(sub_tuples([value for assignment, _ in decoded.dist.rows()
-                           for value in assignment.values()])) == 132
+    assert len(shared) == len(set(shared.values())) == 132
 
 
 def test_canonical_load_peaks_below_the_json_path(tmp_path):
