@@ -6,7 +6,10 @@ Correctness is decided once per secret, in one scan over the keys it must fix.
 
 KI and SKI share one coalition check. Against class u, an SKI coalition
 holds the secrets of classes in forbidden_set(u) and the keys of classes
-in ancestor_set(u); KI is SKI with no keys held. Each coalition is
+in ancestor_set(u); KI is SKI with no keys held. The check is one lazy
+walk over the classes, yielding each failing class's witness in class
+order: a report (check_ki, check_ski, run_checks) drains it, and a
+verdict (passes) reads only its first item. Each coalition is
 decided on its own joint with K:u, through dist._Coalitions: one scan
 of the support per class builds the joint of the largest coalition, and
 each smaller one is summed from a joint one member larger. run_checks'
@@ -38,7 +41,7 @@ tuples.
 from __future__ import annotations
 
 import itertools
-from typing import Callable
+from typing import Callable, Iterator
 
 from .dist import _Coalitions
 from .errors import CoalitionSpaceTooLarge, InvalidArgument
@@ -118,20 +121,24 @@ def check_correctness(scheme: Scheme) -> CheckReport:
 
 
 def _check_coalitions(scheme: Scheme, kinds: tuple[str, ...],
-                      exhaustive: bool) -> list[CheckReport]:
-    """Each key must be independent of every legal coalition against it.
+                      exhaustive: bool) -> Iterator[tuple[str, Witness]]:
+    """Each key must be independent of every legal coalition against it:
+    the (kind, witness) of each class that fails, in class order.
 
     The coalition against u holds secrets of forbidden_set(u) and, for
     "ski", keys of ancestor_set(u). kinds is ("ki",), ("ski",) or both:
     then one engine per class decides both, KI's coalitions being SKI's
-    that hold no keys.
+    that hold no keys. The walk is lazy: maximal mode derives a class's
+    members only when it reaches the class, and exhaustive mode derives
+    them all and refuses, before it decides any coalition.
     """
     graph = scheme.graph
-    rows = scheme.dist.support_size()
     with_keys = "ski" in kinds
-    classes = [(u, sorted(graph.forbidden_set(u)), sorted(graph.ancestor_set(u)) if with_keys
-                else []) for u in sorted(graph.classes)]
+    classes = ((u, sorted(graph.forbidden_set(u)), sorted(graph.ancestor_set(u)) if with_keys
+                else []) for u in sorted(graph.classes))
     if exhaustive:
+        classes = list(classes)
+        rows = scheme.dist.support_size()
         for kind in kinds:  # KI's refusal comes before SKI's
             for u, forbidden, ancestors in classes:
                 members = len(forbidden) + (len(ancestors) if kind == "ski" else 0)
@@ -141,7 +148,6 @@ def _check_coalitions(scheme: Scheme, kinds: tuple[str, ...],
                         f"rows: 2**{members} * {rows + 1} exceeds the exhaustive mode's "
                         f"budget of {MAX_LATTICE_WORK}"
                     )
-    witnesses: dict[str, list[Witness]] = {kind: [] for kind in kinds}
     for u, forbidden, ancestors in classes:
         if forbidden or ancestors:
             found = _first_failure(scheme, u, forbidden, ancestors, exhaustive, len(kinds) > 1)
@@ -149,14 +155,29 @@ def _check_coalitions(scheme: Scheme, kinds: tuple[str, ...],
             # keys is KI's when both kinds run.
             for kind, witness in zip(kinds[::-1], found or ()):
                 if witness is not None:
-                    witnesses[kind].append(witness)
+                    yield kind, witness
+
+
+def _reports(scheme: Scheme, kinds: tuple[str, ...], exhaustive: bool) -> list[CheckReport]:
+    """One report per kind, from the whole walk."""
+    witnesses: dict[str, list[Witness]] = {kind: [] for kind in kinds}
+    for kind, witness in _check_coalitions(scheme, kinds, exhaustive):
+        witnesses[kind].append(witness)
     return [CheckReport(kind=kind, passed=not failed, witnesses=tuple(failed))
             for kind, failed in witnesses.items()]
 
 
+def passes(scheme: Scheme, kind: str, exhaustive: bool = False) -> bool:
+    """check_ki's or check_ski's verdict ("ki" or "ski"), read from the
+    walk's first item: the walk stops at the first class that fails."""
+    if kind not in ("ki", "ski"):
+        raise InvalidArgument(f"unknown coalition check {kind!r}")
+    return next(_check_coalitions(scheme, (kind,), exhaustive), None) is None
+
+
 def check_ki(scheme: Scheme, exhaustive: bool = False) -> CheckReport:
     """Keys must be independent of the secrets of any forbidden coalition."""
-    return _check_coalitions(scheme, ("ki",), exhaustive)[0]
+    return _reports(scheme, ("ki",), exhaustive)[0]
 
 
 def check_ski(scheme: Scheme, exhaustive: bool = False) -> CheckReport:
@@ -165,7 +186,7 @@ def check_ski(scheme: Scheme, exhaustive: bool = False) -> CheckReport:
     The coalition holds the secrets of classes forbidden to reach u plus
     the keys (not secrets) of classes above u.
     """
-    return _check_coalitions(scheme, ("ski",), exhaustive)[0]
+    return _reports(scheme, ("ski",), exhaustive)[0]
 
 
 def check_key_independence(scheme: Scheme) -> CheckReport:
@@ -198,7 +219,7 @@ def run_checks(scheme: Scheme, mode: str = "all", exhaustive: bool = False) -> l
     and SKI on one engine per class, first, so that exhaustive mode
     refuses before any work."""
     if mode == "all":
-        ki, ski = _check_coalitions(scheme, ("ki", "ski"), exhaustive)
+        ki, ski = _reports(scheme, ("ki", "ski"), exhaustive)
         return [check_correctness(scheme), ki, ski, check_key_independence(scheme)]
     if mode not in CHECK_KINDS:
         raise InvalidArgument(f"unknown check mode {mode!r}")

@@ -22,7 +22,8 @@ One core, _scheme, knows each value's code and so builds every scheme
 in the distribution's int-coded form (see dist), with no per-row dict.
 
 Determinism: gen_random_correct uses splitmix64 seeded by the given
-integer, so equal inputs produce byte-identical serialized schemes.
+integer, so equal inputs produce byte-identical serialized schemes. The
+seed must lie in range(2**64), so that each seed names one scheme.
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ class SplitMix64:
 def _check_q(q: int) -> None:
     if q < 2:
         raise InvalidArgument(f"q must be at least 2, got {q}")
+
+
+def _check_seed(seed: int) -> None:
+    """splitmix64 reads the seed as one 64-bit word; any other int would
+    alias one, so it is refused rather than reduced."""
+    if not 0 <= seed <= _MASK64:
+        raise InvalidArgument(f"seed must be in range(2**64), got {seed}")
 
 
 def _check_bound(q: int, exponent: int) -> int:
@@ -193,9 +201,11 @@ def gen_random_correct(graph: AccessGraph, q: int, seed: int) -> Scheme:
     key tuples, or a multinomial from dropping 64 balls onto the q**n key
     tuples (probabilities count/64). Raises SupportTooLarge when q**n
     exceeds the support bound, regardless of seed, so failure does not
-    depend on the drawn branch.
+    depend on the drawn branch, and InvalidArgument for a seed outside
+    range(2**64).
     """
     _check_q(q)
+    _check_seed(seed)
     size = len(graph.classes)
     total = _check_bound(q, size)
     members = _secret_members(graph)

@@ -21,10 +21,12 @@ from conftest import (
 from hkas import (
     AccessGraph,
     CoalitionSpaceTooLarge,
+    InvalidArgument,
     JointDistribution,
     Scheme,
     SplitMix64,
     Witness,
+    build_corpus,
     check_correctness,
     check_key_independence,
     check_ki,
@@ -252,6 +254,52 @@ def test_ski_fails_whenever_ki_fails(diamond):
         ski = check_ski(scheme)
         if not ki.passed:
             assert not ski.passed
+
+
+def test_verdicts_match_the_reports(diamond):
+    # passes reads the first item of the walk that check_ki and check_ski
+    # drain, so each verdict is the report's.
+    schemes = build_corpus(diamond, 2, 200, 7) + [make_parity_leak()]
+    rng = random.Random(33)
+    for _ in range(30):
+        graph = make_random_dag(rng, max_nodes=5, min_nodes=2)
+        labels = sorted(graph.classes)
+        schemes += [gen_trivial(graph, 2), gen_correlated(graph, 2, *rng.sample(labels, 2)),
+                    gen_random_correct(graph, 2, rng.getrandbits(64))]
+        schemes += [gen_leaky(graph, 2, target, leaker) for target in labels[:1]
+                    for leaker in sorted(graph.forbidden_set(target))[:1]]
+    verdicts = set()
+    for scheme in dict.fromkeys(schemes):
+        for kind, check in (("ki", check_ki), ("ski", check_ski)):
+            for exhaustive in (False, True):
+                verdict = hkas.checks.passes(scheme, kind, exhaustive)
+                assert verdict == check(scheme, exhaustive).passed, (kind, exhaustive)
+                verdicts.add((kind, verdict))
+    assert verdicts == {("ki", True), ("ki", False), ("ski", True), ("ski", False)}
+    with pytest.raises(InvalidArgument, match="unknown coalition check 'all'"):
+        hkas.checks.passes(schemes[0], "all")
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_a_verdict_walks_up_to_the_first_failing_class(antichain4, monkeypatch, exhaustive):
+    # KI and SKI fail at b and at d; a verdict decides a and b only, and
+    # maximal mode derives no later class's members either.
+    scheme = gen_correlated(antichain4, 2, "b", "d")
+    walked, derived = [], []
+    walk, forbidden_set = hkas.checks._first_failure, AccessGraph.forbidden_set
+    monkeypatch.setattr(hkas.checks, "_first_failure",
+                        lambda scheme, cls, *args: walked.append(cls) or walk(scheme, cls, *args))
+    monkeypatch.setattr(AccessGraph, "forbidden_set",
+                        lambda graph, u: derived.append(u) or forbidden_set(graph, u))
+    for kind, check in (("ki", check_ki), ("ski", check_ski)):
+        walked.clear()
+        assert [w.cls for w in check(scheme, exhaustive).witnesses] == ["b", "d"]
+        assert walked == ["a", "b", "c", "d"]
+        walked.clear()
+        derived.clear()
+        assert not hkas.checks.passes(scheme, kind, exhaustive)
+        assert walked == ["a", "b"]
+        assert derived == (["a", "b", "c", "d"] if exhaustive else ["a", "b"])
 
 
 def test_exhaustive_cap(monkeypatch):

@@ -252,6 +252,24 @@ def test_floats_rounded_to_12_digits_at_q3(capsys, tmp_path):
     assert json.loads(out)["max_abs_err"] == 8.881784197e-16
 
 
+def test_seed_outside_one_word_exits_2(capsys, tmp_path):
+    # -5 and 2**64 - 5 would otherwise name the same scheme and corpus.
+    for seed in (-1, 2 ** 64, -5):
+        out = tmp_path / "refused.json"
+        code, stdout, err = run_cli(capsys, ["gen", "--graph", DIAMOND, "--kind", "random",
+                                             "--q", "2", "--seed", str(seed), "-o", str(out)])
+        assert (code, stdout, err) == (2, "", f"error: seed must be in range(2**64), got {seed}\n")
+        assert not out.exists()
+        code, stdout, err = run_cli(capsys, ["validate", "--graph", DIAMOND, "--trials", "1",
+                                             "--seed", str(seed), "--q", "2"])
+        assert (code, stdout, err) == (2, "", f"error: seed must be in range(2**64), got {seed}\n")
+    for seed in (0, 2 ** 64 - 1):
+        gen_scheme(capsys, tmp_path, "random", ["--seed", str(seed)], name=f"s{seed}.json")
+        code, _out, err = run_cli(capsys, ["validate", "--graph", DIAMOND, "--trials", "1",
+                                           "--seed", str(seed), "--q", "2"])
+        assert code == 0, err
+
+
 def test_input_error_exit_codes(capsys, tmp_path):
     code, _out, err = run_cli(capsys, ["check", "--scheme", "/nope/missing.json"])
     assert code == 2 and "error" in err

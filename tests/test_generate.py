@@ -15,6 +15,7 @@ import hkas.generate
 from conftest import DATA_DIR, make_chain4, make_dag8, make_diamond, make_random_dag
 from hkas import (
     AccessGraph,
+    InvalidArgument,
     InvalidLeak,
     JointDistribution,
     Scheme,
@@ -58,6 +59,17 @@ def test_splitmix64_determinism_and_bounds():
         SplitMix64(1).next_below(0)
     # seeds wrap modulo 2**64
     assert SplitMix64(2 ** 64 + 3).next_u64() == SplitMix64(3).next_u64()
+
+
+def test_random_seed_must_be_one_word(diamond):
+    # A seed outside range(2**64) would alias one inside it, so it is
+    # refused; both ends of the range are accepted, and differ.
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(InvalidArgument,
+                           match=rf"^seed must be in range\(2\*\*64\), got {seed}$"):
+            gen_random_correct(diamond, 2, seed)
+    low, high = (gen_random_correct(diamond, 2, seed) for seed in (0, 2 ** 64 - 1))
+    assert low != high
 
 
 def test_gen_trivial_postconditions(diamond):

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+import hkas.checks
 import hkas.harness as harness
 from conftest import make_diamond
 from hkas import (
     AccessGraph,
-    CheckReport,
     HkasError,
+    InvalidArgument,
     JointDistribution,
     PreconditionFailed,
     Scheme,
@@ -33,6 +34,26 @@ from hkas import (
 )
 
 TOL = 1e-9
+
+
+def _forced(monkeypatch, verdict, kinds=("ki", "ski")):
+    """Make harness.passes answer verdict for these kinds, and decide the
+    others as before."""
+    inner = harness.passes
+    monkeypatch.setattr(harness, "passes",
+                        lambda scheme, kind: verdict if kind in kinds else inner(scheme, kind))
+
+
+def _recorded(monkeypatch, kind):
+    """The schemes harness.passes is asked to decide kind on, from now on."""
+    calls, inner = [], harness.passes
+
+    def recorded(scheme, asked):
+        if asked == kind:
+            calls.append(scheme)
+        return inner(scheme, asked)
+    monkeypatch.setattr(harness, "passes", recorded)
+    return calls
 
 
 def test_independence_sum_trivial(diamond):
@@ -117,9 +138,7 @@ def test_preconditions(diamond):
 def test_violation_carries_scheme(monkeypatch, diamond):
     # force the KI precondition to lie so the identity genuinely fails
     correlated = gen_correlated(diamond, 2, "a", "r")
-    monkeypatch.setattr(
-        harness, "check_ki", lambda scheme: CheckReport("ki", True, ())
-    )
+    _forced(monkeypatch, True, ("ki",))
     with pytest.raises(TheoremViolation) as exc_info:
         verify_independence_sum(correlated, diamond.well_ordered_all())
     payload = exc_info.value.scheme_json
@@ -178,10 +197,7 @@ def test_equivalence_needs_correctness():
 
 def test_verify_equivalence_strictness(monkeypatch, diamond):
     corpus = [gen_leaky(diamond, 2, "a", "b")]
-    monkeypatch.setattr(
-        harness, "check_ski",
-        lambda scheme, exhaustive=False: CheckReport("ski", True, ()),
-    )
+    _forced(monkeypatch, True, ("ski",))
     relaxed = verify_equivalence(corpus, strict=False)
     assert relaxed["discrepancies"] == 1
     with pytest.raises(TheoremViolation):
@@ -194,20 +210,13 @@ def test_verify_equivalence_reads_a_one_shot_iterator(monkeypatch, diamond):
     corpus = [trivial, leaky, gen_correlated(diamond, 2, "a", "r"), trivial, leaky]
     expected = verify_equivalence(corpus)
     assert expected["schemes"] == 5 and expected["ki_pass"] == 2
-    calls = []
-    monkeypatch.setattr(harness, "check_ski",
-                        lambda scheme: calls.append(scheme) or check_ski(scheme))
+    calls = _recorded(monkeypatch, "ski")
     assert verify_equivalence(scheme for scheme in corpus) == expected
     assert calls == corpus[:3]
 
 
 def test_run_validation_totals_are_empty_without_ki_passing_schemes(monkeypatch, diamond):
-    monkeypatch.setattr(
-        harness, "check_ki", lambda scheme: CheckReport("ki", False, ())
-    )
-    monkeypatch.setattr(
-        harness, "check_ski", lambda scheme: CheckReport("ski", False, ())
-    )
+    _forced(monkeypatch, False)
 
     def refuse(*args):
         raise AssertionError("no scheme passes KI, so no identity is verified")
@@ -228,6 +237,17 @@ def test_build_corpus_contents(diamond):
     assert [s.dist for s in corpus] == [s.dist for s in again]
     other_seed = build_corpus(diamond, 2, 4, 10)
     assert [s.dist for s in corpus] != [s.dist for s in other_seed]
+
+
+def test_corpus_seed_must_be_one_word(diamond):
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(InvalidArgument,
+                           match=rf"^seed must be in range\(2\*\*64\), got {seed}$"):
+            build_corpus(diamond, 2, 0, seed)
+        with pytest.raises(InvalidArgument):
+            run_validation(diamond, 2, 1, seed)
+    low, high = (build_corpus(diamond, 2, 2, seed) for seed in (0, 2 ** 64 - 1))
+    assert low[:-2] == high[:-2] and low[-2:] != high[-2:]
 
 
 def test_run_validation_rejects_bad_arguments(diamond):
@@ -263,9 +283,7 @@ def test_identities_decided_exactly(monkeypatch):
     ]
     scheme = Scheme(graph, JointDistribution.from_rows(rows))
     assert 0 < scheme.dist.mutual_information(["K:a"], ["K:b"]) < 1e-10
-    monkeypatch.setattr(
-        harness, "check_ki", lambda scheme: CheckReport("ki", True, ())
-    )
+    _forced(monkeypatch, True, ("ki",))
     with pytest.raises(TheoremViolation):
         verify_conditional_identities(scheme, ("a", "b"), 1, 1)
     with pytest.raises(TheoremViolation):
@@ -273,9 +291,7 @@ def test_identities_decided_exactly(monkeypatch):
 
 
 def test_run_validation_names_corpus_scheme(monkeypatch, diamond):
-    monkeypatch.setattr(
-        harness, "check_ki", lambda scheme: CheckReport("ki", True, ())
-    )
+    _forced(monkeypatch, True, ("ki",))
     with pytest.raises(TheoremViolation, match=r"^corpus scheme 1: ") as exc_info:
         run_validation(diamond, 2, 0, 0)
     payload = exc_info.value.scheme_json
@@ -313,14 +329,12 @@ def test_run_validation_totals_public_verifiers(shape, q):
 def test_run_validation_decides_each_distinct_scheme_once(monkeypatch, diamond):
     # 121 of the 214 schemes are distinct, and the 94 KI-passing ones are
     # all gen_trivial's scheme.
-    calls = {"check_ski": 0, "verify_independence_sum": 0}
-    for name in calls:
-        def counted(*args, _name=name, _inner=getattr(harness, name)):
-            calls[_name] += 1
-            return _inner(*args)
-        monkeypatch.setattr(harness, name, counted)
+    ski = _recorded(monkeypatch, "ski")
+    summed, inner = [], harness.verify_independence_sum
+    monkeypatch.setattr(harness, "verify_independence_sum",
+                        lambda *args: summed.append(args[0]) or inner(*args))
     summary = run_validation(diamond, 2, 200, 7)
-    assert calls == {"check_ski": 121, "verify_independence_sum": 1}
+    assert (len(ski), len(summed)) == (121, 1)
     assert summary == {"schemes": 214, "ki_pass": 94, "ki_fail": 120,
                        "discrepancies": 0, "identity_checks": 3666, "max_abs_err": 0.0}
 
@@ -329,18 +343,14 @@ def test_run_validation_decides_ki_once_per_distinct_scheme(monkeypatch, diamond
     # verify_equivalence decides KI on each of the 121 distinct schemes;
     # the public verifiers that run_validation calls take that verdict
     # rather than decide it again in their precondition.
-    calls = []
-    inner = harness.check_ki
-    monkeypatch.setattr(harness, "check_ki", lambda scheme: calls.append(scheme) or inner(scheme))
+    calls = _recorded(monkeypatch, "ki")
     summary = run_validation(diamond, 2, 200, 7)
     assert len(calls) == len(set(calls)) == 121
     assert summary["ki_pass"] == 94 and summary["identity_checks"] == 3666
 
 
 def test_verifiers_decide_ki_unless_given_the_verdict(monkeypatch, diamond):
-    calls = []
-    inner = harness.check_ki
-    monkeypatch.setattr(harness, "check_ki", lambda scheme: calls.append(scheme) or inner(scheme))
+    calls = _recorded(monkeypatch, "ki")
     trivial, leaky = gen_trivial(diamond, 2), gen_leaky(diamond, 2, "a", "b")
     seq = diamond.well_ordered_all()
     assert (verify_independence_sum(trivial, seq)
@@ -353,3 +363,24 @@ def test_verifiers_decide_ki_unless_given_the_verdict(monkeypatch, diamond):
     with pytest.raises(PreconditionFailed, match="not KI-secure"):
         verify_conditional_identities(trivial, seq, 3, 1, False)
     assert calls == [trivial, trivial, leaky]
+
+
+def test_run_validation_stops_each_verdict_at_its_first_failing_class(monkeypatch, diamond):
+    # A verdict reads the walk up to its first failing class, and builds
+    # that class's witness only: 847 walks and 782 witnesses when every
+    # report was drained in full.
+    counts = {"walks": 0, "witnesses": 0}
+    walk, witness = hkas.checks._first_failure, hkas.checks.Witness
+
+    def walked(*args):
+        counts["walks"] += 1
+        return walk(*args)
+
+    def built(*args):
+        counts["witnesses"] += 1
+        return witness(*args)
+    monkeypatch.setattr(hkas.checks, "_first_failure", walked)
+    monkeypatch.setattr(hkas.checks, "Witness", built)
+    summary = run_validation(diamond, 2, 200, 7)
+    assert counts["walks"] <= 277 and counts["witnesses"] <= 240
+    assert summary["ki_pass"] == 94 and summary["identity_checks"] == 3666
