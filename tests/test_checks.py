@@ -21,7 +21,6 @@ from conftest import (
 from hkas import (
     AccessGraph,
     CoalitionSpaceTooLarge,
-    InvalidArgument,
     JointDistribution,
     Scheme,
     SplitMix64,
@@ -271,19 +270,15 @@ def test_verdicts_match_the_reports(diamond):
     verdicts = set()
     for scheme in dict.fromkeys(schemes):
         for kind, check in (("ki", check_ki), ("ski", check_ski)):
-            for exhaustive in (False, True):
-                verdict = hkas.checks.passes(scheme, kind, exhaustive)
-                assert verdict == check(scheme, exhaustive).passed, (kind, exhaustive)
-                verdicts.add((kind, verdict))
+            verdict = hkas.checks.passes(scheme, kind)
+            assert verdict == check(scheme).passed, kind
+            verdicts.add((kind, verdict))
     assert verdicts == {("ki", True), ("ki", False), ("ski", True), ("ski", False)}
-    with pytest.raises(InvalidArgument, match="unknown coalition check 'all'"):
-        hkas.checks.passes(schemes[0], "all")
 
 
-@pytest.mark.parametrize("exhaustive", [False, True])
-def test_a_verdict_walks_up_to_the_first_failing_class(antichain4, monkeypatch, exhaustive):
+def test_a_verdict_walks_up_to_the_first_failing_class(antichain4, monkeypatch):
     # KI and SKI fail at b and at d; a verdict decides a and b only, and
-    # maximal mode derives no later class's members either.
+    # derives no later class's members either.
     scheme = gen_correlated(antichain4, 2, "b", "d")
     walked, derived = [], []
     walk, forbidden_set = hkas.checks._first_failure, AccessGraph.forbidden_set
@@ -293,13 +288,13 @@ def test_a_verdict_walks_up_to_the_first_failing_class(antichain4, monkeypatch, 
                         lambda graph, u: derived.append(u) or forbidden_set(graph, u))
     for kind, check in (("ki", check_ki), ("ski", check_ski)):
         walked.clear()
-        assert [w.cls for w in check(scheme, exhaustive).witnesses] == ["b", "d"]
+        assert [w.cls for w in check(scheme).witnesses] == ["b", "d"]
         assert walked == ["a", "b", "c", "d"]
         walked.clear()
         derived.clear()
-        assert not hkas.checks.passes(scheme, kind, exhaustive)
+        assert not hkas.checks.passes(scheme, kind)
         assert walked == ["a", "b"]
-        assert derived == (["a", "b", "c", "d"] if exhaustive else ["a", "b"])
+        assert derived == ["a", "b"]
 
 
 def test_exhaustive_cap(monkeypatch):
