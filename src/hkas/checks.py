@@ -7,10 +7,11 @@ Correctness is decided once per secret, in one scan over the keys it must fix.
 KI and SKI share one coalition check. Against class u, an SKI coalition
 holds the secrets of classes in forbidden_set(u) and the keys of classes
 in ancestor_set(u); KI is SKI with no keys held. The check is one lazy
-walk over the classes, yielding each failing class's witness in class
-order: a report (check_ki, check_ski, run_checks) drains it, and a
-verdict (passes) reads only its first item. Each coalition is
-decided on its own joint with K:u, through dist._Coalitions: one scan
+walk over the classes, yielding each failing class's coalition in class
+order: a report (check_ki, check_ski, run_checks) drains it and builds
+each one's witness, and a verdict (passes) reads only its first item
+and builds no witness. Each coalition is decided on its own joint with
+K:u, through dist._Coalitions: one scan
 of the support per class builds the joint of the largest coalition, and
 each smaller one is summed from a joint one member larger. run_checks'
 "all" mode builds one engine per class, over SKI's members, and decides
@@ -57,50 +58,59 @@ def _sorted_subsets(pool: range) -> list[tuple[int, ...]]:
         itertools.combinations(pool, size) for size in range(len(pool) + 1)))
 
 
+# A coalition against a class: the indices of the members it holds,
+# strictly increasing, secrets before keys.
+Chosen = tuple[int, ...]
+
+
 def _first_failure(scheme: Scheme, cls: str, secrets: list[str], keys: list[str],
-                   exhaustive: bool, keyless_too: bool) -> tuple[Witness, Witness | None] | None:
-    """The witnesses of two coalitions against cls, each holding some of
-    these sorted secrets and keys: the first that K:cls depends on, and the
-    first holding no keys that K:cls depends on (or None); or None when
-    K:cls depends on none. Maximal mode tests the coalition of them all,
-    and exhaustive mode every non-empty one, in witness order. The walk
-    goes on past the first failure, over the coalitions holding no keys,
-    only if keyless_too is set; in maximal mode that is the coalition of
-    all the secrets. (If the coalition of them all passes, so does each
-    of those, as maximal mode holds.)"""
-    members = secrets + keys
+                   exhaustive: bool, keyless_too: bool
+                   ) -> tuple[_Coalitions, Chosen, Chosen | None] | None:
+    """Two coalitions against cls, each holding some of these sorted
+    secrets and keys: the first that K:cls depends on, and the first
+    holding no keys that K:cls depends on (or None), with the engine
+    that decided them; or None when K:cls depends on none. Maximal mode
+    tests the coalition of them all, and exhaustive mode every non-empty
+    one, in witness order. The walk goes on past the first failure, over
+    the coalitions holding no keys, only if keyless_too is set; in
+    maximal mode that is the coalition of all the secrets. (If the
+    coalition of them all passes, so does each of those, as maximal mode
+    holds.)"""
     cut = len(secrets)
     coalitions = _Coalitions(scheme.dist, (key_var(cls),), [secret_var(v) for v in secrets]
                              + [key_var(w) for w in keys])
-
-    def witness(chosen: tuple[int, ...]) -> Witness:
-        labels = [members[i] for i in chosen]
-        held = sum(i < cut for i in chosen)
-        return Witness(cls, tuple(labels[:held]), tuple(labels[held:]),
-                       coalitions.entropy(), coalitions.conditional_entropy(chosen))
-
     if exhaustive:
         held_secrets = _sorted_subsets(range(cut))
-        key_subsets = _sorted_subsets(range(cut, len(members)))
+        key_subsets = _sorted_subsets(range(cut, cut + len(keys)))
     else:
         held_secrets = [tuple(range(cut))]
-        key_subsets = [tuple(range(cut, len(members)))]
+        key_subsets = [tuple(range(cut, cut + len(keys)))]
     walk = ((i, held + held_keys) for i, held in enumerate(held_secrets)
             for held_keys in key_subsets if held or held_keys)
     i, first = next(((i, chosen) for i, chosen in walk if not coalitions.independent(chosen)),
                     (None, None))
     if first is None:
         return None
-    found = witness(first)
     if first[-1] < cut:  # it holds no keys
-        return found, found
+        return coalitions, first, first
     if not keyless_too:
-        return found, None
+        return coalitions, first, None
     # Exhaustively, each coalition holding no keys and at most the secrets
     # held by first came before it in the walk.
     rest = held_secrets[i + 1:] if exhaustive else held_secrets
     keyless = next((held for held in rest if held and not coalitions.independent(held)), None)
-    return found, keyless and witness(keyless)
+    return coalitions, first, keyless
+
+
+def _witness(cls: str, secrets: list[str], keys: list[str], coalitions: _Coalitions,
+             chosen: Chosen) -> Witness:
+    """The witness of a coalition that _first_failure returned, its floats
+    read from the engine that decided it."""
+    members = secrets + keys
+    held = sum(i < len(secrets) for i in chosen)
+    labels = [members[i] for i in chosen]
+    return Witness(cls, tuple(labels[:held]), tuple(labels[held:]),
+                   coalitions.entropy(), coalitions.conditional_entropy(chosen))
 
 
 def check_correctness(scheme: Scheme) -> CheckReport:
@@ -120,10 +130,15 @@ def check_correctness(scheme: Scheme) -> CheckReport:
                        witnesses=tuple(witnesses))
 
 
+# A failing coalition, as _witness takes it: the class, its sorted
+# forbidden secrets and ancestor keys, the engine and the coalition.
+Failure = tuple[str, list[str], list[str], _Coalitions, Chosen]
+
+
 def _check_coalitions(scheme: Scheme, kinds: tuple[str, ...],
-                      exhaustive: bool) -> Iterator[tuple[str, Witness]]:
+                      exhaustive: bool) -> Iterator[tuple[str, Failure]]:
     """Each key must be independent of every legal coalition against it:
-    the (kind, witness) of each class that fails, in class order.
+    the (kind, failure) of each class that fails, in class order.
 
     The coalition against u holds secrets of forbidden_set(u) and, for
     "ski", keys of ancestor_set(u). kinds is ("ki",), ("ski",) or both:
@@ -151,25 +166,30 @@ def _check_coalitions(scheme: Scheme, kinds: tuple[str, ...],
     for u, forbidden, ancestors in classes:
         if forbidden or ancestors:
             found = _first_failure(scheme, u, forbidden, ancestors, exhaustive, len(kinds) > 1)
+            if found is None:
+                continue
+            coalitions, *chosen = found
             # The first failure is the last kind's, and the first holding no
             # keys is KI's when both kinds run.
-            for kind, witness in zip(kinds[::-1], found or ()):
-                if witness is not None:
-                    yield kind, witness
+            for kind, first in zip(kinds[::-1], chosen):
+                if first is not None:
+                    yield kind, (u, forbidden, ancestors, coalitions, first)
 
 
 def _reports(scheme: Scheme, kinds: tuple[str, ...], exhaustive: bool) -> list[CheckReport]:
-    """One report per kind, from the whole walk."""
+    """One report per kind, from the whole walk, with a witness for each
+    failure."""
     witnesses: dict[str, list[Witness]] = {kind: [] for kind in kinds}
-    for kind, witness in _check_coalitions(scheme, kinds, exhaustive):
-        witnesses[kind].append(witness)
+    for kind, failure in _check_coalitions(scheme, kinds, exhaustive):
+        witnesses[kind].append(_witness(*failure))
     return [CheckReport(kind=kind, passed=not failed, witnesses=tuple(failed))
             for kind, failed in witnesses.items()]
 
 
 def passes(scheme: Scheme, kind: str) -> bool:
     """check_ki's or check_ski's verdict ("ki" or "ski"), read from the
-    walk's first item: the walk stops at the first class that fails."""
+    walk's first item: the walk stops at the first class that fails, and
+    no witness is built."""
     return next(_check_coalitions(scheme, (kind,), False), None) is None
 
 
@@ -198,7 +218,8 @@ def check_key_independence(scheme: Scheme) -> CheckReport:
     for i in range(1, len(labels)):
         found = _first_failure(scheme, labels[i], [], labels[:i], False, False)
         if found is not None:
-            return CheckReport(kind="key-indep", passed=False, witnesses=found[:1])
+            witness = _witness(labels[i], [], labels[:i], *found[:2])
+            return CheckReport(kind="key-indep", passed=False, witnesses=(witness,))
     return CheckReport(kind="key-indep", passed=True, witnesses=())
 
 

@@ -19,17 +19,19 @@ key tuples and in deliberate defects:
   hold.
 
 One core, _scheme, knows each value's code and so builds every scheme
-in the distribution's int-coded form (see dist), with no per-row dict.
+in the distribution's int-coded form (see dist), with no per-row dict
+and with int weights over one int total, as dist._build takes them.
 
 Determinism: gen_random_correct uses splitmix64 seeded by the given
 integer, so equal inputs produce byte-identical serialized schemes. The
-seed must lie in range(2**64), so that each seed names one scheme.
+seed must lie in range(2**64), so that each seed names one scheme. Its
+branch and draw live in _random, which harness.build_corpus shares, and
+SplitMix64._draws is the one rejection sampler.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable
 
@@ -52,21 +54,31 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + self.GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * self.MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * self.MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return self._draws(1 << 64, 1)[0]
 
     def next_below(self, n: int) -> int:
         """Unbiased draw from range(n) via rejection sampling."""
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            x = self.next_u64()
-            if x < limit:
-                return x % n
+        return self._draws(n, 1)[0]
+
+    def _draws(self, n: int, count: int) -> list[int]:
+        """count unbiased draws from range(n), 0 < n <= 2**64: each output
+        word below the largest multiple of n that fits in 64 bits gives one
+        draw, and every other word is rejected."""
+        if not 0 < n <= 1 << 64:
+            raise ValueError(f"n must be in 1..2**64, got {n}")
+        limit = (1 << 64) - (1 << 64) % n
+        gamma, mix1, mix2 = self.GAMMA, self.MIX1, self.MIX2
+        state = self.state
+        draws: list[int] = []
+        while len(draws) < count:
+            state = (state + gamma) & _MASK64
+            z = ((state ^ (state >> 30)) * mix1) & _MASK64
+            z = ((z ^ (z >> 27)) * mix2) & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                draws.append(z % n)
+        self.state = state
+        return draws
 
 
 def _check_q(q: int) -> None:
@@ -101,9 +113,10 @@ def _secret_members(graph: AccessGraph) -> dict[str, tuple[str, ...]]:
 
 
 def _scheme(graph: AccessGraph, members: dict[str, tuple[str, ...]],
-            weighted_keys: Iterable[tuple[tuple[int, ...], Fraction]]) -> Scheme:
-    """The generator core: one support row per weighted key tuple, built
-    directly in the distribution's int-coded form.
+            weighted_keys: Iterable[tuple[tuple[int, ...], int]], total: int) -> Scheme:
+    """The generator core: one support row per weighted key tuple, with
+    probability its int weight over total, built directly in the
+    distribution's int-coded form.
 
     Key tuples are aligned with the sorted class labels and strictly
     increase; the secret of u lists (v, k_v) for every v in members[u].
@@ -134,16 +147,16 @@ def _scheme(graph: AccessGraph, members: dict[str, tuple[str, ...]],
         del column  # free the per-row values before the next column is built
     del combos  # and the key tuples before the rows are zipped
     return Scheme(graph, _build(_variables(graph), tuple(decoding), list(zip(*columns)),
-                                weights, 1))
+                                weights, total))
 
 
 def _uniform_scheme(graph: AccessGraph, q: int,
                     members: dict[str, tuple[str, ...]]) -> Scheme:
     """Independent uniform keys over {0..q-1}, secrets spelling out members."""
     size = len(graph.classes)
-    p = Fraction(1, _check_bound(q, size))
+    total = _check_bound(q, size)
     combos = itertools.product(range(q), repeat=size)
-    return _scheme(graph, members, ((combo, p) for combo in combos))
+    return _scheme(graph, members, ((combo, 1) for combo in combos), total)
 
 
 def gen_trivial(graph: AccessGraph, q: int) -> Scheme:
@@ -185,13 +198,47 @@ def gen_correlated(graph: AccessGraph, q: int, u: str, w: str) -> Scheme:
     labels = sorted(graph.classes)
     free = labels.index(min(u, w))
     forced = labels.index(max(u, w))
-    p = Fraction(1, _check_bound(q, len(labels) - 1))
+    total = _check_bound(q, len(labels) - 1)
     # Tuples range over every class but the forced one. free < forced, so
     # the free key keeps its own index; a copy is inserted at forced's.
     combos = itertools.product(range(q), repeat=len(labels) - 1)
     return _scheme(graph, _secret_members(graph), (
-        (combo[:forced] + (combo[free],) + combo[forced:], p) for combo in combos
-    ))
+        (combo[:forced] + (combo[free],) + combo[forced:], 1) for combo in combos
+    ), total)
+
+
+def _draw_size(graph: AccessGraph, q: int) -> int:
+    """The number q**n of key tuples a random scheme is drawn over. Raises
+    InvalidArgument for q < 2, and SupportTooLarge when q**n exceeds the
+    support bound or 2**64, the most that one 64-bit word can index."""
+    _check_q(q)
+    size = len(graph.classes)
+    total = _check_bound(q, size)
+    if total > 1 << 64:
+        raise SupportTooLarge(
+            f"q**{size} = {total} key tuples with q={q} "
+            f"exceeds 2**64, the most a 64-bit draw can index"
+        )
+    return total
+
+
+def _random(graph: AccessGraph, q: int, seed: int, members: dict[str, tuple[str, ...]],
+            total: int, uniform: Scheme | None) -> Scheme:
+    """gen_random_correct's scheme for this seed, given its secret members
+    and the total from _draw_size. uniform, when not None, is the
+    uniform branch's scheme, _uniform_scheme(graph, q, members), made
+    once by the caller; a multinomial draw never builds it."""
+    rng = SplitMix64(seed)
+    if rng.next_u64() & 1:
+        return uniform if uniform is not None else _uniform_scheme(graph, q, members)
+    size = len(graph.classes)
+    # Key tuple number `index` of the product order: its base-q digits,
+    # the first label most significant.
+    powers = [q ** (size - 1 - i) for i in range(size)]
+    return _scheme(graph, members, [
+        (tuple([index // power % q for power in powers]), len(list(balls)))
+        for index, balls in itertools.groupby(sorted(rng._draws(total, 64)))
+    ], 64)
 
 
 def gen_random_correct(graph: AccessGraph, q: int, seed: int) -> Scheme:
@@ -199,27 +246,10 @@ def gen_random_correct(graph: AccessGraph, q: int, seed: int) -> Scheme:
 
     One PRNG bit selects the shape: the uniform product distribution over
     key tuples, or a multinomial from dropping 64 balls onto the q**n key
-    tuples (probabilities count/64). Raises SupportTooLarge when q**n
-    exceeds the support bound, regardless of seed, so failure does not
-    depend on the drawn branch, and InvalidArgument for a seed outside
-    range(2**64).
+    tuples (probabilities count/64). Raises InvalidArgument for a seed
+    outside range(2**64), then as _draw_size does, whatever the seed, so
+    failure does not depend on the drawn branch.
     """
-    _check_q(q)
     _check_seed(seed)
-    size = len(graph.classes)
-    total = _check_bound(q, size)
-    members = _secret_members(graph)
-    rng = SplitMix64(seed)
-    if rng.next_u64() & 1:
-        return _uniform_scheme(graph, q, members)
-    counts: dict[int, int] = {}
-    for _ in range(64):
-        index = rng.next_below(total)
-        counts[index] = counts.get(index, 0) + 1
-    # Key tuple number `index` of the product order: its base-q digits,
-    # the first label most significant.
-    return _scheme(graph, members, [
-        (tuple([index // q ** (size - 1 - i) % q for i in range(size)]),
-         Fraction(counts[index], 64))
-        for index in sorted(counts)
-    ])
+    total = _draw_size(graph, q)
+    return _random(graph, q, seed, _secret_members(graph), total, None)

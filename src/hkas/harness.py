@@ -21,7 +21,7 @@ reproduces them.
 
 The harness needs verdicts, not reports: verify_equivalence and the
 verifiers' KI precondition decide through checks.passes, whose walk
-stops at the first failing class and builds no later witness. KI and
+stops at the first failing class and builds no witness at all. KI and
 SKI are still decided by separate walks, each on its own engines, so
 the two sides of the theorem under test stay independent.
 """
@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 
 from .checks import passes
 from .errors import InvalidArgument, PreconditionFailed, TheoremViolation
-from .generate import (SplitMix64, _check_seed, gen_correlated, gen_leaky, gen_random_correct,
-                       gen_trivial)
+from .generate import (SplitMix64, _check_seed, _draw_size, _random, _secret_members,
+                       gen_correlated, gen_leaky, gen_trivial)
 from .graph import AccessGraph
 from .scheme import Scheme, key_var, secret_var, serialize_scheme
 
@@ -216,14 +216,18 @@ def build_corpus(graph: AccessGraph, q: int, trials: int, seed: int) -> list[Sch
 
     Contents: the trivial scheme, one leaky scheme per (target, leaker)
     pair with the leaker forbidden to the target, one correlated scheme
-    per unordered class pair, and `trials` schemes from
-    gen_random_correct with per-trial seeds derived via splitmix64.
-    Raises InvalidArgument when trials is negative or seed lies outside
-    range(2**64).
+    per unordered class pair, and `trials` schemes, each equal to
+    gen_random_correct at a per-trial seed derived via splitmix64. A
+    trial that draws the uniform branch is the trivial scheme itself,
+    corpus[0], and is not built again. Raises InvalidArgument when
+    trials is negative or seed lies outside range(2**64), then as
+    generate._draw_size does, before any scheme is built.
     """
     if trials < 0:
         raise InvalidArgument(f"trials must be non-negative, got {trials}")
     _check_seed(seed)
+    total = _draw_size(graph, q)
+    members = _secret_members(graph)
     corpus: list[Scheme] = [gen_trivial(graph, q)]
     for target in sorted(graph.classes):
         for leaker in sorted(graph.forbidden_set(target)):
@@ -234,7 +238,7 @@ def build_corpus(graph: AccessGraph, q: int, trials: int, seed: int) -> list[Sch
             corpus.append(gen_correlated(graph, q, u, w))
     rng = SplitMix64(seed)
     for _ in range(trials):
-        corpus.append(gen_random_correct(graph, q, rng.next_u64()))
+        corpus.append(_random(graph, q, rng.next_u64(), members, total, corpus[0]))
     return corpus
 
 

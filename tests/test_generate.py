@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -22,6 +23,7 @@ from hkas import (
     SplitMix64,
     SupportTooLarge,
     UnknownClass,
+    build_corpus,
     check_correctness,
     gen_correlated,
     gen_leaky,
@@ -32,6 +34,7 @@ from hkas import (
     secret_var,
     serialize_scheme,
 )
+from hkas.cli import main
 
 TOL = 1e-9
 
@@ -55,10 +58,63 @@ def test_splitmix64_determinism_and_bounds():
     assert all(0 <= d < 7 for d in draws)
     assert len(set(draws)) == 7
     assert SplitMix64(1).next_below(1) == 0
-    with pytest.raises(ValueError):
-        SplitMix64(1).next_below(0)
+    # A 64-bit word indexes at most 2**64 values: n = 2**64 takes every
+    # word as it is, and a larger n is refused, not looped on.
+    assert SplitMix64(1).next_below(2 ** 64) == SplitMix64(1).next_u64()
+    for n in (0, 2 ** 64 + 1):
+        with pytest.raises(ValueError):
+            SplitMix64(1).next_below(n)
     # seeds wrap modulo 2**64
     assert SplitMix64(2 ** 64 + 3).next_u64() == SplitMix64(3).next_u64()
+
+
+def test_batched_draws_equal_repeated_next_below():
+    # One rejection loop draws a multinomial's balls; from equal seeds it
+    # gives what as many next_below calls give, and so does a rejection
+    # loop over next_u64 written out here, leaving the same state. At
+    # n = 2**63 + 1 about half of the words are rejected.
+    for n in (7, 16, 2 ** 63 + 1):
+        for seed in range(5):
+            batched, single, words = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+            draws = batched._draws(n, 64)
+            assert draws == [single.next_below(n) for _ in range(64)]
+            limit = 2 ** 64 - 2 ** 64 % n
+            reference, used = [], 0
+            while len(reference) < 64:
+                x, used = words.next_u64(), used + 1
+                if x < limit:
+                    reference.append(x % n)
+            assert draws == reference
+            assert batched.state == single.state == words.state
+            if n == 2 ** 63 + 1:
+                assert 90 < used < 170, used
+
+
+def test_random_schemes_over_more_than_2_64_key_tuples_are_refused(monkeypatch, tmp_path):
+    # 2**65 key tuples: a 64-bit draw cannot index them, so both branches
+    # are refused alike, before any PRNG word is drawn or any support built.
+    def forbidden(*args):
+        raise AssertionError("drew a word or built a support")
+    monkeypatch.setenv("HKAS_MAX_SUPPORT", str(2 ** 70))
+    # 2**64 key tuples are drawn over: 64 balls make at most 64 rows.
+    widest = AccessGraph.build([f"c{i:02d}" for i in range(64)], [])
+    assert 0 < gen_random_correct(widest, 2, 2).dist.support_size() <= 64
+    graph = AccessGraph.build([f"c{i:02d}" for i in range(65)], [])
+    monkeypatch.setattr(SplitMix64, "_draws", forbidden)
+    monkeypatch.setattr(hkas.generate, "_scheme", forbidden)
+    refusal = r"^q\*\*65 = 36893488147419103232 key tuples with q=2 exceeds 2\*\*64"
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"classes": list(graph.classes), "edges": []}), encoding="utf-8")
+    for seed in (42, 2):  # the uniform branch's seed, then the multinomial's
+        with pytest.raises(SupportTooLarge, match=refusal):
+            gen_random_correct(graph, 2, seed)
+        out = tmp_path / "scheme.json"
+        assert main(["gen", "--graph", str(path), "--kind", "random", "--q", "2",
+                     "--seed", str(seed), "-o", str(out)]) == 2
+        assert not out.exists()
+    with pytest.raises(SupportTooLarge, match=refusal):
+        build_corpus(graph, 2, 1, 7)
+    assert main(["validate", "--graph", str(path), "--q", "2", "--trials", "1"]) == 2
 
 
 def test_random_seed_must_be_one_word(diamond):
@@ -176,19 +232,23 @@ def test_support_bound_enforced(monkeypatch, diamond):
     monkeypatch.setenv("HKAS_MAX_SUPPORT", "4")
     with pytest.raises(SupportTooLarge, match=r"q\*\*3 = 8 "):
         gen_correlated(diamond, 2, "a", "r")
+    # the bound itself is allowed
+    monkeypatch.setenv("HKAS_MAX_SUPPORT", "16")
+    assert gen_trivial(diamond, 2).dist.support_size() == 16
 
 
-def reference_scheme(graph, members, weighted_keys) -> Scheme:
-    """The generator core's oracle: the same rows, built as dicts of
-    values and canonicalised by JointDistribution.from_rows."""
+def reference_scheme(graph, members, weighted_keys, total) -> Scheme:
+    """The generator core's oracle: the same rows, each with probability
+    Fraction(weight, total), built as dicts of values and canonicalised
+    by JointDistribution.from_rows."""
     labels = sorted(graph.classes)
     rows = []
-    for combo, p in weighted_keys:
+    for combo, weight in weighted_keys:
         keys = dict(zip(labels, combo))
         assignment = {key_var(u): keys[u] for u in labels}
         for u in labels:
             assignment[secret_var(u)] = tuple((v, keys[v]) for v in members[u])
-        rows.append((assignment, p))
+        rows.append((assignment, Fraction(weight, total)))
     return Scheme(graph=graph, dist=JointDistribution.from_rows(rows))
 
 
@@ -199,10 +259,10 @@ def core_pairs(monkeypatch) -> list:
     made = []
     core = hkas.generate._scheme
 
-    def both(graph, members, weighted_keys):
+    def both(graph, members, weighted_keys, total):
         weighted = list(weighted_keys)
-        scheme = core(graph, members, weighted)
-        made.append((scheme, reference_scheme(graph, members, weighted)))
+        scheme = core(graph, members, weighted, total)
+        made.append((scheme, reference_scheme(graph, members, weighted, total)))
         return scheme
 
     monkeypatch.setattr(hkas.generate, "_scheme", both)

@@ -2,7 +2,7 @@
 
 Run from the checkout, for one or more modules of src/hkas:
 
-    python3 tools/mutate.py record harness dist checks graph jsonutil scheme
+    python3 tools/mutate.py generate record harness dist checks graph jsonutil scheme
 
 Each mutant swaps one operator, ==/!=, </<=, >/>=, +/-, //, * (both
 ways, also as +=/-= and //=/*=), and/or, is/is not or in/not in, or
@@ -45,6 +45,7 @@ SWAPS = {
 # Test files that exercise each module quickly; every survivor is run
 # again under the whole suite before it counts.
 QUICK = {
+    "generate": ["tests/test_generate.py", "tests/test_harness.py", "tests/test_cli.py"],
     "harness": ["tests/test_harness.py", "tests/test_cli.py"],
     "dist": ["tests/test_dist.py", "tests/test_checks.py", "tests/test_harness.py",
              "tests/test_fuzz.py"],
