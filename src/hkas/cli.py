@@ -19,11 +19,23 @@ floats at 12 significant digits, so reruns are byte identical.
 A command imports the modules that only it uses (the generators, the
 expression parser, the harness) when it runs, so no command's start-up
 pays for another's.
+
+A command runs with the cyclic garbage collector off. It builds only
+acyclic data (tuples, dicts, strings and Fractions), which reference
+counting frees; what cycles a command leaves are the argument parser's,
+a fixed few hundred objects whatever the input size, so the collector's
+passes would find nothing to free. When main() is the process's entry
+point (called with no argv, as the console script and `python -m
+hkas.cli` do, which exit right after it), it also freezes what is alive
+on its way out, so the interpreter's shutdown collection has nothing to
+traverse. Called with an argv list, in process, it restores the caller's
+collector state on every way out and freezes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import warnings
 
@@ -227,6 +239,26 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one hkas command and return its exit code.
+
+    The cyclic collector is off while the command runs (see the module
+    docstring). With no argv, main is the process's entry point: the
+    collector stays off and what is alive is frozen, so the shutdown
+    collection skips it. With an argv list the caller's collector state
+    comes back on every way out, argparse's SystemExit included.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if argv is None:
+            gc.freeze()
+        elif enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

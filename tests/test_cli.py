@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import DATA_DIR
 from hkas import HkasError, TheoremViolation, load_scheme_file
+import hkas.cli
 from hkas.cli import main
 
 DIAMOND = str(DATA_DIR / "diamond.json")
@@ -159,6 +164,9 @@ def test_gen_usage_errors(capsys, tmp_path):
     base = ["gen", "--graph", DIAMOND, "--q", "2", "-o", out]
     code, _out, err = run_cli(capsys, base + ["--kind", "leaky"])
     assert code == 2 and "--target" in err
+    for half in (["--target", "a"], ["--leaker", "b"]):
+        assert run_cli(capsys, base + ["--kind", "leaky", *half]) == (
+            2, "", "error: --kind leaky needs --target and --leaker\n")
     code, _out, err = run_cli(capsys, base + ["--kind", "correlated"])
     assert code == 2 and "--pair" in err
     code, _out, err = run_cli(
@@ -223,6 +231,20 @@ def test_validate_command(capsys):
     code, out, _err = run_cli(capsys, argv[:-1])
     assert code == 0
     assert "discrepancies: 0" in out
+
+
+def test_validate_default_seed_is_zero(capsys):
+    validate = ["validate", "--graph", DIAMOND, "--trials", "5", "--q", "2"]
+    assert run_cli(capsys, validate) == run_cli(capsys, validate + ["--seed", "0"])
+
+
+def test_validate_discrepancy_exits_1(capsys, monkeypatch):
+    summary = {"schemes": 1, "ki_pass": 1, "ki_fail": 0, "discrepancies": 1,
+               "identity_checks": 0, "max_abs_err": 0.0}
+    monkeypatch.setattr("hkas.harness.run_validation", lambda *_args: dict(summary))
+    code, out, _err = run_cli(capsys, ["validate", "--graph", DIAMOND, "--trials", "1",
+                                       "--q", "2"])
+    assert code == 1 and "discrepancies: 1" in out
 
 
 def test_floats_rounded_to_12_digits_at_q3(capsys, tmp_path):
@@ -367,3 +389,110 @@ def test_unexpected_exception_exits_2_with_one_line(capsys, monkeypatch):
     monkeypatch.setattr("hkas.cli.cmd_check", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["check", "--scheme", "unused.json"])
+
+
+# The benchmark's six-class DAG: at q=3 its schemes have 729 rows.
+SIX_CLASSES = {"classes": [f"n{i}" for i in range(6)],
+               "edges": [["n0", "n1"], ["n0", "n2"], ["n1", "n3"], ["n2", "n3"],
+                         ["n4", "n5"]]}
+
+
+def test_commands_leave_fixed_cyclic_garbage(capsys, tmp_path):
+    """main runs with the cyclic collector off because a command's cycles
+    are a fixed set, the argument parser's: a small and a large input of
+    each command leave the same number for the collector to find."""
+    six = tmp_path / "six.json"
+    six.write_text(json.dumps(SIX_CLASSES))
+    sizes = {"small": (DIAMOND, "2", "a", "b"), "large": (str(six), "3", "n3", "n4")}
+    found: dict[str, dict[str, int]] = {}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for size, (graph, q, target, leaker) in sizes.items():
+            trivial, leaky = str(tmp_path / f"{size}-t.json"), str(tmp_path / f"{size}-l.json")
+            gen = ["gen", "--graph", graph, "--q", q, "-o"]
+            commands = {
+                "gen trivial": (gen + [trivial, "--kind", "trivial"], 0),
+                "gen leaky": (gen + [leaky, "--kind", "leaky", "--target", target,
+                                     "--leaker", leaker], 0),
+                "gen random": (gen + [str(tmp_path / f"{size}-r.json"), "--kind", "random"], 0),
+                "check": (["check", "--scheme", trivial, "--mode", "all"], 0),
+                "check --exhaustive": (["check", "--scheme", leaky, "--mode", "all",
+                                        "--exhaustive"], 1),
+                "validate": (["validate", "--graph", DIAMOND, "--q", "2", "--trials",
+                              "5" if size == "small" else "50"], 0),
+                "entropy": (["entropy", "--scheme", trivial,
+                             "--expr", f"H(K:{target} | S:{leaker})"], 0),
+                "bad input": (["check", "--scheme", graph], 2),
+            }
+            for name, (argv, expected) in commands.items():
+                gc.collect()
+                assert main(argv) == expected, (size, name, capsys.readouterr().err)
+                found.setdefault(name, {})[size] = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    for name, counts in found.items():
+        assert counts["small"] == counts["large"], (name, counts)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_collector_state(capsys, tmp_path, enabled):
+    """Called with an argv list, main leaves the collector as it found it
+    on every way out, and freezes nothing."""
+    trivial = gen_scheme(capsys, tmp_path, "trivial", [])
+    leaky = gen_scheme(capsys, tmp_path, "leaky", ["--target", "a", "--leaker", "b"],
+                       name="leaky.json")
+    outcomes = [
+        (["check", "--scheme", trivial], 0),
+        (["check", "--scheme", leaky, "--mode", "ki"], 1),
+        (["check", "--scheme", DIAMOND], 2),
+        (["--help"], SystemExit),
+        (["check"], SystemExit),
+    ]
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, expected in outcomes:
+            if expected is SystemExit:
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == expected
+            assert gc.isenabled() is enabled, argv
+            assert gc.get_freeze_count() == frozen, argv
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+        if not frozen:
+            gc.unfreeze()
+    capsys.readouterr()
+
+
+def test_entry_point_matches_in_process_main(capsys, tmp_path):
+    """main() with no argv, the process entry point, keeps the collector
+    off and freezes on its way out; what a user sees, the exit code,
+    stdout and stderr, is that of main(argv) in process."""
+    trivial = gen_scheme(capsys, tmp_path, "trivial", [])
+    leaky = gen_scheme(capsys, tmp_path, "leaky", ["--target", "a", "--leaker", "b"],
+                       name="leaky.json")
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"classes": ["r", "a", "b", "c"], "edges": [["r", "a"]]}))
+    package_root = str(Path(hkas.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    for argv in (["check", "--scheme", trivial],
+                 ["check", "--scheme", leaky, "--mode", "ki"],
+                 ["check", "--scheme", DIAMOND],
+                 ["check", "--scheme", trivial, "--graph", str(other)]):
+        expected = run_cli(capsys, argv)
+        proc = subprocess.run([sys.executable, "-m", "hkas.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    # The entry point leaves the collector off and what was alive frozen.
+    probe = ("import gc, sys; from hkas.cli import main; "
+             f"sys.argv[1:] = ['check', '--scheme', {trivial!r}]; main(); "
+             "print(gc.isenabled(), gc.get_freeze_count() > 0)")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout.splitlines()[-1] == "False True", proc.stderr

@@ -58,6 +58,7 @@ QUICK = {
                  "tests/test_fuzz.py"],
     "scheme": ["tests/test_scheme.py", "tests/test_canonical.py", "tests/test_fuzz.py",
                "tests/test_jsonutil.py", "tests/test_cli.py"],
+    "cli": ["tests/test_cli.py", "tests/test_acceptance.py", "tests/test_cli_snapshot.py"],
 }
 
 
@@ -162,9 +163,11 @@ def run_tests(work: Path, tests: list[str], timeout: float | None) -> str:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
             return "hang"
-    # 2: a collection error; 4: conftest did not import. Either way the
-    # mutant does not import, as the unmutated run, which must pass, did.
-    if code in (0, 1, 2, 4):
+    # 2: a collection error; 3: an internal error, such as a SystemExit
+    # raised while a test module imports; 4: conftest did not import.
+    # Either way the mutant does not import, as the unmutated run, which
+    # must pass, did.
+    if code in (0, 1, 2, 3, 4):
         return "pass" if code == 0 else "fail"
     sys.exit(f"pytest exited {code} on {' '.join(tests)}; the probe cannot judge mutants")
 
