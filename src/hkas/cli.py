@@ -153,11 +153,7 @@ def _analysis(graph: AccessGraph, label: str) -> dict:
 
 def cmd_graph_analyze(args: argparse.Namespace) -> int:
     graph = graph_from_json(load_json_file(args.graph))
-    if args.cls is not None:
-        targets = [args.cls]
-        graph._check_class(args.cls)
-    else:
-        targets = sorted(graph.classes)
+    targets = sorted(graph.classes) if args.cls is None else [args.cls]
     doc = {
         "classes": list(graph.classes),
         "topological_sort": list(graph.topological_sort()),

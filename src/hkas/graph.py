@@ -2,21 +2,24 @@
 
 An access graph is a finite DAG over class labels. A directed edge
 (v, u) means v is above u: v may derive u's key from its own secret.
-Accessibility is the reflexive-transitive closure of the edge relation.
+Accessibility is the reflexive-transitive closure of the edge relation,
+kept as two int bitmasks per class, bit i for classes[i], each built
+with one OR per edge: its down-set (what it can access) and its up-set
+(what can access it). The two meet in the class alone.
 
-For a class u the remaining classes split into two camps:
+For a class u the remaining classes split into two camps, which with
+{u} partition the class set; each camp is one mask read:
 
 * forbidden_set(u): classes that cannot reach u (potential adversaries
   against u's key),
 * ancestor_set(u): classes that can reach u, excluding u itself.
-
-Together with {u} these partition the class set.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import cached_property
+from itertools import compress
 from typing import Sequence
 
 from .errors import (
@@ -70,46 +73,47 @@ class AccessGraph(Record):
         return AccessGraph(tuple(classes), frozenset(edge_list))
 
     def _check_class(self, label: str) -> None:
-        if label not in self.classes:
+        if not isinstance(label, str) or label not in self._masks[0]:
             raise UnknownClass(f"unknown class {label!r}")
 
     @cached_property
-    def _closure(self) -> dict[str, frozenset[str]]:
-        """accessible_set of every class, built once bottom-up in topological order.
+    def _masks(self) -> tuple[dict[str, int], dict[str, int]]:
+        """Each class's (down, up) masks: a cached view, outside ==, hash and repr."""
+        position = {label: i for i, label in enumerate(self.topological_sort())}
+        edges = sorted(self.edges, key=lambda edge: position[edge[0]])
+        down = {label: 1 << i for i, label in enumerate(self.classes)}
+        up = dict(down)
+        for src, dst in reversed(edges):
+            down[src] |= down[dst]
+        for src, dst in edges:
+            up[dst] |= up[src]
+        return down, up
 
-        Not a record field, so equality and hashing ignore it.
-        """
-        closure: dict[str, frozenset[str]] = {}
-        for node in reversed(self._toposort_restricted(set(self.classes))):
-            reach = {node}
-            for src, dst in self.edges:
-                if src == node:
-                    reach |= closure[dst]
-            closure[node] = frozenset(reach)
-        return closure
+    def _members(self, mask: int) -> frozenset[str]:
+        """The classes whose bits mask sets: bin()'s digits reversed, as 0/1 bytes."""
+        selectors = bin(mask)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+        return frozenset(compress(self.classes, selectors))
 
     def accessible_set(self, v: str) -> frozenset[str]:
         """All classes whose keys v can derive, including v itself."""
         self._check_class(v)
-        return self._closure[v]
+        return self._members(self._masks[0][v])
 
     def forbidden_set(self, u: str) -> frozenset[str]:
         """Classes that cannot access u: every v with u not in accessible_set(v)."""
         self._check_class(u)
-        return frozenset(v for v, reach in self._closure.items() if u not in reach)
+        return self._members((1 << len(self.classes)) - 1 & ~self._masks[1][u])
 
     def ancestor_set(self, u: str) -> frozenset[str]:
         """Classes other than u that can access u."""
         self._check_class(u)
-        return frozenset(v for v, reach in self._closure.items() if v != u and u in reach)
+        return self._members(self._masks[1][u] & ~self._masks[0][u])
 
     def partition_check(self, u: str) -> bool:
         """True iff {u}, forbidden_set(u), ancestor_set(u) partition the classes."""
-        forbidden = self.forbidden_set(u)
-        ancestors = self.ancestor_set(u)
-        if u in forbidden or u in ancestors or forbidden & ancestors:
-            return False
-        return len(forbidden) + len(ancestors) + 1 == len(self.classes)
+        forbidden, ancestors = self.forbidden_set(u), self.ancestor_set(u)
+        together = len(forbidden) + len(ancestors) + 1  # as large as the union iff disjoint
+        return len(forbidden | ancestors | {u}) == together == len(self.classes)
 
     def topological_sort(self) -> tuple[str, ...]:
         """Kahn's algorithm; ties broken by smallest label first.
@@ -167,19 +171,16 @@ class AccessGraph(Record):
         The empty sequence is not well ordered; duplicates and unknown
         labels are rejected with typed errors.
         """
-        labels = tuple(seq)
-        if not labels:
-            return False
-        seen: set[str] = set()
-        for label in labels:
+        down, up = self._masks
+        seen = clash = 0
+        for label in seq:
             self._check_class(label)
-            if label in seen:
+            bit = down[label] & up[label]
+            if seen & bit:
                 raise DuplicateInSequence(f"class {label!r} repeats in sequence")
-            seen.add(label)
-        closure = self._closure
-        return not any(
-            labels[j] in closure[v] for j in range(len(labels)) for v in labels[:j]
-        )
+            clash |= seen & up[label]
+            seen |= bit
+        return seen != 0 and not clash
 
     def well_ordered_all(self) -> tuple[str, ...]:
         """A well-ordered sequence covering every class: reversed toposort."""
@@ -192,7 +193,6 @@ class AccessGraph(Record):
         induced subgraphs, so the whole sequence is well ordered and u
         sits at position len(forbidden_set(u)) + 1.
         """
-        self._check_class(u)
         forbidden_part = tuple(reversed(self._toposort_restricted(set(self.forbidden_set(u)))))
         ancestor_part = tuple(reversed(self._toposort_restricted(set(self.ancestor_set(u)))))
         return forbidden_part + (u,) + ancestor_part
@@ -200,6 +200,12 @@ class AccessGraph(Record):
 
 def validate_graph(graph: AccessGraph) -> None:
     """Check every structural invariant; raise a typed error on the first hit."""
+    if not isinstance(graph.classes, tuple):
+        raise ParseError("graph classes must be a tuple of labels")
+    if not isinstance(graph.edges, frozenset) or not all(
+            isinstance(edge, tuple) and len(edge) == 2 and all(isinstance(p, str) for p in edge)
+            for edge in graph.edges):
+        raise ParseError("graph edges must be a frozenset of (src, dst) pairs of strings")
     if not graph.classes:
         raise EmptyGraph("graph declares no classes")
     seen: set[str] = set()

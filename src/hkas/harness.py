@@ -174,10 +174,9 @@ def verify_main_theorem_sequence(scheme: Scheme, u: str,
     ancestor keys). identity_checks counts that statement once more when
     the coalition is non-empty; it shares the pivot identity's decision.
     """
-    graph = scheme.graph
-    seq = graph.theorem_sequence(u)
-    report = verify_conditional_identities(
-        scheme, seq, len(graph.forbidden_set(u)) + 1, len(graph.ancestor_set(u)), ki_passed)
+    seq = scheme.graph.theorem_sequence(u)
+    n = seq.index(u) + 1
+    report = verify_conditional_identities(scheme, seq, n, len(seq) - n, ki_passed)
     report["identity_checks"] += int(len(seq) >= 2)
     report["target"] = u
     return report

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -142,15 +144,36 @@ def test_is_well_ordered_cases(diamond):
     assert not diamond.is_well_ordered(("a", "c"))
     with pytest.raises(DuplicateInSequence):
         diamond.is_well_ordered(("c", "c"))
-    with pytest.raises(UnknownClass):
-        diamond.is_well_ordered(("c", "z"))
+    # a bad label anywhere is refused, even after the order has already failed
+    for seq in (("c", "z"), ("c", ["a"]), (None,), ("a", "c", "z")):
+        with pytest.raises(UnknownClass):
+            diamond.is_well_ordered(seq)
+    with pytest.raises(DuplicateInSequence):
+        diamond.is_well_ordered(("a", "c", "c"))
 
 
 def test_unknown_class_errors(diamond):
     for method in (diamond.accessible_set, diamond.forbidden_set,
                    diamond.ancestor_set, diamond.theorem_sequence):
-        with pytest.raises(UnknownClass):
-            method("nope")
+        for label in ("nope", ["a"], None):
+            with pytest.raises(UnknownClass):
+                method(label)
+
+
+def test_derivations_take_linear_memory():
+    labels = [f"c{i}" for i in range(1000)]
+    chain = AccessGraph.build(labels, list(zip(labels, labels[1:])))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for label in labels:
+            chain.accessible_set(label)
+            chain.forbidden_set(label)
+            chain.ancestor_set(label)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak} bytes"
 
 
 def test_validate_graph_errors():
@@ -170,6 +193,13 @@ def test_validate_graph_errors():
         validate_graph(AccessGraph(("a",), frozenset({("b", "a")})))
     with pytest.raises(DuplicateEdge, match=r"^edge \('b', 'c'\) listed more than once$"):
         AccessGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("b", "c")])
+    # the constructor checks its own fields: no string taken as classes or
+    # as an edge, no unhashable graph, no untyped error
+    for classes, edges in (("ab", frozenset({"ab"})), (("a", "b"), [("a", "b")]),
+                           (("a", "b"), frozenset({("a", "b", "a")})),
+                           (("a", "b"), frozenset({("a", "b"), (1, "b")}))):
+        with pytest.raises(ParseError, match="^graph (classes|edges) must be "):
+            AccessGraph(classes, edges)
 
 
 def test_cycle_detection():
