@@ -3,6 +3,9 @@
 All verdicts are decided with exact rational arithmetic; witness floats
 only report, and are read from the joint that decided the coalition.
 Correctness is decided once per secret, in one scan over the keys it must fix.
+Variables are addressed by index: the i-th of n classes in label order
+has its key at i and its secret at n + i, and the graph gives each
+class's sets as increasing positions. Classes are named only in witnesses.
 
 KI and SKI share one coalition check. Against class u, an SKI coalition
 holds the secrets of classes in forbidden_set(u) and the keys of classes
@@ -46,7 +49,7 @@ from typing import Callable, Iterator
 
 from .dist import _Coalitions
 from .errors import CoalitionSpaceTooLarge, InvalidArgument
-from .scheme import CheckReport, Scheme, Witness, key_var, secret_var
+from .scheme import CheckReport, Scheme, Witness
 
 MAX_LATTICE_WORK = 2 ** 21
 
@@ -63,28 +66,23 @@ def _sorted_subsets(pool: range) -> list[tuple[int, ...]]:
 Chosen = tuple[int, ...]
 
 
-def _first_failure(scheme: Scheme, cls: str, secrets: list[str], keys: list[str],
+def _first_failure(scheme: Scheme, key: int, secrets: list[int], keys: list[int],
                    exhaustive: bool, keyless_too: bool
                    ) -> tuple[_Coalitions, Chosen, Chosen | None] | None:
-    """Two coalitions against cls, each holding some of these sorted
-    secrets and keys: the first that K:cls depends on, and the first
-    holding no keys that K:cls depends on (or None), with the engine
-    that decided them; or None when K:cls depends on none. Maximal mode
-    tests the coalition of them all, and exhaustive mode every non-empty
-    one, in witness order. The walk goes on past the first failure, over
-    the coalitions holding no keys, only if keyless_too is set; in
-    maximal mode that is the coalition of all the secrets. (If the
-    coalition of them all passes, so does each of those, as maximal mode
-    holds.)"""
+    """Two coalitions against the key at index key, each holding some of
+    these secrets and keys (increasing variable indices): the first that
+    the key depends on, and the first holding no keys that it depends on
+    (or None), with the engine that decided them; or None when it depends
+    on none. Maximal mode tests the coalition of them all, and exhaustive
+    mode every non-empty one, in witness order. The walk goes on past the
+    first failure, over the coalitions holding no keys, only if
+    keyless_too is set; in maximal mode that is the coalition of all the
+    secrets. (If the coalition of them all passes, so does each of those,
+    as maximal mode holds.)"""
     cut = len(secrets)
-    coalitions = _Coalitions(scheme.dist, (key_var(cls),), [secret_var(v) for v in secrets]
-                             + [key_var(w) for w in keys])
-    if exhaustive:
-        held_secrets = _sorted_subsets(range(cut))
-        key_subsets = _sorted_subsets(range(cut, cut + len(keys)))
-    else:
-        held_secrets = [tuple(range(cut))]
-        key_subsets = [tuple(range(cut, cut + len(keys)))]
+    coalitions = _Coalitions(scheme.dist, (key,), secrets + keys)
+    subsets = _sorted_subsets if exhaustive else lambda pool: [tuple(pool)]
+    held_secrets, key_subsets = subsets(range(cut)), subsets(range(cut, cut + len(keys)))
     walk = ((i, held + held_keys) for i, held in enumerate(held_secrets)
             for held_keys in key_subsets if held or held_keys)
     i, first = next(((i, chosen) for i, chosen in walk if not coalitions.independent(chosen)),
@@ -102,14 +100,14 @@ def _first_failure(scheme: Scheme, cls: str, secrets: list[str], keys: list[str]
     return coalitions, first, keyless
 
 
-def _witness(cls: str, secrets: list[str], keys: list[str], coalitions: _Coalitions,
-             chosen: Chosen) -> Witness:
+def _witness(labels: tuple[str, ...], key: int, secrets: list[int], keys: list[int],
+             coalitions: _Coalitions, chosen: Chosen) -> Witness:
     """The witness of a coalition that _first_failure returned, its floats
-    read from the engine that decided it."""
+    read from the engine that decided it; variable v is of class labels[v % n]."""
     members = secrets + keys
     held = sum(i < len(secrets) for i in chosen)
-    labels = [members[i] for i in chosen]
-    return Witness(cls, tuple(labels[:held]), tuple(labels[held:]),
+    names = [labels[members[i] % len(labels)] for i in chosen]
+    return Witness(labels[key], tuple(names[:held]), tuple(names[held:]),
                    coalitions.entropy(), coalitions.conditional_entropy(chosen))
 
 
@@ -119,26 +117,22 @@ def check_correctness(scheme: Scheme) -> CheckReport:
     For each v and each u accessible from v, the secret of v must
     functionally determine the key of u.
     """
+    graph = scheme.graph
     witnesses: list[Witness] = []
-    for v in sorted(scheme.graph.classes):
-        label = {key_var(u): u for u in sorted(scheme.graph.accessible_set(v))}
-        for var in scheme.dist._undetermined(tuple(label), (secret_var(v),)):
-            coalition = _Coalitions(scheme.dist, (var,), [secret_var(v)])
-            witnesses.append(Witness(label[var], (v,), (), coalition.entropy(),
+    for secret, v in enumerate(graph._labels, len(graph.classes)):
+        for key in scheme.dist._undetermined(graph._positions(v, "accessible"), (secret,)):
+            coalition = _Coalitions(scheme.dist, (key,), (secret,))
+            witnesses.append(Witness(graph._labels[key], (v,), (), coalition.entropy(),
                                      coalition.conditional_entropy()))
     return CheckReport(kind="correctness", passed=not witnesses,
                        witnesses=tuple(witnesses))
 
 
-# A failing coalition, as _witness takes it: the class, its sorted
-# forbidden secrets and ancestor keys, the engine and the coalition.
-Failure = tuple[str, list[str], list[str], _Coalitions, Chosen]
-
-
 def _check_coalitions(scheme: Scheme, kinds: tuple[str, ...],
-                      exhaustive: bool) -> Iterator[tuple[str, Failure]]:
+                      exhaustive: bool) -> Iterator[tuple[str, tuple]]:
     """Each key must be independent of every legal coalition against it:
-    the (kind, failure) of each class that fails, in class order.
+    the (kind, failure) of each class that fails, in class order, the
+    failure being _witness's arguments after the labels.
 
     The coalition against u holds secrets of forbidden_set(u) and, for
     "ski", keys of ancestor_set(u). kinds is ("ki",), ("ski",) or both:
@@ -148,24 +142,25 @@ def _check_coalitions(scheme: Scheme, kinds: tuple[str, ...],
     them all and refuses, before it decides any coalition.
     """
     graph = scheme.graph
-    with_keys = "ski" in kinds
-    classes = ((u, sorted(graph.forbidden_set(u)), sorted(graph.ancestor_set(u)) if with_keys
-                else []) for u in sorted(graph.classes))
+    n = len(graph.classes)
+    classes = ((i, [n + v for v in graph._positions(u, "forbidden")],
+                graph._positions(u, "ancestor") if "ski" in kinds else [])
+               for i, u in enumerate(graph._labels))
     if exhaustive:
         classes = list(classes)
         rows = scheme.dist.support_size()
         for kind in kinds:  # KI's refusal comes before SKI's
-            for u, forbidden, ancestors in classes:
+            for i, forbidden, ancestors in classes:
                 members = len(forbidden) + (len(ancestors) if kind == "ski" else 0)
                 if 2 ** members * (rows + 1) > MAX_LATTICE_WORK:
                     raise CoalitionSpaceTooLarge(
-                        f"class {u!r} has {members} coalition members over {rows} support "
-                        f"rows: 2**{members} * {rows + 1} exceeds the exhaustive mode's "
-                        f"budget of {MAX_LATTICE_WORK}"
+                        f"class {graph._labels[i]!r} has {members} coalition members over "
+                        f"{rows} support rows: 2**{members} * {rows + 1} exceeds the "
+                        f"exhaustive mode's budget of {MAX_LATTICE_WORK}"
                     )
-    for u, forbidden, ancestors in classes:
+    for i, forbidden, ancestors in classes:
         if forbidden or ancestors:
-            found = _first_failure(scheme, u, forbidden, ancestors, exhaustive, len(kinds) > 1)
+            found = _first_failure(scheme, i, forbidden, ancestors, exhaustive, len(kinds) > 1)
             if found is None:
                 continue
             coalitions, *chosen = found
@@ -173,7 +168,7 @@ def _check_coalitions(scheme: Scheme, kinds: tuple[str, ...],
             # keys is KI's when both kinds run.
             for kind, first in zip(kinds[::-1], chosen):
                 if first is not None:
-                    yield kind, (u, forbidden, ancestors, coalitions, first)
+                    yield kind, (i, forbidden, ancestors, coalitions, first)
 
 
 def _reports(scheme: Scheme, kinds: tuple[str, ...], exhaustive: bool) -> list[CheckReport]:
@@ -181,7 +176,7 @@ def _reports(scheme: Scheme, kinds: tuple[str, ...], exhaustive: bool) -> list[C
     failure."""
     witnesses: dict[str, list[Witness]] = {kind: [] for kind in kinds}
     for kind, failure in _check_coalitions(scheme, kinds, exhaustive):
-        witnesses[kind].append(_witness(*failure))
+        witnesses[kind].append(_witness(scheme.graph._labels, *failure))
     return [CheckReport(kind=kind, passed=not failed, witnesses=tuple(failed))
             for kind, failed in witnesses.items()]
 
@@ -214,11 +209,11 @@ def check_key_independence(scheme: Scheme) -> CheckReport:
     independent of the keys before it; the first that is not is the
     witness.
     """
-    labels = sorted(scheme.graph.classes)
+    labels = scheme.graph._labels
     for i in range(1, len(labels)):
-        found = _first_failure(scheme, labels[i], [], labels[:i], False, False)
+        found = _first_failure(scheme, i, [], list(range(i)), False, False)
         if found is not None:
-            witness = _witness(labels[i], [], labels[:i], *found[:2])
+            witness = _witness(labels, i, [], list(range(i)), *found[:2])
             return CheckReport(kind="key-indep", passed=False, witnesses=(witness,))
     return CheckReport(kind="key-indep", passed=True, witnesses=())
 

@@ -23,18 +23,20 @@ takes its codes and summed weights from its parent.
 
 Queries never do Fraction arithmetic and never hash or compare values:
 each decision reads the support once, exactly, on the codes and int
-weights. _undetermined finds the targets that the givens do not
-determine. _scan sums each row's weight into the vector of a target
-group's weights at its coalition value: the top joint of _Coalitions,
-the one engine of every entropy and independence verdict, which sums
-each smaller coalition's joint from a joint one member larger. The
-target is independent of a coalition iff every vector is proportional to
-the target's marginal; k groups are mutually independent iff, by the
-chain rule, each is independent of those before it. An entropy term,
-w / total * log2(w / w_given), turns ints into floats only at that final
-step, and math.fsum rounds the terms' exact sum once: int / int true
-division is correctly rounded, as is float(Fraction), so the floats
-equal those of the Fraction formulas bit for bit.
+weights, by variable index: only the public queries take names, which
+_resolve and _positions turn into indices once. _undetermined finds the
+targets that the givens do not determine. _scan sums each row's weight
+into the vector of a target group's weights at its coalition value: the
+top joint of _Coalitions, the one engine of every entropy and
+independence verdict, which sums each smaller coalition's joint from a
+joint one member larger. The target is independent of a coalition iff
+every vector is proportional to the target's marginal; k groups are
+mutually independent iff, by the chain rule, each is independent of
+those before it. An entropy term, w / total * log2(w / w_given), turns
+ints into floats only at that final step, and math.fsum rounds the
+terms' exact sum once: int / int true division is correctly rounded, as
+is float(Fraction), so the floats equal those of the Fraction formulas
+bit for bit.
 
 Entropies use log base 2. Conditional entropy is computed directly from
 its definition, H(T|G) = -sum p(t,g) log2(p(t,g)/p(g)), not as a
@@ -118,16 +120,17 @@ Vector = dict[int, int]
 class _Coalitions:
     """The joint of one target group with each coalition of members.
 
-    A coalition is given by the strictly increasing indices of the
-    members it holds, at least one when there are members; None means
-    all of them. Its joint maps the coalition's codes, in member order,
-    to the Vector of the target's weights there. A vector holds only the
-    cells on the support, so a joint holds at most one cell per support
-    row, whatever the size of the target's domain. The top joint, of
-    every member, comes from one scan of the support; every other joint
-    is summed from its parent, the memoised joint of the coalition plus
-    the smallest member it lacks. Vectors are never mutated, so a joint
-    shares each one that a single parent key gives.
+    Targets and members are variable indices; a coalition is given by
+    the strictly increasing positions, in members, of the members it
+    holds, at least one when there are members; None means all of them.
+    Its joint maps the coalition's codes, in member order, to the Vector
+    of the target's weights there. A vector holds only the cells on the
+    support, so a joint holds at most one cell per support row, whatever
+    the size of the target's domain. The top joint, of every member,
+    comes from one scan of the support; every other joint is summed from
+    its parent, the memoised joint of the coalition plus the smallest
+    member it lacks. Vectors are never mutated, so a joint shares each
+    one that a single parent key gives.
 
     The target is independent of a coalition iff each vector of its
     joint is proportional to the target's marginal: p(c, t) = p(c) p(t)
@@ -138,9 +141,9 @@ class _Coalitions:
     condition.
     """
 
-    def __init__(self, dist: "JointDistribution", targets: tuple[str, ...],
-                 members: Sequence[str]) -> None:
-        joint = dist._scan(tuple(members), targets)
+    def __init__(self, dist: "JointDistribution", targets: Sequence[int],
+                 members: Sequence[int]) -> None:
+        joint = dist._scan(members, targets)
         self._marginal = marginal = self._sum(list(joint.values()))
         common = math.gcd(*marginal.values())
         self._reduced = {code: w // common for code, w in marginal.items()}
@@ -336,41 +339,39 @@ class JointDistribution(Record):
                 raise UnknownVariable(f"unknown variable {var!r}")
         return ordered
 
-    def _positions(self, *groups: tuple[str, ...]) -> list[int]:
-        """Indices of the concatenated groups, which must be disjoint."""
+    def _positions(self, *groups: tuple[str, ...]) -> list[list[int]]:
+        """Each group's variable indices; the groups must be disjoint."""
         names = [var for group in groups for var in group]
         if len(set(names)) != len(names):
             shared = sorted({var for var in names if names.count(var) > 1})
             raise OverlappingVariableSets(f"variable sets share {shared}")
-        return [self._index[var] for var in names]
+        return [[self._index[var] for var in group] for group in groups]
 
-    def _scan(self, members: tuple[str, ...], targets: tuple[str, ...]) -> dict[Codes, Vector]:
+    def _scan(self, members: Sequence[int], targets: Sequence[int]) -> dict[Codes, Vector]:
         """The members' codes mapped to the summed weights of each target code
-        met there: one target keeps its own codes, a group (or none) codes
-        its value tuples in the scan's order."""
-        positions = self._positions(members, targets)
-        cut = len(members)
+        met there, by variable index: one target keeps its own codes, a
+        group (or none) codes its value tuples in the scan's order."""
         if len(targets) == 1:
-            codes: Iterable[int] = map(itemgetter(positions[cut]), self.codes)
+            codes: Iterable[int] = map(itemgetter(targets[0]), self.codes)
         else:
             index: dict[Codes, int] = {}
             codes = [index.setdefault(key, len(index))
-                     for key in map(_getter(positions[cut:]), self.codes)]
+                     for key in map(_getter(targets), self.codes)]
         joint: dict[Codes, Vector] = {}
-        for key, code, w in zip(map(_getter(positions[:cut]), self.codes), codes, self.weights):
+        for key, code, w in zip(map(_getter(members), self.codes), codes, self.weights):
             cells = joint.get(key)
             if cells is None:
                 cells = joint[key] = {}
             cells[code] = cells.get(code, 0) + w
         return joint
 
-    def _undetermined(self, targets: tuple[str, ...], givens: tuple[str, ...]) -> list[str]:
-        """The targets, in the order given, that the givens do not determine:
-        each distinct value is compared with the first that shares its givens."""
+    def _undetermined(self, targets: Sequence[int], givens: Sequence[int]) -> list[int]:
+        """The targets (variable indices, in the order given) that the givens
+        do not determine: each value is compared with the first that shares its givens."""
         cut = len(givens)
         first: dict[Codes, Codes] = {}
         differ: set[int] = set()
-        for key in set(map(_getter(self._positions(givens, targets)), self.codes)):
+        for key in set(map(_getter([*givens, *targets]), self.codes)):
             seen = first.setdefault(key[:cut], key)
             if seen is not key:
                 differ.update(itertools.compress(range(len(key)), map(ne, key, seen)))
@@ -379,15 +380,16 @@ class JointDistribution(Record):
     def marginal(self, variables: Iterable[str]) -> "JointDistribution":
         """Marginal distribution over a non-empty variable subset."""
         ordered = self._resolve(variables)
-        decoding = tuple([self.decoding[i] for i in self._positions(ordered)])
-        codes, cells = zip(*sorted(self._scan(ordered, ()).items()))
+        [positions] = self._positions(ordered)
+        decoding = tuple([self.decoding[i] for i in positions])
+        codes, cells = zip(*sorted(self._scan(positions, ()).items()))
         return _build(ordered, decoding, codes, [cell[0] for cell in cells], self.total)
 
     def _coalitions(self, targets: Iterable[str], givens: Iterable[str],
                     allow_empty: bool = True) -> _Coalitions:
         """The engine of targets (a non-empty group) against each given."""
-        target_vars = self._resolve(targets)
-        return _Coalitions(self, target_vars, self._resolve(givens, allow_empty))
+        return _Coalitions(self, *self._positions(self._resolve(targets),
+                                                  self._resolve(givens, allow_empty)))
 
     def entropy(self, variables: Iterable[str]) -> float:
         """Shannon entropy H of the given variables, in bits."""
@@ -417,7 +419,8 @@ class JointDistribution(Record):
         Exact predicate: no given-value has two target-values.
         Equivalent to H(targets | givens) == 0. Reads only the codes.
         """
-        return not self._undetermined(self._resolve(targets), self._resolve(givens))
+        return not self._undetermined(*self._positions(self._resolve(targets),
+                                                       self._resolve(givens)))
 
     def is_independent(self, left: Iterable[str], right: Iterable[str]) -> bool:
         """Exact independence of two disjoint variable sets: the product
@@ -433,7 +436,6 @@ class JointDistribution(Record):
         """
         if len(groups) < 2:
             raise EmptyVariableSet("mutual independence needs at least two groups")
-        resolved = [self._resolve(group) for group in groups]
-        self._positions(*resolved)  # raises unless the groups are disjoint
-        return all(_Coalitions(self, resolved[i], sum(resolved[:i], ())).independent()
-                   for i in range(1, len(resolved)))
+        positions = self._positions(*[self._resolve(group) for group in groups])
+        return all(_Coalitions(self, positions[i], sum(positions[:i], [])).independent()
+                   for i in range(1, len(positions)))

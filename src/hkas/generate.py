@@ -1,7 +1,7 @@
 """Scheme generators for a given access graph.
 
 All generators share one construction: enumerate key tuples over the
-classes (sorted by label) and give every class the secret
+classes, in the graph's label order, and give every class the secret
 
     S_u = tuple of (v, k_v) pairs for v in accessible_set(u), sorted by label,
 
@@ -21,6 +21,9 @@ key tuples and in deliberate defects:
 One core, _scheme, knows each value's code and so builds every scheme
 in the distribution's int-coded form (see dist), with no per-row dict
 and with int weights over one int total, as dist._build takes them.
+It reads each secret's members from the graph as label positions, the
+positions of their keys in a key tuple; only gen_leaky's one extra
+member is named, by its leaker and target.
 
 Determinism: gen_random_correct uses splitmix64 seeded by the given
 integer, so equal inputs produce byte-identical serialized schemes. The
@@ -105,35 +108,31 @@ def _check_bound(q: int, exponent: int) -> int:
     return total
 
 
-def _secret_members(graph: AccessGraph) -> dict[str, tuple[str, ...]]:
-    return {
-        u: tuple(sorted(graph.accessible_set(u)))
-        for u in graph.classes
-    }
-
-
-def _scheme(graph: AccessGraph, members: dict[str, tuple[str, ...]],
-            weighted_keys: Iterable[tuple[tuple[int, ...], int]], total: int) -> Scheme:
+def _scheme(graph: AccessGraph, weighted_keys: Iterable[tuple[tuple[int, ...], int]],
+            total: int, leak: tuple[str, str] | None = None) -> Scheme:
     """The generator core: one support row per weighted key tuple, with
     probability its int weight over total, built directly in the
     distribution's int-coded form.
 
-    Key tuples are aligned with the sorted class labels and strictly
-    increase; the secret of u lists (v, k_v) for every v in members[u].
-    A key's code is its rank among its class's keys on the support, and
-    a secret's the rank of its members' key tuple, as its labels are
-    fixed. So the rows are canonical in the order given, which _build
-    and the constructor check. Secrets share one tuple per (v, k_v), so
-    serialize_scheme encodes each pair once.
+    Key tuples follow the label order and strictly increase; the secret
+    of u lists (v, k_v) for each v that u can access, and for the target
+    too when leak = (u, target). A key's code is its rank among its
+    class's keys on the support, and a secret's the rank of its members'
+    key tuple, as its labels are fixed. So the rows are canonical in the
+    order given, which _build and the constructor check. Secrets share
+    one tuple per (v, k_v), so serialize_scheme encodes each pair once.
     """
-    labels = tuple(sorted(graph.classes))
-    position = {u: i for i, u in enumerate(labels)}
+    labels = graph._labels
+    members = [graph._positions(u, "accessible") for u in labels]
+    if leak is not None:
+        leaker, target = map(labels.index, leak)
+        members[leaker] = sorted(members[leaker] + [target])
     combos, weights = zip(*weighted_keys)
     pairs: dict[tuple[str, int], tuple[str, int]] = {}  # one tuple per (v, k_v)
     columns, decoding = [], []
-    # Every K:u, then every S:u with its members' labels: the variables' order.
-    for i, names in enumerate([None] * len(labels) + [members[u] for u in labels]):
-        pick = itemgetter(i) if names is None else _getter([position[v] for v in names])
+    # Every K:u, then every S:u with its members' positions: the variables' order.
+    for i, positions in enumerate([None] * len(labels) + members):
+        pick = itemgetter(i) if positions is None else _getter(positions)
         column = list(map(pick, combos))
         values = sorted(set(column))
         rank = {value: code for code, value in enumerate(values)}
@@ -141,8 +140,8 @@ def _scheme(graph: AccessGraph, members: dict[str, tuple[str, ...]],
         # Codes below 256 pack into bytes, which zip reads back as the
         # interpreter's shared small ints: the rows hold the same objects.
         columns.append(bytes(codes) if len(values) <= 256 else list(codes))
-        decoding.append(tuple(values) if names is None else tuple(
-            [tuple([pairs.setdefault(pair, pair) for pair in zip(names, keys)])
+        decoding.append(tuple(values) if positions is None else tuple(
+            [tuple([pairs.setdefault(pair, pair) for pair in zip(pick(labels), keys)])
              for keys in values]))
         del column  # free the per-row values before the next column is built
     del combos  # and the key tuples before the rows are zipped
@@ -150,19 +149,18 @@ def _scheme(graph: AccessGraph, members: dict[str, tuple[str, ...]],
                                 weights, total))
 
 
-def _uniform_scheme(graph: AccessGraph, q: int,
-                    members: dict[str, tuple[str, ...]]) -> Scheme:
-    """Independent uniform keys over {0..q-1}, secrets spelling out members."""
+def _uniform_scheme(graph: AccessGraph, q: int, leak: tuple[str, str] | None = None) -> Scheme:
+    """Independent uniform keys over {0..q-1}, with _scheme's secrets."""
     size = len(graph.classes)
     total = _check_bound(q, size)
     combos = itertools.product(range(q), repeat=size)
-    return _scheme(graph, members, ((combo, 1) for combo in combos), total)
+    return _scheme(graph, ((combo, 1) for combo in combos), total, leak)
 
 
 def gen_trivial(graph: AccessGraph, q: int) -> Scheme:
     """Independent uniform keys; passes correctness, KI, SKI, key-indep."""
     _check_q(q)
-    return _uniform_scheme(graph, q, _secret_members(graph))
+    return _uniform_scheme(graph, q)
 
 
 def gen_leaky(graph: AccessGraph, q: int, target: str, leaker: str) -> Scheme:
@@ -180,9 +178,7 @@ def gen_leaky(graph: AccessGraph, q: int, target: str, leaker: str) -> Scheme:
             f"class {leaker!r} can already access {target!r}; "
             f"a leak needs a forbidden pair"
         )
-    members = _secret_members(graph)
-    members[leaker] = tuple(sorted(set(members[leaker]) | {target}))
-    return _uniform_scheme(graph, q, members)
+    return _uniform_scheme(graph, q, (leaker, target))
 
 
 def gen_correlated(graph: AccessGraph, q: int, u: str, w: str) -> Scheme:
@@ -195,14 +191,14 @@ def gen_correlated(graph: AccessGraph, q: int, u: str, w: str) -> Scheme:
     graph._check_class(w)
     if u == w:
         raise InvalidLeak("correlated pair must name two distinct classes")
-    labels = sorted(graph.classes)
+    labels = graph._labels
     free = labels.index(min(u, w))
     forced = labels.index(max(u, w))
     total = _check_bound(q, len(labels) - 1)
     # Tuples range over every class but the forced one. free < forced, so
     # the free key keeps its own index; a copy is inserted at forced's.
     combos = itertools.product(range(q), repeat=len(labels) - 1)
-    return _scheme(graph, _secret_members(graph), (
+    return _scheme(graph, (
         (combo[:forced] + (combo[free],) + combo[forced:], 1) for combo in combos
     ), total)
 
@@ -222,20 +218,20 @@ def _draw_size(graph: AccessGraph, q: int) -> int:
     return total
 
 
-def _random(graph: AccessGraph, q: int, seed: int, members: dict[str, tuple[str, ...]],
-            total: int, uniform: Scheme | None) -> Scheme:
-    """gen_random_correct's scheme for this seed, given its secret members
-    and the total from _draw_size. uniform, when not None, is the
-    uniform branch's scheme, _uniform_scheme(graph, q, members), made
-    once by the caller; a multinomial draw never builds it."""
+def _random(graph: AccessGraph, q: int, seed: int, total: int,
+            uniform: Scheme | None) -> Scheme:
+    """gen_random_correct's scheme for this seed, given the total from
+    _draw_size. uniform, when not None, is the uniform branch's scheme,
+    _uniform_scheme(graph, q), made once by the caller; a multinomial
+    draw never builds it."""
     rng = SplitMix64(seed)
     if rng.next_u64() & 1:
-        return uniform if uniform is not None else _uniform_scheme(graph, q, members)
+        return uniform if uniform is not None else _uniform_scheme(graph, q)
     size = len(graph.classes)
     # Key tuple number `index` of the product order: its base-q digits,
     # the first label most significant.
     powers = [q ** (size - 1 - i) for i in range(size)]
-    return _scheme(graph, members, [
+    return _scheme(graph, [
         (tuple([index // power % q for power in powers]), len(list(balls)))
         for index, balls in itertools.groupby(sorted(rng._draws(total, 64)))
     ], 64)
@@ -252,4 +248,4 @@ def gen_random_correct(graph: AccessGraph, q: int, seed: int) -> Scheme:
     """
     _check_seed(seed)
     total = _draw_size(graph, q)
-    return _random(graph, q, seed, _secret_members(graph), total, None)
+    return _random(graph, q, seed, total, None)

@@ -3,9 +3,11 @@
 An access graph is a finite DAG over class labels. A directed edge
 (v, u) means v is above u: v may derive u's key from its own secret.
 Accessibility is the reflexive-transitive closure of the edge relation,
-kept as two int bitmasks per class, bit i for classes[i], each built
-with one OR per edge: its down-set (what it can access) and its up-set
-(what can access it). The two meet in the class alone.
+kept as two int bitmasks per class, bit i for the i-th class in label
+order (a scheme's order), each built with one OR per edge: its down-set
+(what it can access) and its up-set (what can access it). The two meet
+in the class alone. hkas reads a mask as its increasing label
+positions; only the public set methods name the classes.
 
 For a class u the remaining classes split into two camps, which with
 {u} partition the class set; each camp is one mask read:
@@ -77,11 +79,16 @@ class AccessGraph(Record):
             raise UnknownClass(f"unknown class {label!r}")
 
     @cached_property
+    def _labels(self) -> tuple[str, ...]:
+        """The classes in label order: a cached view, outside ==, hash and repr."""
+        return tuple(sorted(self.classes))
+
+    @cached_property
     def _masks(self) -> tuple[dict[str, int], dict[str, int]]:
         """Each class's (down, up) masks: a cached view, outside ==, hash and repr."""
         position = {label: i for i, label in enumerate(self.topological_sort())}
         edges = sorted(self.edges, key=lambda edge: position[edge[0]])
-        down = {label: 1 << i for i, label in enumerate(self.classes)}
+        down = {label: 1 << i for i, label in enumerate(self._labels)}
         up = dict(down)
         for src, dst in reversed(edges):
             down[src] |= down[dst]
@@ -89,25 +96,27 @@ class AccessGraph(Record):
             up[dst] |= up[src]
         return down, up
 
-    def _members(self, mask: int) -> frozenset[str]:
-        """The classes whose bits mask sets: bin()'s digits reversed, as 0/1 bytes."""
+    def _positions(self, u: str, kind: str) -> list[int]:
+        """The label positions of u's "accessible", "forbidden" or "ancestor"
+        set, increasing: bin()'s digits of its mask reversed, as 0/1 bytes."""
+        self._check_class(u)
+        down, up = self._masks[0][u], self._masks[1][u]
+        mask = {"accessible": down, "ancestor": up & ~down,
+                "forbidden": (1 << len(self.classes)) - 1 & ~up}[kind]
         selectors = bin(mask)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
-        return frozenset(compress(self.classes, selectors))
+        return list(compress(range(len(self.classes)), selectors))
 
     def accessible_set(self, v: str) -> frozenset[str]:
         """All classes whose keys v can derive, including v itself."""
-        self._check_class(v)
-        return self._members(self._masks[0][v])
+        return frozenset(map(self._labels.__getitem__, self._positions(v, "accessible")))
 
     def forbidden_set(self, u: str) -> frozenset[str]:
         """Classes that cannot access u: every v with u not in accessible_set(v)."""
-        self._check_class(u)
-        return self._members((1 << len(self.classes)) - 1 & ~self._masks[1][u])
+        return frozenset(map(self._labels.__getitem__, self._positions(u, "forbidden")))
 
     def ancestor_set(self, u: str) -> frozenset[str]:
         """Classes other than u that can access u."""
-        self._check_class(u)
-        return self._members(self._masks[1][u] & ~self._masks[0][u])
+        return frozenset(map(self._labels.__getitem__, self._positions(u, "ancestor")))
 
     def partition_check(self, u: str) -> bool:
         """True iff {u}, forbidden_set(u), ancestor_set(u) partition the classes."""

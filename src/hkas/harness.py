@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 
 from .checks import passes
 from .errors import InvalidArgument, PreconditionFailed, TheoremViolation
-from .generate import (SplitMix64, _check_seed, _draw_size, _random, _secret_members,
-                       gen_correlated, gen_leaky, gen_trivial)
+from .generate import (SplitMix64, _check_seed, _draw_size, _random, gen_correlated,
+                       gen_leaky, gen_trivial)
 from .graph import AccessGraph
 from .scheme import Scheme, key_var, secret_var, serialize_scheme
 
@@ -226,7 +226,6 @@ def build_corpus(graph: AccessGraph, q: int, trials: int, seed: int) -> list[Sch
         raise InvalidArgument(f"trials must be non-negative, got {trials}")
     _check_seed(seed)
     total = _draw_size(graph, q)
-    members = _secret_members(graph)
     corpus: list[Scheme] = [gen_trivial(graph, q)]
     for target in sorted(graph.classes):
         for leaker in sorted(graph.forbidden_set(target)):
@@ -237,7 +236,7 @@ def build_corpus(graph: AccessGraph, q: int, trials: int, seed: int) -> list[Sch
             corpus.append(gen_correlated(graph, q, u, w))
     rng = SplitMix64(seed)
     for _ in range(trials):
-        corpus.append(_random(graph, q, rng.next_u64(), members, total, corpus[0]))
+        corpus.append(_random(graph, q, rng.next_u64(), total, corpus[0]))
     return corpus
 
 

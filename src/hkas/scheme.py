@@ -91,9 +91,8 @@ def secret_var(label: str) -> str:
 
 def _variables(graph: AccessGraph) -> tuple[str, ...]:
     """The variables of a scheme over graph, in sorted order: every K:u,
-    then every S:u, labels sorted."""
-    labels = sorted(graph.classes)
-    return tuple(map(key_var, labels)) + tuple(map(secret_var, labels))
+    then every S:u, in label order, so the i-th class's sit at i and n + i."""
+    return tuple(map(key_var, graph._labels)) + tuple(map(secret_var, graph._labels))
 
 
 class Scheme(Record):

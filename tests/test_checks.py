@@ -278,14 +278,23 @@ def test_verdicts_match_the_reports(diamond):
 
 def test_a_verdict_walks_up_to_the_first_failing_class(antichain4, monkeypatch):
     # KI and SKI fail at b and at d; a verdict decides a and b only, and
-    # derives no later class's members either.
+    # derives no later class's members either. _first_failure takes the
+    # class's key by variable index, decoded here to the class's label.
     scheme = gen_correlated(antichain4, 2, "b", "d")
     walked, derived = [], []
-    walk, forbidden_set = hkas.checks._first_failure, AccessGraph.forbidden_set
-    monkeypatch.setattr(hkas.checks, "_first_failure",
-                        lambda scheme, cls, *args: walked.append(cls) or walk(scheme, cls, *args))
-    monkeypatch.setattr(AccessGraph, "forbidden_set",
-                        lambda graph, u: derived.append(u) or forbidden_set(graph, u))
+    walk, positions = hkas.checks._first_failure, AccessGraph._positions
+
+    def walking(scheme, key, *args):
+        walked.append(scheme.dist.variables[key].removeprefix("K:"))
+        return walk(scheme, key, *args)
+
+    def deriving(graph, u, kind):
+        if kind == "forbidden":
+            derived.append(u)
+        return positions(graph, u, kind)
+
+    monkeypatch.setattr(hkas.checks, "_first_failure", walking)
+    monkeypatch.setattr(AccessGraph, "_positions", deriving)
     for kind, check in (("ki", check_ki), ("ski", check_ski)):
         walked.clear()
         assert [w.cls for w in check(scheme).witnesses] == ["b", "d"]
@@ -295,6 +304,29 @@ def test_a_verdict_walks_up_to_the_first_failing_class(antichain4, monkeypatch):
         assert not hkas.checks.passes(scheme, kind)
         assert walked == ["a", "b"]
         assert derived == ["a", "b"]
+
+
+def test_the_checks_look_up_no_variable_name(diamond, monkeypatch):
+    # The checks take the class order from the graph and hand the
+    # coalition engine variable indices, so no engine resolves a name.
+    labels = [f"c{i:03d}" for i in range(200)]
+    chain = AccessGraph.build(labels, list(zip(labels, labels[1:])))
+    one_row = Scheme(chain, JointDistribution.from_rows(
+        [({var + u: 0 for u in labels for var in ("K:", "S:")}, Fraction(1))]))
+    leaky = gen_leaky(diamond, 2, "a", "b")
+    lookups = []
+    for name in ("_resolve", "_positions"):
+        def counted(dist, *args, lookup=getattr(JointDistribution, name), name=name, **kwargs):
+            lookups.append(name)
+            return lookup(dist, *args, **kwargs)
+
+        monkeypatch.setattr(JointDistribution, name, counted)
+    reports = run_checks(one_row, "all") + run_checks(leaky, "all", True)
+    verdicts = [hkas.checks.passes(scheme, kind) for scheme in (one_row, leaky)
+                for kind in ("ki", "ski")]
+    assert lookups == []
+    assert [report.passed for report in reports] == [True] * 5 + [False, False, True]
+    assert verdicts == [True, True, False, False]
 
 
 def test_exhaustive_cap(monkeypatch):
@@ -443,14 +475,15 @@ def _decisions(scheme, kinds, exhaustive, reports):
 def test_one_engine_per_class_decides_each_coalition_once(diamond, chain4, antichain4,
                                                            monkeypatch):
     # Every coalition engine the coalition checks build, and each coalition
-    # it decides, as (secrets, keys) labels; the other two checks are
-    # stubbed out so that only KI's and SKI's engines are counted.
+    # it decides, as (secrets, keys) labels decoded from the members'
+    # variable indices; the other two checks are stubbed out so that only
+    # KI's and SKI's engines are counted.
     engines = []
     build, independent = hkas.checks._Coalitions, hkas.checks._Coalitions.independent
 
     def built(dist, targets, members):
         engine = build(dist, targets, members)
-        engines.append((engine, members, []))
+        engines.append((engine, [dist.variables[v] for v in members], []))
         return engine
 
     def decided(engine, chosen=None):

@@ -237,11 +237,17 @@ def test_support_bound_enforced(monkeypatch, diamond):
     assert gen_trivial(diamond, 2).dist.support_size() == 16
 
 
-def reference_scheme(graph, members, weighted_keys, total) -> Scheme:
+def reference_scheme(graph, leak, weighted_keys, total) -> Scheme:
     """The generator core's oracle: the same rows, each with probability
     Fraction(weight, total), built as dicts of values and canonicalised
-    by JointDistribution.from_rows."""
+    by JointDistribution.from_rows. Each secret spells out its class's
+    accessible set, and the leaker's the target too when leak is
+    (leaker, target)."""
     labels = sorted(graph.classes)
+    members = {u: sorted(graph.accessible_set(u)) for u in labels}
+    if leak is not None:
+        leaker, target = leak
+        members[leaker] = sorted(members[leaker] + [target])
     rows = []
     for combo, weight in weighted_keys:
         keys = dict(zip(labels, combo))
@@ -255,14 +261,14 @@ def reference_scheme(graph, members, weighted_keys, total) -> Scheme:
 @pytest.fixture
 def core_pairs(monkeypatch) -> list:
     """Wraps the generator core so that every scheme a generator makes is
-    recorded beside its oracle, built from the same members and keys."""
+    recorded beside its oracle, built from the same leak and keys."""
     made = []
     core = hkas.generate._scheme
 
-    def both(graph, members, weighted_keys, total):
+    def both(graph, weighted_keys, total, leak=None):
         weighted = list(weighted_keys)
-        scheme = core(graph, members, weighted, total)
-        made.append((scheme, reference_scheme(graph, members, weighted, total)))
+        scheme = core(graph, weighted, total, leak)
+        made.append((scheme, reference_scheme(graph, leak, weighted, total)))
         return scheme
 
     monkeypatch.setattr(hkas.generate, "_scheme", both)

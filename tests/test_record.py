@@ -126,8 +126,9 @@ def test_records_are_frozen_and_keep_cached_views_out_of_eq_hash_and_repr():
             setattr(graph, name, ())
         with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
             delattr(graph, name)
-    assert graph.accessible_set("r")  # caches the reachability masks in the instance __dict__
-    assert "_masks" in vars(graph)
+    # caches the reachability masks and the label order in the instance __dict__
+    assert graph.accessible_set("r")
+    assert "_masks" in vars(graph) and "_labels" in vars(graph)
     assert repr(graph) == before
     assert graph == make_diamond() and hash(graph) == hash(make_diamond())
 
