@@ -9,18 +9,23 @@ class's sets as increasing positions. Classes are named only in witnesses.
 
 KI and SKI share one coalition check. Against class u, an SKI coalition
 holds the secrets of classes in forbidden_set(u) and the keys of classes
-in ancestor_set(u); KI is SKI with no keys held. The check is one lazy
-walk over the classes, yielding each failing class's coalition in class
-order: a report (check_ki, check_ski, run_checks) drains it and builds
-each one's witness, and a verdict (passes) reads only its first item
-and builds no witness. Each coalition is decided on its own joint with
-K:u, through dist._Coalitions: one scan
-of the support per class builds the joint of the largest coalition, and
-each smaller one is summed from a joint one member larger. run_checks'
-"all" mode builds one engine per class, over SKI's members, and decides
-KI from it too: in one walk in SKI's witness order, each coalition that
-holds no keys is decided once for both, and once SKI's witness is found
-the walk goes on over those coalitions alone, to find KI's.
+in ancestor_set(u); KI is SKI with no keys held. A report (check_ki,
+check_ski, run_checks) drains one lazy walk over the classes, which
+yields each failing class's coalition in class order, and builds each
+one's witness. Each coalition is decided on its own joint with K:u,
+through dist._Coalitions: one coding pass of the support per class
+plans the joint of the largest coalition, the scheme's weights weigh
+it, and each smaller joint is summed from a joint one member larger.
+run_checks' "all" mode builds one engine per class, over SKI's members,
+and decides KI from it too: in one walk in SKI's witness order, each
+coalition that holds no keys is decided once for both, and once SKI's
+witness is found the walk goes on over those coalitions alone, to find
+KI's.
+
+A verdict (passes) is read through a _Family, which decides weightings
+of one scheme's rows on plans coded once per class; passes weighs them
+by the scheme's own weights. It walks maximal mode's coalitions, stops
+at the first class that fails and builds no witness.
 
 Coalition checks run in one of two modes:
 
@@ -45,10 +50,11 @@ tuples.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
-from .dist import _Coalitions
+from .dist import _Coalitions, _Plan
 from .errors import CoalitionSpaceTooLarge, InvalidArgument
+from .graph import AccessGraph
 from .scheme import CheckReport, Scheme, Witness
 
 MAX_LATTICE_WORK = 2 ** 21
@@ -67,20 +73,22 @@ Chosen = tuple[int, ...]
 
 
 def _first_failure(scheme: Scheme, key: int, secrets: list[int], keys: list[int],
-                   exhaustive: bool, keyless_too: bool
+                   exhaustive: bool, keyless_too: bool, coalitions: _Coalitions | None = None
                    ) -> tuple[_Coalitions, Chosen, Chosen | None] | None:
     """Two coalitions against the key at index key, each holding some of
     these secrets and keys (increasing variable indices): the first that
     the key depends on, and the first holding no keys that it depends on
-    (or None), with the engine that decided them; or None when it depends
-    on none. Maximal mode tests the coalition of them all, and exhaustive
-    mode every non-empty one, in witness order. The walk goes on past the
+    (or None), with the engine that decided them (coalitions, when
+    given, else the scheme's own); or None when it depends on none.
+    Maximal mode tests the coalition of them all, and exhaustive mode
+    every non-empty one, in witness order. The walk goes on past the
     first failure, over the coalitions holding no keys, only if
     keyless_too is set; in maximal mode that is the coalition of all the
     secrets. (If the coalition of them all passes, so does each of those,
     as maximal mode holds.)"""
     cut = len(secrets)
-    coalitions = _Coalitions(scheme.dist, (key,), secrets + keys)
+    if coalitions is None:
+        coalitions = _Coalitions(scheme.dist, (key,), secrets + keys)
     subsets = _sorted_subsets if exhaustive else lambda pool: [tuple(pool)]
     held_secrets, key_subsets = subsets(range(cut)), subsets(range(cut, cut + len(keys)))
     walk = ((i, held + held_keys) for i, held in enumerate(held_secrets)
@@ -128,6 +136,17 @@ def check_correctness(scheme: Scheme) -> CheckReport:
                        witnesses=tuple(witnesses))
 
 
+def _classes(graph: AccessGraph, kinds: tuple[str, ...]
+             ) -> Iterator[tuple[int, list[int], list[int]]]:
+    """Each class's index and the members of the coalitions against it,
+    lazily, in class order: the secrets of forbidden_set(u) and, for
+    "ski", the keys of ancestor_set(u), as variable indices."""
+    n = len(graph.classes)
+    return ((i, [n + v for v in graph._positions(u, "forbidden")],
+             graph._positions(u, "ancestor") if "ski" in kinds else [])
+            for i, u in enumerate(graph._labels))
+
+
 def _check_coalitions(scheme: Scheme, kinds: tuple[str, ...],
                       exhaustive: bool) -> Iterator[tuple[str, tuple]]:
     """Each key must be independent of every legal coalition against it:
@@ -142,10 +161,7 @@ def _check_coalitions(scheme: Scheme, kinds: tuple[str, ...],
     them all and refuses, before it decides any coalition.
     """
     graph = scheme.graph
-    n = len(graph.classes)
-    classes = ((i, [n + v for v in graph._positions(u, "forbidden")],
-                graph._positions(u, "ancestor") if "ski" in kinds else [])
-               for i, u in enumerate(graph._labels))
+    classes = _classes(graph, kinds)
     if exhaustive:
         classes = list(classes)
         rows = scheme.dist.support_size()
@@ -181,11 +197,42 @@ def _reports(scheme: Scheme, kinds: tuple[str, ...], exhaustive: bool) -> list[C
             for kind, failed in witnesses.items()]
 
 
+class _Family:
+    """KI's or SKI's verdict (kind "ki" or "ski") on weightings of one
+    scheme's rows: the schemes with its graph, keys and secrets and other
+    positive int weights, as _Plan.weigh reads them. Each class's members
+    are derived, and its plan coded, once, when a walk first reaches the
+    class; a weighting only weighs the plans. A walk is maximal mode's,
+    in class order: it stops at the first class that fails, and builds
+    no witness."""
+
+    def __init__(self, scheme: Scheme, kind: str) -> None:
+        self.scheme, self.kind = scheme, kind
+        self._unreached = _classes(scheme.graph, (kind,))
+        self._reached: list[tuple[int, list[int], list[int], _Plan]] = []
+
+    def _walk(self) -> Iterator[tuple[int, list[int], list[int], _Plan]]:
+        """Each class with a coalition against it, in class order, with
+        its secrets, its keys and its plan."""
+        yield from self._reached
+        for i, secrets, keys in self._unreached:
+            if secrets or keys:
+                self._reached.append((i, secrets, keys,
+                                      self.scheme.dist._plan(secrets + keys, (i,))))
+                yield self._reached[-1]
+
+    def passes(self, weights: Sequence[int], rows: Sequence[int] | None = None) -> bool:
+        """The verdict at these weights, one per row or, given rows, one
+        per row listed."""
+        return not any(_first_failure(self.scheme, i, secrets, keys, False, False,
+                                      _Coalitions.weighed(plan, weights, rows))
+                       for i, secrets, keys, plan in self._walk())
+
+
 def passes(scheme: Scheme, kind: str) -> bool:
-    """check_ki's or check_ski's verdict ("ki" or "ski"), read from the
-    walk's first item: the walk stops at the first class that fails, and
-    no witness is built."""
-    return next(_check_coalitions(scheme, (kind,), False), None) is None
+    """check_ki's or check_ski's verdict ("ki" or "ski"): the scheme
+    weighed by its own weights, as its _Family reads it."""
+    return _Family(scheme, kind).passes(scheme.dist.weights)
 
 
 def check_ki(scheme: Scheme, exhaustive: bool = False) -> CheckReport:

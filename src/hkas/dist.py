@@ -25,18 +25,24 @@ Queries never do Fraction arithmetic and never hash or compare values:
 each decision reads the support once, exactly, on the codes and int
 weights, by variable index: only the public queries take names, which
 _resolve and _positions turn into indices once. _undetermined finds the
-targets that the givens do not determine. _scan sums each row's weight
-into the vector of a target group's weights at its coalition value: the
-top joint of _Coalitions, the one engine of every entropy and
-independence verdict, which sums each smaller coalition's joint from a
-joint one member larger. The target is independent of a coalition iff
-every vector is proportional to the target's marginal; k groups are
-mutually independent iff, by the chain rule, each is independent of
-those before it. An entropy term, w / total * log2(w / w_given), turns
-ints into floats only at that final step, and math.fsum rounds the
-terms' exact sum once: int / int true division is correctly rounded, as
-is float(Fraction), so the floats equal those of the Fraction formulas
-bit for bit.
+targets that the givens do not determine. _plan codes each row once for
+a target group against some members: its coalition code and its target
+code, the cell it lands in. Weighing the plan sums int weights into the
+vector of the target's weights at each coalition value: the top joint
+of _Coalitions, the one engine of every entropy and independence
+verdict, which sums each smaller coalition's joint from a joint one
+member larger. A distribution weighs its own plan by its own weights;
+a plan coded once can be weighed again by other weights on the same
+rows, which decides a family of distributions sharing one support (see
+checks._Family). The target is independent of a coalition iff every
+vector is proportional to every other, and so to the target's marginal,
+the rank-one test of a contingency table; k groups are mutually
+independent iff, by the chain rule, each is independent of those before
+it. An entropy term, w / total * log2(w / w_given), turns ints into
+floats only at that final step, and math.fsum rounds the terms' exact
+sum once: int / int true division is correctly rounded, as is
+float(Fraction), so the floats equal those of the Fraction formulas bit
+for bit.
 
 Entropies use log base 2. Conditional entropy is computed directly from
 its definition, H(T|G) = -sum p(t,g) log2(p(t,g)/p(g)), not as a
@@ -48,10 +54,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, lt, ne
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DistributionError,
@@ -117,6 +124,41 @@ def _build(variables: tuple[str, ...], decoding: Decoding, codes: Sequence[Codes
 Vector = dict[int, int]
 
 
+class _Plan(NamedTuple):
+    """Which cell of a target group's joint with some members each row of
+    a distribution lands in, from one coding pass over its rows: the
+    row's coalition code, an index into keys, the members' codes of each
+    coalition met, in the order first met; and its target code.
+
+    A weighing gives the rows other positive int weights, so one plan
+    serves every distribution on some of the same rows: a row that a
+    sparse weighing leaves out is off the support.
+    """
+
+    keys: list[Codes]
+    coalitions: list[int]
+    targets: list[int]
+
+    def weigh(self, weights: Sequence[int],
+              rows: Sequence[int] | None = None) -> dict[Codes, Vector]:
+        """The top joint at these positive weights, one per row or, given
+        rows, one per row listed: the members' codes of each coalition met
+        mapped to the summed weights of each target code met there."""
+        keys, coalitions, targets = self
+        if rows is None:  # every row, so every coalition, is met
+            vectors: list[Vector] | dict[int, Vector] = [{} for _ in keys]
+        else:
+            coalitions = map(coalitions.__getitem__, rows)
+            targets = map(targets.__getitem__, rows)
+            vectors = defaultdict(dict)
+        for coalition, code, w in zip(coalitions, targets, weights):
+            cells = vectors[coalition]
+            cells[code] = cells.get(code, 0) + w
+        if rows is None:
+            return dict(zip(keys, vectors))
+        return dict(zip(map(keys.__getitem__, vectors), vectors.values()))
+
+
 class _Coalitions:
     """The joint of one target group with each coalition of members.
 
@@ -126,30 +168,46 @@ class _Coalitions:
     Its joint maps the coalition's codes, in member order, to the Vector
     of the target's weights there. A vector holds only the cells on the
     support, so a joint holds at most one cell per support row, whatever
-    the size of the target's domain. The top joint, of every member,
-    comes from one scan of the support; every other joint is summed from
-    its parent, the memoised joint of the coalition plus the smallest
-    member it lacks. Vectors are never mutated, so a joint shares each
-    one that a single parent key gives.
+    the size of the target's domain. The top joint, of every member, is
+    a _Plan weighed: a distribution's own engine weighs its own plan by
+    its own weights, and weighed() weighs a plan already coded by other
+    weights. Every other joint is summed from its parent, the memoised
+    joint of the coalition plus the smallest member it lacks. Vectors are
+    never mutated, so a joint shares each one that a single parent key
+    gives.
 
     The target is independent of a coalition iff each vector of its
     joint is proportional to the target's marginal: p(c, t) = p(c) p(t)
-    for every t. With r the marginal divided by its gcd, a vector v is
-    proportional to it iff v == gcd(v) * r, one dict comparison. Every
-    entry of r is positive, so a vector that misses a code fails, as it
-    must; a c off the joint has p(c) = 0 and satisfies the product
-    condition.
+    for every t, the rank-one test of a contingency table. The marginal
+    is the vectors' sum, so that holds iff each vector is proportional
+    to the first: with r the first divided by its gcd, iff v == gcd(v) *
+    r, one dict comparison, for every vector v. Every entry of r is
+    positive, so a vector whose codes differ from the first's fails, as
+    it must; a c off the joint has p(c) = 0 and satisfies the product
+    condition. Only the floats read the marginal itself.
     """
 
     def __init__(self, dist: "JointDistribution", targets: Sequence[int],
                  members: Sequence[int]) -> None:
-        joint = dist._scan(members, targets)
-        self._marginal = marginal = self._sum(list(joint.values()))
-        common = math.gcd(*marginal.values())
-        self._reduced = {code: w // common for code, w in marginal.items()}
-        self._total = dist.total
-        self._everyone = tuple(range(len(members)))
-        self._memo = {self._everyone: joint}
+        self._weigh(dist._plan(members, targets), dist.weights, None)
+
+    @classmethod
+    def weighed(cls, plan: _Plan, weights: Sequence[int],
+                rows: Sequence[int] | None = None) -> "_Coalitions":
+        """The engine of the plan's rows at other weights, read as
+        _Plan.weigh reads them, on at least one row."""
+        engine = cls.__new__(cls)
+        engine._weigh(plan, weights, rows)
+        return engine
+
+    def _weigh(self, plan: _Plan, weights: Sequence[int], rows: Sequence[int] | None) -> None:
+        self._everyone = tuple(range(len(plan.keys[0])))
+        self._memo = {self._everyone: plan.weigh(weights, rows)}
+
+    @cached_property
+    def _marginal(self) -> Vector:
+        """The target's weights, summed over the top joint."""
+        return self._sum(list(self._memo[self._everyone].values()))
 
     @staticmethod
     def _sum(vectors: list[Vector]) -> Vector:
@@ -191,12 +249,17 @@ class _Coalitions:
         return joint
 
     def independent(self, chosen: tuple[int, ...] | None = None) -> bool:
-        """Whether the target is independent of the coalition chosen. The
-        reduced marginal is scaled once per distinct gcd; a vector with
-        fewer cells fails before any scaled copy is built."""
-        reduced = self._reduced
-        scaled: dict[int, Vector] = {}
-        for vector in self._joint(chosen).values():
+        """Whether the target is independent of the coalition chosen: each
+        vector is proportional to the first, and so to their sum, the
+        marginal. The first vector's reduced form is scaled once per
+        distinct gcd; a vector with another number of cells fails before
+        any scaled copy is built."""
+        vectors = iter(self._joint(chosen).values())
+        first = next(vectors)
+        common = math.gcd(*first.values())
+        reduced = {code: w // common for code, w in first.items()}
+        scaled = {common: first}
+        for vector in vectors:
             if len(vector) != len(reduced):
                 return False
             common = math.gcd(*vector.values())
@@ -209,18 +272,18 @@ class _Coalitions:
 
     def entropy(self) -> float:
         """H(target), in bits: each term is w / total * log2(w / total)."""
-        total = self._total
-        return _neg_fsum(w / total * math.log2(w / total) for w in self._marginal.values())
+        marginal = self._marginal
+        total = sum(marginal.values())
+        return _neg_fsum(w / total * math.log2(w / total) for w in marginal.values())
 
     def conditional_entropy(self, chosen: tuple[int, ...] | None = None) -> float:
         """H(target | coalition chosen), in bits: each term is
         w / total * log2(w / w_given), w_given the sum of w's vector."""
-        total = self._total
-        terms = []
-        for vector in self._joint(chosen).values():
-            given = sum(vector.values())
-            terms.extend(w / total * math.log2(w / given) for w in vector.values())
-        return _neg_fsum(terms)
+        vectors = self._joint(chosen).values()
+        givens = [sum(vector.values()) for vector in vectors]
+        total = sum(givens)
+        return _neg_fsum([w / total * math.log2(w / given)
+                          for vector, given in zip(vectors, givens) for w in vector.values()])
 
 
 class JointDistribution(Record):
@@ -347,23 +410,20 @@ class JointDistribution(Record):
             raise OverlappingVariableSets(f"variable sets share {shared}")
         return [[self._index[var] for var in group] for group in groups]
 
-    def _scan(self, members: Sequence[int], targets: Sequence[int]) -> dict[Codes, Vector]:
-        """The members' codes mapped to the summed weights of each target code
-        met there, by variable index: one target keeps its own codes, a
-        group (or none) codes its value tuples in the scan's order."""
+    def _plan(self, members: Sequence[int], targets: Sequence[int]) -> _Plan:
+        """The plan of targets against members, by variable index, in one
+        coding pass over the rows: one target keeps its own codes, a group
+        (or none) codes its value tuples in the pass's order."""
         if len(targets) == 1:
-            codes: Iterable[int] = map(itemgetter(targets[0]), self.codes)
+            codes = list(map(itemgetter(targets[0]), self.codes))
         else:
             index: dict[Codes, int] = {}
             codes = [index.setdefault(key, len(index))
                      for key in map(_getter(targets), self.codes)]
-        joint: dict[Codes, Vector] = {}
-        for key, code, w in zip(map(_getter(members), self.codes), codes, self.weights):
-            cells = joint.get(key)
-            if cells is None:
-                cells = joint[key] = {}
-            cells[code] = cells.get(code, 0) + w
-        return joint
+        coalition: dict[Codes, int] = {}
+        coalitions = [coalition.setdefault(key, len(coalition))
+                      for key in map(_getter(members), self.codes)]
+        return _Plan(list(coalition), coalitions, codes)
 
     def _undetermined(self, targets: Sequence[int], givens: Sequence[int]) -> list[int]:
         """The targets (variable indices, in the order given) that the givens
@@ -382,7 +442,7 @@ class JointDistribution(Record):
         ordered = self._resolve(variables)
         [positions] = self._positions(ordered)
         decoding = tuple([self.decoding[i] for i in positions])
-        codes, cells = zip(*sorted(self._scan(positions, ()).items()))
+        codes, cells = zip(*sorted(self._plan(positions, ()).weigh(self.weights).items()))
         return _build(ordered, decoding, codes, [cell[0] for cell in cells], self.total)
 
     def _coalitions(self, targets: Iterable[str], givens: Iterable[str],

@@ -28,8 +28,9 @@ member is named, by its leaker and target.
 Determinism: gen_random_correct uses splitmix64 seeded by the given
 integer, so equal inputs produce byte-identical serialized schemes. The
 seed must lie in range(2**64), so that each seed names one scheme. Its
-branch and draw live in _random, which harness.build_corpus shares, and
-SplitMix64._draws is the one rejection sampler.
+branch and draw live in _draw, and the scheme a draw gives is built by
+_random; harness shares both, and SplitMix64._draws is the one
+rejection sampler.
 """
 
 from __future__ import annotations
@@ -218,23 +219,31 @@ def _draw_size(graph: AccessGraph, q: int) -> int:
     return total
 
 
-def _random(graph: AccessGraph, q: int, seed: int, total: int,
-            uniform: Scheme | None) -> Scheme:
-    """gen_random_correct's scheme for this seed, given the total from
-    _draw_size. uniform, when not None, is the uniform branch's scheme,
-    _uniform_scheme(graph, q), made once by the caller; a multinomial
-    draw never builds it."""
+def _draw(seed: int, total: int) -> list[tuple[int, int]] | None:
+    """gen_random_correct's draw for this seed over the total key tuples
+    that _draw_size gives: None for the uniform branch, or else the
+    (index, count) pairs of the multinomial's 64 balls, by increasing
+    index, key tuple number index being of the product order."""
     rng = SplitMix64(seed)
     if rng.next_u64() & 1:
+        return None
+    return [(index, len(list(balls)))
+            for index, balls in itertools.groupby(sorted(rng._draws(total, 64)))]
+
+
+def _random(graph: AccessGraph, q: int, counts: list[tuple[int, int]] | None,
+            uniform: Scheme | None) -> Scheme:
+    """gen_random_correct's scheme for a draw of _draw. uniform, when not
+    None, is the uniform branch's scheme, _uniform_scheme(graph, q), made
+    once by the caller; a multinomial draw never builds it."""
+    if not counts:
         return uniform if uniform is not None else _uniform_scheme(graph, q)
     size = len(graph.classes)
     # Key tuple number `index` of the product order: its base-q digits,
     # the first label most significant.
     powers = [q ** (size - 1 - i) for i in range(size)]
-    return _scheme(graph, [
-        (tuple([index // power % q for power in powers]), len(list(balls)))
-        for index, balls in itertools.groupby(sorted(rng._draws(total, 64)))
-    ], 64)
+    return _scheme(graph, [(tuple([index // power % q for power in powers]), count)
+                           for index, count in counts], 64)
 
 
 def gen_random_correct(graph: AccessGraph, q: int, seed: int) -> Scheme:
@@ -247,5 +256,4 @@ def gen_random_correct(graph: AccessGraph, q: int, seed: int) -> Scheme:
     failure does not depend on the drawn branch.
     """
     _check_seed(seed)
-    total = _draw_size(graph, q)
-    return _random(graph, q, seed, total, None)
+    return _random(graph, q, _draw(seed, _draw_size(graph, q)), None)

@@ -24,16 +24,21 @@ verifiers' KI precondition decide through checks.passes, whose walk
 stops at the first failing class and builds no witness at all. KI and
 SKI are still decided by separate walks, each on its own engines, so
 the two sides of the theorem under test stay independent.
+
+run_validation streams its corpus and keeps only running totals. A
+multinomial trial differs from the trivial scheme only in its int
+weights, so checks._Family decides it on the trivial scheme's plans; its
+scheme is built only when it passes KI, for the identity verifiers.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .checks import passes
+from .checks import _Family, passes
 from .errors import InvalidArgument, PreconditionFailed, TheoremViolation
-from .generate import (SplitMix64, _check_seed, _draw_size, _random, gen_correlated,
+from .generate import (SplitMix64, _check_seed, _draw, _draw_size, _random, gen_correlated,
                        gen_leaky, gen_trivial)
 from .graph import AccessGraph
 from .scheme import Scheme, key_var, secret_var, serialize_scheme
@@ -210,75 +215,107 @@ def verify_equivalence(schemes: Iterable[Scheme], strict: bool = True) -> dict:
     }
 
 
-def build_corpus(graph: AccessGraph, q: int, trials: int, seed: int) -> list[Scheme]:
-    """Fixture schemes plus seeded random ones for a validation run.
-
-    Contents: the trivial scheme, one leaky scheme per (target, leaker)
-    pair with the leaker forbidden to the target, one correlated scheme
-    per unordered class pair, and `trials` schemes, each equal to
-    gen_random_correct at a per-trial seed derived via splitmix64. A
-    trial that draws the uniform branch is the trivial scheme itself,
-    corpus[0], and is not built again. Raises InvalidArgument when
-    trials is negative or seed lies outside range(2**64), then as
-    generate._draw_size does, before any scheme is built.
-    """
-    if trials < 0:
-        raise InvalidArgument(f"trials must be non-negative, got {trials}")
-    _check_seed(seed)
-    total = _draw_size(graph, q)
-    corpus: list[Scheme] = [gen_trivial(graph, q)]
+def _fixtures(graph: AccessGraph, q: int) -> Iterator[Scheme]:
+    """The corpus's fixture schemes, in corpus order: the trivial scheme,
+    one leaky scheme per (target, leaker) pair with the leaker forbidden
+    to the target, and one correlated scheme per unordered class pair."""
+    yield gen_trivial(graph, q)
     for target in sorted(graph.classes):
         for leaker in sorted(graph.forbidden_set(target)):
-            corpus.append(gen_leaky(graph, q, target, leaker))
+            yield gen_leaky(graph, q, target, leaker)
     labels = sorted(graph.classes)
     for i, u in enumerate(labels):
         for w in labels[i + 1:]:
-            corpus.append(gen_correlated(graph, q, u, w))
+            yield gen_correlated(graph, q, u, w)
+
+
+def _draw_total(graph: AccessGraph, q: int, trials: int, seed: int) -> int:
+    """generate._draw_size, once trials and seed are checked."""
+    if trials < 0:
+        raise InvalidArgument(f"trials must be non-negative, got {trials}")
+    _check_seed(seed)
+    return _draw_size(graph, q)
+
+
+def build_corpus(graph: AccessGraph, q: int, trials: int, seed: int) -> list[Scheme]:
+    """Fixture schemes plus seeded random ones for a validation run.
+
+    Contents: the _fixtures, then `trials` schemes, each equal to
+    gen_random_correct at a per-trial seed derived via splitmix64. A
+    trial that draws the uniform branch is the trivial scheme itself,
+    corpus[0], and is not built again. Raises InvalidArgument when trials
+    is negative or seed lies outside range(2**64), then as
+    generate._draw_size does, before any scheme is built.
+    """
+    total = _draw_total(graph, q, trials, seed)
+    corpus = list(_fixtures(graph, q))
     rng = SplitMix64(seed)
     for _ in range(trials):
-        corpus.append(_random(graph, q, rng.next_u64(), total, corpus[0]))
+        corpus.append(_random(graph, q, _draw(rng.next_u64(), total), corpus[0]))
     return corpus
 
 
-def run_validation(graph: AccessGraph, q: int, trials: int, seed: int) -> dict:
-    """Full validation pass over a generated corpus; returns the summary.
+def _identities(index: int, scheme: Scheme, seq: tuple[str, ...]) -> tuple[int, float]:
+    """The identity_checks and max_abs_err totals, on a KI-passing corpus
+    scheme, of verify_independence_sum on the full well-ordered sequence
+    seq, verify_conditional_identities on every split of it and
+    verify_main_theorem_sequence for every class; a violation is
+    re-raised prefixed "corpus scheme <index>: "."""
+    try:
+        summed = verify_independence_sum(scheme, seq, True)
+        reports = [verify_conditional_identities(scheme, seq, n, len(seq) - n, True)
+                   for n in range(1, len(seq) + 1)]
+        reports += [verify_main_theorem_sequence(scheme, u, True)
+                    for u in sorted(scheme.graph.classes)]
+    except TheoremViolation as exc:
+        raise TheoremViolation(f"corpus scheme {index}: {exc}",
+                               scheme_json=exc.scheme_json) from None
+    return (summed["identity_checks"] + sum(r["identity_checks"] for r in reports),
+            max([summed["abs_err"]] + [r["max_abs_err"] for r in reports]))
 
-    Checks KI/SKI agreement on every scheme, then runs the public
-    verifiers on every KI-passing scheme: verify_independence_sum on the
-    graph's full well-ordered sequence, verify_conditional_identities on
-    every split of it, and verify_main_theorem_sequence for every class,
-    each given the KI verdict that verify_equivalence decided. Each
-    distinct scheme is decided once, and both totals are read from
-    one (identity_checks, max_abs_err) record per KI-passing corpus
-    scheme. A violation is re-raised prefixed "corpus scheme <index>: ",
-    the index of the scheme's first occurrence in build_corpus(graph, q,
-    trials, seed). Summary fields: verify_equivalence's schemes, ki_pass,
-    ki_fail and discrepancies, then identity_checks and max_abs_err.
+
+def run_validation(graph: AccessGraph, q: int, trials: int, seed: int) -> dict:
+    """Validation pass over build_corpus(graph, q, trials, seed), streamed;
+    returns the summary.
+
+    Decides KI and SKI on every corpus scheme, as it arrives, and runs
+    _identities on every KI-passing one. The trivial scheme is its own
+    _Family's weighting, per kind, and a multinomial trial the same
+    plans weighed by its ball counts; the trial's scheme is built only
+    when KI passes. A uniform trial reuses the trivial scheme's verdicts
+    and totals. Summary fields: schemes, ki_pass, ki_fail and
+    discrepancies, as verify_equivalence counts them, then
+    identity_checks and max_abs_err.
     """
-    corpus = build_corpus(graph, q, trials, seed)
-    summary = verify_equivalence(corpus, strict=False)
+    total = _draw_total(graph, q, trials, seed)
     seq = graph.well_ordered_all()
-    decided: dict[Scheme, tuple[int, float]] = {}
-    records = []
-    for index, (scheme, verdict) in enumerate(zip(corpus, summary.pop("verdicts"))):
-        if not verdict["ki"]:
+    summary = {"schemes": 0, "ki_pass": 0, "ki_fail": 0, "discrepancies": 0,
+               "identity_checks": 0, "max_abs_err": 0.0}
+    fixtures = _fixtures(graph, q)
+    trivial = next(fixtures)
+    families = [_Family(trivial, kind) for kind in ("ki", "ski")]
+
+    def tally(ki: bool, ski: bool, totals: tuple[int, float]) -> None:
+        summary["schemes"] += 1
+        summary["ki_pass" if ki else "ki_fail"] += 1
+        summary["discrepancies"] += ki != ski
+        summary["identity_checks"] += totals[0]
+        summary["max_abs_err"] = max(summary["max_abs_err"], totals[1])
+
+    uniform = [family.passes(trivial.dist.weights) for family in families]
+    uniform_totals = _identities(0, trivial, seq) if uniform[0] else (0, 0.0)
+    tally(*uniform, uniform_totals)
+    for index, scheme in enumerate(fixtures, 1):
+        ki, ski = passes(scheme, "ki"), passes(scheme, "ski")
+        tally(ki, ski, _identities(index, scheme, seq) if ki else (0, 0.0))
+    rng = SplitMix64(seed)
+    for index in range(summary["schemes"], summary["schemes"] + trials):
+        counts = _draw(rng.next_u64(), total)
+        if not counts:
+            tally(*uniform, uniform_totals)
             continue
-        if scheme not in decided:
-            try:
-                ki = verdict["ki"]
-                summed = verify_independence_sum(scheme, seq, ki)
-                reports = [verify_conditional_identities(scheme, seq, n, len(seq) - n, ki)
-                           for n in range(1, len(seq) + 1)]
-                reports += [verify_main_theorem_sequence(scheme, u, ki)
-                            for u in sorted(graph.classes)]
-            except TheoremViolation as exc:
-                raise TheoremViolation(f"corpus scheme {index}: {exc}",
-                                       scheme_json=exc.scheme_json) from None
-            decided[scheme] = (
-                summed["identity_checks"] + sum(r["identity_checks"] for r in reports),
-                max([summed["abs_err"]] + [r["max_abs_err"] for r in reports]),
-            )
-        records.append(decided[scheme])
-    summary["identity_checks"] = sum(checks for checks, _ in records)
-    summary["max_abs_err"] = max((err for _, err in records), default=0.0)
+        rows, weights = zip(*counts)
+        ki, ski = (family.passes(weights, rows) for family in families)
+        tally(ki, ski, _identities(index, _random(graph, q, counts, trivial), seq)
+              if ki else (0, 0.0))
     return summary

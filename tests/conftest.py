@@ -159,11 +159,11 @@ def assert_canonical_form(dist: JointDistribution) -> None:
 @pytest.fixture
 def support_scans(monkeypatch) -> SimpleNamespace:
     """Counts the passes over a distribution's support made through
-    JointDistribution._scan and _undetermined, the two primitives its
+    JointDistribution._plan and _undetermined, the two primitives its
     queries scan with, and the rows those passes read. Reset the fields
     to count a stretch."""
     counter = SimpleNamespace(scans=0, rows=0)
-    for name in ("_scan", "_undetermined"):
+    for name in ("_plan", "_undetermined"):
         def counted(self, *groups, scan=getattr(JointDistribution, name)):
             counter.scans += 1
             counter.rows += self.support_size()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -39,22 +40,37 @@ TOL = 1e-9
 
 
 def _forced(monkeypatch, verdict, kinds=("ki", "ski")):
-    """Make harness.passes answer verdict for these kinds, and decide the
-    others as before."""
-    inner = harness.passes
-    monkeypatch.setattr(harness, "passes",
-                        lambda scheme, kind: verdict if kind in kinds else inner(scheme, kind))
+    """Make every KI or SKI verdict the harness reads answer verdict for
+    these kinds, and decide the others as before: checks.passes reads a
+    scheme's verdict, and run_validation a trial's, through
+    checks._Family.passes."""
+    inner = hkas.checks._Family.passes
+    monkeypatch.setattr(hkas.checks._Family, "passes",
+                        lambda family, *weighting: (verdict if family.kind in kinds
+                                                    else inner(family, *weighting)))
+
+
+def _weighted(scheme, weights, rows=None):
+    """The scheme on scheme's rows (all of them, or those listed) at
+    these weights, built apart from the code under test."""
+    support = [assignment for assignment, _ in scheme.dist.rows()]
+    picked = support if rows is None else [support[row] for row in rows]
+    total = sum(weights)
+    return Scheme(scheme.graph, JointDistribution.from_rows(
+        (assignment, Fraction(w, total)) for assignment, w in zip(picked, weights)))
 
 
 def _recorded(monkeypatch, kind):
-    """The schemes harness.passes is asked to decide kind on, from now on."""
-    calls, inner = [], harness.passes
+    """The schemes kind is decided on, from now on: each verdict that
+    checks._Family.passes reads, whether checks.passes asked for it or
+    run_validation weighed a trial, as the scheme it decides."""
+    calls, inner = [], hkas.checks._Family.passes
 
-    def recorded(scheme, asked):
-        if asked == kind:
-            calls.append(scheme)
-        return inner(scheme, asked)
-    monkeypatch.setattr(harness, "passes", recorded)
+    def recorded(family, weights, rows=None):
+        if family.kind == kind:
+            calls.append(_weighted(family.scheme, weights, rows))
+        return inner(family, weights, rows)
+    monkeypatch.setattr(hkas.checks._Family, "passes", recorded)
     return calls
 
 
@@ -319,12 +335,52 @@ def test_run_validation_names_corpus_scheme(monkeypatch, diamond):
     assert load_scheme(json.loads(payload)) == build_corpus(diamond, 2, 0, 0)[1]
 
 
+def test_run_validation_counts_disagreements_and_names_the_trivial_scheme(monkeypatch,
+                                                                           diamond):
+    # With SKI forced to pass, every KI-failing corpus scheme disagrees,
+    # and with SKI forced to fail, every KI-passing one; run_validation
+    # counts them, raises nothing and still verifies the KI-passing ones.
+    expected = run_validation(diamond, 2, 3, 5)
+    for verdict, disagreeing in ((True, "ki_fail"), (False, "ki_pass")):
+        with monkeypatch.context() as patched:
+            _forced(patched, verdict, ("ski",))
+            summary = run_validation(diamond, 2, 3, 5)
+        assert summary == dict(expected, discrepancies=expected[disagreeing])
+        assert expected[disagreeing] > 0
+    # A violation on the trivial scheme names it as corpus scheme 0.
+    violation = TheoremViolation("forced", scheme_json="{}")
+
+    def violated(*args):
+        raise violation
+    monkeypatch.setattr(harness, "verify_independence_sum", violated)
+    with pytest.raises(TheoremViolation, match=r"^corpus scheme 0: forced$"):
+        run_validation(diamond, 2, 0, 0)
+
+
+def test_run_validation_names_a_trial_by_its_corpus_index(monkeypatch, diamond):
+    # Claim KI for every multinomial trial, a weighting of the trivial
+    # scheme's rows: the first one fails an identity, and its violation
+    # names its index in build_corpus and carries its scheme.
+    inner = hkas.checks._Family.passes
+    monkeypatch.setattr(hkas.checks._Family, "passes",
+                        lambda family, weights, rows=None: (
+                            rows is not None and family.kind == "ki"
+                            or inner(family, weights, rows)))
+    with pytest.raises(TheoremViolation) as exc_info:
+        run_validation(diamond, 2, 20, 7)
+    corpus = build_corpus(diamond, 2, 20, 7)
+    first = next(i for i in range(14, len(corpus)) if corpus[i] is not corpus[0])
+    assert str(exc_info.value).startswith(f"corpus scheme {first}: ")
+    assert load_scheme(json.loads(exc_info.value.scheme_json)) == corpus[first]
+
+
 @pytest.mark.parametrize("shape", ["diamond", "antichain3"])
 @pytest.mark.parametrize("q", [2, 3])
 def test_run_validation_totals_public_verifiers(shape, q):
-    # run_validation decides each distinct scheme once; its totals must
-    # still equal those of the public verifiers called on every KI-passing
-    # corpus scheme (at q=3 the float gaps are not all zero).
+    # run_validation decides weightings of the trivial scheme's rows and
+    # reuses the trivial scheme's totals; its totals must still equal those
+    # of the public verifiers called on every KI-passing corpus scheme (at
+    # q=3 the float gaps are not all zero).
     graph = make_diamond() if shape == "diamond" else AccessGraph.build(["a", "b", "c"], [])
     seq = graph.well_ordered_all()
     identity_checks = 0
@@ -360,12 +416,14 @@ def test_run_validation_decides_each_distinct_scheme_once(monkeypatch, diamond):
 
 
 def test_run_validation_decides_ki_once_per_distinct_scheme(monkeypatch, diamond):
-    # verify_equivalence decides KI on each of the 121 distinct schemes;
-    # the public verifiers that run_validation calls take that verdict
-    # rather than decide it again in their precondition.
+    # run_validation decides KI on each of the 121 distinct corpus schemes,
+    # a trial by weighing the trivial scheme's plans; the public verifiers
+    # it calls take that verdict rather than decide it again in their
+    # precondition.
     calls = _recorded(monkeypatch, "ki")
     summary = run_validation(diamond, 2, 200, 7)
     assert len(calls) == len(set(calls)) == 121
+    assert set(calls) == set(build_corpus(diamond, 2, 200, 7))
     assert summary["ki_pass"] == 94 and summary["identity_checks"] == 3666
 
 
@@ -404,3 +462,17 @@ def test_run_validation_stops_each_verdict_at_its_first_failing_class(monkeypatc
     summary = run_validation(diamond, 2, 200, 7)
     assert counts["walks"] <= 277 and counts["witnesses"] == 0
     assert summary["ki_pass"] == 94 and summary["identity_checks"] == 3666
+
+
+def test_run_validation_runs_in_constant_memory(diamond):
+    # Each trial is drawn, decided and dropped: ten times the trials may
+    # not raise the traced peak by a tenth. A corpus list, or a memo of
+    # every distinct scheme, grows by a scheme per multinomial trial.
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            run_validation(diamond, 2, trials, 7)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(4000) <= 1.1 * peak(400)

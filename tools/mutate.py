@@ -22,6 +22,7 @@ import argparse
 import ast
 import io
 import os
+import resource
 import shutil
 import signal
 import subprocess
@@ -34,6 +35,10 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 ALLOW = Path(__file__).with_name("mutants.allow")
+# Address space allowed to each pytest run, several times what the whole
+# suite needs (about 110 MB resident): a mutant that allocates without
+# bound then fails with MemoryError instead of exhausting the machine.
+MEMORY_LIMIT = 1 << 30
 
 SWAPS = {
     "==": "!=", "!=": "==", "<": "<=", "<=": "<", ">": ">=", ">=": ">",
@@ -150,13 +155,18 @@ def load_allow() -> dict[tuple[str, str, str], str]:
     return allowed
 
 
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
 def run_tests(work: Path, tests: list[str], timeout: float | None) -> str:
     """'pass', 'fail' or 'hang' for one pytest run in the scratch copy."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                *tests]
     with subprocess.Popen(command, cwd=work, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL, start_new_session=True) as proc:
+                          stderr=subprocess.DEVNULL, start_new_session=True,
+                          preexec_fn=_limit_memory) as proc:
         try:
             code = proc.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
